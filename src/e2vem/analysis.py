@@ -15,7 +15,7 @@ import numpy as np
 
 from .degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from .errors import DegenerateData, MissingExactSolution
-from .geometry import PolygonalMesh, build_polygon, polygon_quadrature
+from .geometry import PolygonalMesh, polygon_quadrature
 from .meshgen import (PolygonFamilySpec, MeshFamilySpec, make_mesh,
                       make_polygon)
 from .polyspace import ScaledMonomialBasis
@@ -24,33 +24,37 @@ from .projectors import compute_pinabla
 _ERROR_QUADRATURE_DEGREE = 8
 
 
-def _p1_projection_classes(mesh: PolygonalMesh, quadrature_degree: int):
-    """Group cells into translation classes and compute, per class: the
-    member index array, anchor offsets, the linear elliptic projector,
-    quadrature (points, weights) and P1 basis values on the class
-    representative. Translated copies share all of these."""
-    groups: dict = {}
-    verts = mesh.vertices
-    for ci, cell in enumerate(mesh.cells):
-        idx = np.fromiter(cell, dtype=np.int64, count=len(cell))
-        pts = verts[idx]
-        rel = np.round((pts - pts[0]) * 1e12).astype(np.int64)
-        key = (len(cell), rel.tobytes())
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = entry = ([], [], pts.copy())
-        entry[0].append(idx)
-        entry[1].append(pts[0])
-    out = []
-    for indices, anchors, rep_pts in groups.values():
-        poly = build_polygon(rep_pts, normalize_orientation=False)
+def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
+                       exact_gradient, quadrature_degree: int):
+    """Squared L2 and H1-seminorm distances between the per-cell linear
+    projection of the vertex data and the exact solution and gradient,
+    summed over cells; a sum whose exact field is None stays 0. The
+    projector and quadrature are computed once per cell class."""
+    u = np.asarray(vertex_values, dtype=float)
+    l2_sq = h1_sq = 0.0
+    for cls in mesh.cell_classes:
+        poly = cls.polygon
         pinabla = compute_pinabla(poly)
         qpts, qw = polygon_quadrature(poly, quadrature_degree)
+        coeffs = u[cls.indices] @ pinabla.T                     # (m, 3)
+        pts = (qpts[None, :, :] + cls.offsets[:, None, :]).reshape(-1, 2)
+        x, y = pts[:, 0], pts[:, 1]
+        shape = (len(cls.members), len(qw))
         basis = ScaledMonomialBasis.from_polygon(poly, 1)
-        out.append((np.asarray(indices),
-                    np.asarray(anchors) - rep_pts[0],
-                    pinabla, qpts, qw, basis.evaluate(qpts), basis.scale))
-    return out
+        if exact is not None:
+            err = coeffs @ basis.evaluate(qpts).T               # (m, P)
+            err -= np.asarray(exact(x, y), dtype=float).reshape(shape)
+            l2_sq += float(((err * err) @ qw).sum())
+            del err  # one norm's temporaries at a time bound the peak memory
+        if exact_gradient is not None:
+            gx, gy = exact_gradient(x, y)
+            # the projected gradient is constant per cell
+            dx = (coeffs[:, 1] / basis.scale)[:, None] \
+                - np.asarray(gx, dtype=float).reshape(shape)
+            dy = (coeffs[:, 2] / basis.scale)[:, None] \
+                - np.asarray(gy, dtype=float).reshape(shape)
+            h1_sq += float(((dx * dx + dy * dy) @ qw).sum())
+    return l2_sq, h1_sq
 
 
 def l2_error(mesh: PolygonalMesh, degrees, vertex_values, exact,
@@ -59,17 +63,8 @@ def l2_error(mesh: PolygonalMesh, degrees, vertex_values, exact,
     linear projection of the vertex data and ``exact``."""
     if exact is None:
         raise MissingExactSolution("l2_error needs an exact solution")
-    u = np.asarray(vertex_values, dtype=float)
-    total = 0.0
-    for idx, offs, pinabla, qpts, qw, bvals, _ in \
-            _p1_projection_classes(mesh, quadrature_degree):
-        coeffs = u[idx] @ pinabla.T                     # (m, 3)
-        vals = coeffs @ bvals.T                         # (m, P)
-        pts = qpts[None, :, :] + offs[:, None, :]
-        ex = np.asarray(exact(pts[..., 0].ravel(), pts[..., 1].ravel()),
-                        dtype=float).reshape(vals.shape)
-        total += float(((vals - ex) ** 2 @ qw).sum())
-    return float(np.sqrt(total))
+    return float(np.sqrt(_projection_errors(
+        mesh, vertex_values, exact, None, quadrature_degree)[0]))
 
 
 def h1_error(mesh: PolygonalMesh, degrees, vertex_values, exact_gradient,
@@ -77,20 +72,8 @@ def h1_error(mesh: PolygonalMesh, degrees, vertex_values, exact_gradient,
     """Gradient analogue of :func:`l2_error` (H1 seminorm distance)."""
     if exact_gradient is None:
         raise MissingExactSolution("h1_error needs an exact gradient")
-    u = np.asarray(vertex_values, dtype=float)
-    total = 0.0
-    for idx, offs, pinabla, qpts, qw, _, scale in \
-            _p1_projection_classes(mesh, quadrature_degree):
-        coeffs = u[idx] @ pinabla.T
-        gx_h = coeffs[:, 1] / scale                     # constant per cell
-        gy_h = coeffs[:, 2] / scale
-        pts = qpts[None, :, :] + offs[:, None, :]
-        gx, gy = exact_gradient(pts[..., 0].ravel(), pts[..., 1].ravel())
-        shape = (len(idx), len(qw))
-        dx = gx_h[:, None] - np.asarray(gx, dtype=float).reshape(shape)
-        dy = gy_h[:, None] - np.asarray(gy, dtype=float).reshape(shape)
-        total += float(((dx ** 2 + dy ** 2) @ qw).sum())
-    return float(np.sqrt(total))
+    return float(np.sqrt(_projection_errors(
+        mesh, vertex_values, None, exact_gradient, quadrature_degree)[1]))
 
 
 def solution_errors(result, quadrature_degree: int =
@@ -98,10 +81,13 @@ def solution_errors(result, quadrature_degree: int =
     """(l2, h1) errors of a :class:`SolutionResult` against the declared
     exact solution."""
     problem = result.problem
-    return (l2_error(result.mesh, result.degrees, result.vertex_values,
-                     problem.exact_solution, quadrature_degree),
-            h1_error(result.mesh, result.degrees, result.vertex_values,
-                     problem.exact_gradient, quadrature_degree))
+    if problem.exact_solution is None or problem.exact_gradient is None:
+        raise MissingExactSolution(
+            "solution_errors needs an exact solution and gradient")
+    l2_sq, h1_sq = _projection_errors(
+        result.mesh, result.vertex_values, problem.exact_solution,
+        problem.exact_gradient, quadrature_degree)
+    return float(np.sqrt(l2_sq)), float(np.sqrt(h1_sq))
 
 
 def eoc_rates(hs, errs):

@@ -1,17 +1,16 @@
 """Global assembly of the discrete Poisson / diffusion-reaction systems,
 Dirichlet elimination, and the SPD solve.
 
-Cells that are translates of each other (same projection degree) share
-their local matrices: the stiffness, reaction and projector blocks are
-computed once per translation class and scattered to all members, which
-keeps structured meshes cheap without changing any value beyond the
-translation jitter of the generator (well below solver tolerance).
+Assembly iterates the mesh's one cell-class index, ``mesh.cell_classes``:
+the stiffness, reaction, projector and quadrature data are computed once
+on each class representative, per projection degree found among its
+members, and scattered to every member shifted by its anchor offset.
+Members are verified translates of the representative, so reuse changes
+no value beyond the index's relative tolerance.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,12 +19,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .degree import DegreeAssignment, assign_degrees
 from .errors import InadmissibleDegrees, NotSPD
-from .geometry import PolygonalMesh, build_polygon, polygon_quadrature
+from .geometry import PolygonalMesh, polygon_quadrature
 from .meshgen import SplitMix64
 from .polyspace import ScaledMonomialBasis
 from .projectors import build_projectors
-
-_OFFSET_QUANTUM = 1e-12  # translation-class key resolution (unit domain)
 
 
 def _as_field(value):
@@ -138,51 +135,6 @@ def linear_problem(a: float, b: float, c: float,
 
 
 @dataclass(eq=False)
-class _TranslationClass:
-    l: int
-    rep_points: np.ndarray
-    cell_ids: list = field(default_factory=list)
-    indices: list = field(default_factory=list)
-    anchors: list = field(default_factory=list)
-
-
-def _translation_classes(mesh: PolygonalMesh, levels) -> list:
-    groups: dict = {}
-    verts = mesh.vertices
-    for ci, cell in enumerate(mesh.cells):
-        idx = np.fromiter(cell, dtype=np.int64, count=len(cell))
-        pts = verts[idx]
-        rel = np.round((pts - pts[0]) / _OFFSET_QUANTUM).astype(np.int64)
-        key = (int(levels[ci]), len(cell), rel.tobytes())
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = _TranslationClass(int(levels[ci]),
-                                                    pts.copy())
-        group.cell_ids.append(ci)
-        group.indices.append(idx)
-        group.anchors.append(pts[0])
-    return list(groups.values())
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("E2VEM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_classes(fn, classes):
-    workers = min(_thread_count(), len(classes))
-    if workers <= 1:
-        return [fn(c) for c in classes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, classes))
-
-
-@dataclass(eq=False)
 class LinearSystem:
     """Reduced SPD system over non-Dirichlet vertices."""
 
@@ -237,52 +189,43 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
     _check_admissible(mesh, degrees)
     if load_mode not in ("mean", "p1"):
         raise ValueError(f"unknown load mode {load_mode!r}")
-    classes = _translation_classes(mesh, degrees.levels)
     reaction = problem.kind == "diffusion_reaction"
-
-    def rep_data(group):
-        poly = build_polygon(group.rep_points, normalize_orientation=False)
-        projs = build_projectors(poly, group.l)
-        local = projs.stiffness.copy()
-        if reaction:
-            local += poly.area * np.outer(projs.pizero, projs.pizero)
-        qdeg = quadrature_degree
-        if qdeg is None:
-            qdeg = 2 * (group.l + 1) + 2
-        qpts, qw = polygon_quadrature(poly, qdeg)
-        if load_mode == "p1":
-            basis1 = ScaledMonomialBasis.from_polygon(poly, 1)
-            qbasis = basis1.evaluate(qpts)
-        else:
-            qbasis = None
-        return local, projs, qpts, qw, qbasis
-
-    rep = _map_classes(rep_data, classes)
-
     n = mesh.n_vertices
     load = np.zeros(n)
     row_parts, col_parts, val_parts = [], [], []
-    for group, (local, projs, qpts, qw, qbasis) in zip(classes, rep):
-        idx = np.asarray(group.indices)                      # (m, nv)
-        offsets = np.asarray(group.anchors) - group.rep_points[0]
-        m, nv = idx.shape
-        row_parts.append(np.repeat(idx, nv, axis=1).ravel())
-        col_parts.append(np.tile(idx, (1, nv)).ravel())
-        val_parts.append(np.tile(local.ravel(), m))
-        pts = (qpts[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
-        fv = np.asarray(problem.f(pts[:, 0], pts[:, 1]),
-                        dtype=float).reshape(m, len(qw))
-        if load_mode == "mean":
-            cell_loads = (fv @ qw)[:, None] * projs.pizero[None, :]
-        else:
-            moments = np.einsum("mp,p,pa->ma", fv, qw, qbasis)
-            cell_loads = moments @ projs.pione
-        np.add.at(load, idx, cell_loads)
+    for cls in mesh.cell_classes:
+        poly = cls.polygon
+        member_levels = degrees.levels[cls.members]
+        for l in np.unique(member_levels).tolist():
+            sel = member_levels == l
+            idx, offsets = cls.indices[sel], cls.offsets[sel]   # (m, nv)
+            projs = build_projectors(poly, l)
+            local = projs.stiffness.copy()
+            if reaction:
+                local += poly.area * np.outer(projs.pizero, projs.pizero)
+            qdeg = quadrature_degree
+            if qdeg is None:
+                qdeg = 2 * (l + 1) + 2
+            qpts, qw = polygon_quadrature(poly, qdeg)
+            m, nv = idx.shape
+            row_parts.append(np.repeat(idx, nv, axis=1).ravel())
+            col_parts.append(np.tile(idx, (1, nv)).ravel())
+            val_parts.append(np.tile(local.ravel(), m))
+            pts = (qpts[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
+            fv = np.asarray(problem.f(pts[:, 0], pts[:, 1]),
+                            dtype=float).reshape(m, len(qw))
+            if load_mode == "mean":
+                cell_loads = (fv @ qw)[:, None] * projs.pizero[None, :]
+            else:
+                qbasis = ScaledMonomialBasis.from_polygon(poly, 1).evaluate(qpts)
+                moments = np.einsum("mp,p,pa->ma", fv, qw, qbasis)
+                cell_loads = moments @ projs.pione
+            np.add.at(load, idx, cell_loads)
     rows = np.concatenate(row_parts)
     cols = np.concatenate(col_parts)
     vals = np.concatenate(val_parts)
     # sum duplicates in sorted-key order so the result does not depend on
-    # cell ordering or on how classes were scheduled
+    # cell ordering
     order = np.lexsort((cols, rows))
     matrix = sp.coo_matrix((vals[order], (rows[order], cols[order])),
                            shape=(n, n)).tocsr()
@@ -349,12 +292,8 @@ def solve(system: LinearSystem, method: str = "cholesky",
     def tick(_):
         count[0] += 1
 
-    try:
-        x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter,
-                          M=precond, callback=tick)
-    except TypeError:  # scipy < 1.12 spells the relative tolerance 'tol'
-        x, info = spla.cg(a, b, tol=tol, atol=0.0, maxiter=maxiter,
-                          M=precond, callback=tick)
+    x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter,
+                      M=precond, callback=tick)
     if info != 0:
         raise NotSPD(f"CG failed to converge (info={info}) after "
                      f"{count[0]} iterations")

@@ -180,45 +180,43 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
     All strategies are backed by rank evidence: the formula strategies
     compute the degree from the vertex count and then certify the
     stiffness rank, raising :class:`AdmissibilityNotReached` (with the
-    cell index) when the certificate fails. Results are memoized by
-    polygon congruence class.
+    cell index) when the certificate fails. Degrees are certified once
+    per polygon congruence class, on the representatives of the mesh's
+    cell classes.
     """
     kind, fixed_l = parse_strategy(strategy)
     levels = np.empty(mesh.n_cells, dtype=int)
-    evidence = []
+    evidence = [None] * mesh.n_cells
     cache: dict = {}
-    for ci, poly in enumerate(mesh.polygons):
+    for cls in mesh.cell_classes:
+        poly, ci = cls.polygon, int(cls.members[0])
         n = poly.n_vertices
-        if kind == "minimal":
-            key = ("min", congruence_key(poly))
-            ev = cache.get(key)
-            if ev is None:
-                try:
-                    ev = min_admissible_l(poly)
-                except AdmissibilityNotReached as exc:
-                    raise AdmissibilityNotReached(
-                        str(exc), cell=ci, n_vertices=n,
-                        searched=exc.searched) from exc
-                cache[key] = ev
-        else:
+        key = congruence_key(poly)
+        ev = cache.get(key)
+        if ev is None and kind == "minimal":
+            try:
+                ev = min_admissible_l(poly)
+            except AdmissibilityNotReached as exc:
+                raise AdmissibilityNotReached(
+                    str(exc), cell=ci, n_vertices=n,
+                    searched=exc.searched) from exc
+        elif ev is None:
             if kind == "ell_hat":
                 l = ell_hat(n)
             elif kind == "ell_check":
                 l = ell_check(n)
             else:
                 l = fixed_l
-            key = ("at", l, congruence_key(poly))
-            ev = cache.get(key)
-            if ev is None:
-                rank = stiffness_rank(poly, l)
-                ev = AdmissibilityEvidence(l, n, rank, ell_hat(n), ell_check(n))
-                cache[key] = ev
+            rank = stiffness_rank(poly, l)
+            ev = AdmissibilityEvidence(l, n, rank, ell_hat(n), ell_check(n))
             if not ev.admissible:
                 raise AdmissibilityNotReached(
                     f"strategy {strategy!r} gives l={l} but stiffness rank is "
                     f"{ev.rank} < {n - 1}", cell=ci, n_vertices=n,
                     searched=(l, l))
-        levels[ci] = ev.l
-        evidence.append(ev)
+        cache[key] = ev
+        levels[cls.members] = ev.l
+        for member in cls.members.tolist():
+            evidence[member] = ev
     strategy_str = f"fixed:{fixed_l}" if kind == "fixed" else kind
     return DegreeAssignment(levels, tuple(evidence), strategy_str)

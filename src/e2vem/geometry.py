@@ -251,6 +251,71 @@ def edge_integrate(edge, f, degree: int) -> float:
     return float((rule.weights * length) @ vals)
 
 
+#: Key resolution of the cell-class index, relative to each cell's diameter.
+_CLASS_QUANTUM = 1e-10
+#: Largest vertex-offset deviation from the representative, relative to its
+#: diameter, at which a cell reuses the representative's data; reused local
+#: matrices are then off by about this relative amount, far below solver
+#: tolerance. Smaller than the key resolution, so equal keys are checked.
+_CLASS_TOLERANCE = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class CellClass:
+    """Cells that are translates of one representative, ``members[0]``."""
+
+    polygon: Polygon        # the representative, built and validated once
+    members: np.ndarray     # (m,) cell indices, ascending
+    indices: np.ndarray     # (m, n) vertex indices of each member
+    offsets: np.ndarray     # (m, 2) member vertex 0 - representative vertex 0
+    diameters: np.ndarray   # (m,) largest vertex-to-vertex distance
+
+
+def _cell_classes(vertices, cells) -> tuple:
+    """Translation classes of ``cells``, ordered by representative.
+
+    Cells are grouped by vertex count and keyed on their vertex offsets
+    from vertex 0, quantized relative to the cell diameter, so the
+    grouping does not depend on coordinate scale. A cell joins its key's
+    class only when its offsets match the representative's within
+    ``_CLASS_TOLERANCE`` times the diameter; otherwise it forms a class
+    of its own.
+    """
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    groups = []
+    for n in np.unique(sizes):
+        ids = np.flatnonzero(sizes == n)
+        idx = np.array([cells[c] for c in ids], dtype=np.int64)
+        pts = vertices[idx]
+        rel = pts - pts[:, :1]
+        sq = np.zeros(len(ids))
+        for i in range(n):
+            d = pts - pts[:, i:i + 1]
+            sq = np.maximum(sq, (d * d).sum(-1).max(1))
+        diam = np.sqrt(sq)
+        # degenerate or non-finite cells get garbage keys, fail the check
+        # below and are rejected when their polygon is built
+        with np.errstate(divide="ignore", invalid="ignore"):
+            key = np.rint(rel / (_CLASS_QUANTUM * diam)[:, None, None])
+            key = key.astype(np.int64).reshape(len(ids), -1)
+        order = np.lexsort(key.T[::-1])  # stable: cells ascend within a key
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = (key[order[1:]] != key[order[:-1]]).any(1)
+        rep = np.empty_like(order)
+        rep[order] = order[first][np.cumsum(first) - 1]
+        deviation = np.abs(rel - rel[rep]).reshape(len(ids), -1).max(1)
+        rep = np.where(deviation <= _CLASS_TOLERANCE * diam[rep], rep,
+                       np.arange(len(ids)))
+        order = np.argsort(rep, kind="stable")
+        bounds = np.flatnonzero(np.diff(rep[order])) + 1
+        groups += [(ids[g], idx[g], pts[g], diam[g])
+                   for g in np.split(order, bounds)]
+    groups.sort(key=lambda g: g[0][0])
+    return tuple(CellClass(build_polygon(pts[0], normalize_orientation=False),
+                           members, idx, pts[:, 0] - pts[0, 0], diam)
+                 for members, idx, pts, diam in groups)
+
+
 class PolygonalMesh:
     """Conforming polygonal tessellation described by shared vertices.
 
@@ -305,6 +370,12 @@ class PolygonalMesh:
         return flags
 
     @cached_property
+    def cell_classes(self) -> tuple:
+        """The one index of cells that share shape data, a tuple of
+        :class:`CellClass`; degrees, assembly and error norms iterate it."""
+        return _cell_classes(self.vertices, self.cells)
+
+    @cached_property
     def polygons(self):
         return [build_polygon(self.vertices[list(cell)],
                               normalize_orientation=False)
@@ -315,16 +386,8 @@ class PolygonalMesh:
 
     @cached_property
     def h(self) -> float:
-        # max pairwise vertex distance per cell; cheaper than building
-        # every Polygon when only the mesh size is needed
-        if "polygons" in self.__dict__:
-            return max(p.diameter for p in self.polygons)
-        sq = 0.0
-        for cell in self.cells:
-            pts = self.vertices[list(cell)]
-            diff = pts[:, None, :] - pts[None, :, :]
-            sq = max(sq, float((diff * diff).sum(-1).max()))
-        return float(np.sqrt(sq))
+        return max((float(c.diameters.max()) for c in self.cell_classes),
+                   default=0.0)
 
 
 @dataclass(frozen=True)

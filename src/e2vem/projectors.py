@@ -155,11 +155,6 @@ def build_projectors(poly: Polygon, l: int) -> ElementProjectors:
                              stiffness, table, cond)
 
 
-def compute_pigrad(poly: Polygon, l: int, pinabla=None) -> np.ndarray:
-    """Gradient projection matrix (2 dim P_l, n) on the DOF space."""
-    return build_projectors(poly, l).pigrad
-
-
 def compute_pizero(poly: Polygon, pinabla=None) -> np.ndarray:
     """Cell means of the vertex hat functions (slaved to ``pinabla``)."""
     if pinabla is None:
@@ -239,20 +234,3 @@ def local_load(poly: Polygon, projectors: ElementProjectors, f,
     basis1 = ScaledMonomialBasis.from_polygon(poly, 1)
     moments = basis1.evaluate(pts).T @ (w * fv)
     return projectors.pione.T @ moments
-
-
-@dataclass(frozen=True, eq=False)
-class LocalMatrices:
-    """Per-cell contributions: stiffness, optional reaction, load."""
-
-    stiffness: np.ndarray
-    reaction: np.ndarray | None
-    load: np.ndarray
-
-
-def build_local_matrices(poly: Polygon, l: int, f, *, reaction=False,
-                         load_mode="mean", quadrature_degree=None) -> LocalMatrices:
-    projs = build_projectors(poly, l)
-    m0 = local_reaction(poly, projs.pizero) if reaction else None
-    load = local_load(poly, projs, f, load_mode, quadrature_degree)
-    return LocalMatrices(projs.stiffness, m0, load)

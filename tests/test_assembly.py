@@ -93,9 +93,42 @@ def test_assembly_order_independent():
     shuffled = PolygonalMesh(mesh.vertices,
                              [mesh.cells[i] for i in order], name=mesh.name)
     degs2 = assign_degrees(shuffled, "minimal")
+    assert np.array_equal(degs2.levels, degs.levels[order])
+    assert ({frozenset(order[c.members]) for c in shuffled.cell_classes}
+            == {frozenset(c.members) for c in mesh.cell_classes})
     A2, F2 = assemble_full(shuffled, degs2, prob)
     assert np.max(np.abs((A - A2).toarray())) < 1e-13
     assert np.max(np.abs(F - F2)) < 1e-13
+
+
+def jittered_square_grid(scale=1.0):
+    mesh = make_mesh(MeshFamilySpec("square_grid", level=2))
+    verts = mesh.vertices.copy()
+    interior = ~mesh.boundary_vertex_flags
+    shift = np.random.default_rng(5).uniform(-0.1, 0.1, (interior.sum(), 2))
+    verts[interior] += shift * mesh.h
+    return PolygonalMesh(scale * verts, mesh.cells)
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e12])
+def test_results_independent_of_coordinate_scale(scale):
+    # 256 distinct quadrilaterals; the 2D stiffness is scale-invariant
+    base, scaled = jittered_square_grid(), jittered_square_grid(scale)
+    assert len(scaled.cell_classes) == len(base.cell_classes) == base.n_cells
+    degs, degs_s = assign_degrees(base), assign_degrees(scaled)
+    assert np.array_equal(degs_s.levels, degs.levels)
+    prob = ProblemSpec("poisson", f=0.0)
+    A = assemble_full(base, degs, prob)[0].toarray()
+    A_s = assemble_full(scaled, degs_s, prob)[0].toarray()
+    assert np.abs(A_s - A).max() <= 1e-12 * np.abs(A).max()
+
+    def linear(x, y):
+        return 0.3 + (0.7 * x - 0.4 * y) / scale
+
+    patch = ProblemSpec("poisson", f=0.0, dirichlet_data=linear)
+    res = solve_problem(scaled, "minimal", patch)
+    exact = linear(scaled.vertices[:, 0], scaled.vertices[:, 1])
+    assert np.abs(res.vertex_values - exact).max() < 1e-10
 
 
 def test_solve_one_by_one_and_known_inverse():

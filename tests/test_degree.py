@@ -141,10 +141,27 @@ def test_assign_degrees_fixed_below_minimal_raises():
         assign_degrees(honey, "ell_check")
 
 
-def test_assign_degrees_memoizes_congruent_cells():
+def test_assign_degrees_memoizes_congruent_cells(monkeypatch):
+    from e2vem import degree
+
     mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
+    keys, searches = [], []
+    key_fn, search_fn = degree.congruence_key, degree.min_admissible_l
+
+    def counting_key(poly, *args, **kwargs):
+        keys.append(key_fn(poly, *args, **kwargs))
+        return keys[-1]
+
+    def counting_search(poly):
+        searches.append(poly)
+        return search_fn(poly)
+
+    monkeypatch.setattr(degree, "congruence_key", counting_key)
+    monkeypatch.setattr(degree, "min_admissible_l", counting_search)
     import time
 
     t0 = time.perf_counter()
     assign_degrees(mesh, "minimal")
     assert time.perf_counter() - t0 < 2.0  # 1166 cells, a handful of classes
+    assert len(keys) == len(mesh.cell_classes)  # once per translation class
+    assert len(searches) == len(set(keys))      # once per congruence class

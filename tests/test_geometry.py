@@ -145,6 +145,20 @@ def test_mesh_h_and_boundary_flags():
     assert np.array_equal(flags, on_rim)
 
 
+def test_cell_classes_verify_members_against_representative():
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    verts = np.vstack([square + (2.0 * k, 0.0) for k in range(4)])
+    # offsets within the 1e-10 diameter key resolution: cell 2 deviates
+    # beyond the 1e-12 diameter tolerance, cell 3 within it
+    verts[10, 1] += 5e-12
+    verts[14, 1] += 5e-14
+    mesh = PolygonalMesh(verts, [range(4 * k, 4 * k + 4) for k in range(4)])
+    classes = mesh.cell_classes
+    assert [c.members.tolist() for c in classes] == [[0, 1, 3], [2]]
+    assert np.allclose(classes[0].offsets, [(0, 0), (2, 0), (6, 0)])
+    assert np.allclose([d for c in classes for d in c.diameters], math.sqrt(2.0))
+
+
 def test_mesh_json_roundtrip_bit_exact(tmp_path):
     from e2vem.meshgen import load_mesh, save_mesh
 
