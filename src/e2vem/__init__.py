@@ -29,9 +29,7 @@ from .meshgen import (MeshFamilySpec, PolygonFamilySpec, cell_census,
                       load_mesh, make_mesh, make_polygon, save_mesh)
 from .polyspace import (ScaledMonomialBasis, build_moment_table,
                         monomial_exponents, space_dimension)
-from .projectors import (ElementProjectors, build_projectors,
-                         compute_pinabla, local_load, local_reaction,
-                         local_stiffness)
+from .projectors import ElementProjectors, build_projectors, compute_pinabla
 
 __version__ = "0.1.0"
 

@@ -23,41 +23,48 @@ from .projectors import compute_pinabla
 
 _ERROR_QUADRATURE_DEGREE = 8
 
+#: Most cells of one class whose fields are evaluated at once (bounds memory).
+_ERROR_CHUNK_CELLS = 4096
+
 
 def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
                        exact_gradient, quadrature_degree: int):
     """Squared L2 and H1-seminorm distances between the per-cell linear
     projection of the vertex data and the exact solution and gradient,
     summed over cells; a sum whose exact field is None stays 0. The
-    projector and quadrature are computed once per cell class."""
+    projector and quadrature are computed once per cell class, the exact
+    fields on at most ``_ERROR_CHUNK_CELLS`` members at a time."""
     u = np.asarray(vertex_values, dtype=float)
     l2_sq = h1_sq = 0.0
     for cls in mesh.cell_classes:
         poly = cls.polygon
         pinabla = compute_pinabla(poly)
         qpts, qw = polygon_quadrature(poly, quadrature_degree)
-        coeffs = u[cls.indices] @ pinabla.T                     # (m, 3)
-        pts = (qpts[None, :, :] + cls.offsets[:, None, :]).reshape(-1, 2)
-        x, y = pts[:, 0], pts[:, 1]
-        shape = (len(cls.members), len(qw))
         basis = ScaledMonomialBasis.from_polygon(poly, 1)
-        if exact is not None:
-            err = coeffs @ basis.evaluate(qpts).T               # (m, P)
-            err -= np.asarray(exact(x, y), dtype=float).reshape(shape)
-            l2_sq += float(((err * err) @ qw).sum())
-            del err  # one norm's temporaries at a time bound the peak memory
-        if exact_gradient is not None:
-            gx, gy = exact_gradient(x, y)
-            # the projected gradient is constant per cell
-            dx = (coeffs[:, 1] / basis.scale)[:, None] \
-                - np.asarray(gx, dtype=float).reshape(shape)
-            dy = (coeffs[:, 2] / basis.scale)[:, None] \
-                - np.asarray(gy, dtype=float).reshape(shape)
-            h1_sq += float(((dx * dx + dy * dy) @ qw).sum())
+        qbasis = basis.evaluate(qpts).T                         # (3, P)
+        for start in range(0, len(cls.members), _ERROR_CHUNK_CELLS):
+            chunk = slice(start, start + _ERROR_CHUNK_CELLS)
+            coeffs = u[cls.indices[chunk]] @ pinabla.T          # (m, 3)
+            pts = (qpts[None, :, :] + cls.offsets[chunk, None, :]).reshape(-1, 2)
+            x, y = pts[:, 0], pts[:, 1]
+            shape = (len(coeffs), len(qw))
+            if exact is not None:
+                err = coeffs @ qbasis                           # (m, P)
+                err -= np.asarray(exact(x, y), dtype=float).reshape(shape)
+                l2_sq += float(((err * err) @ qw).sum())
+                del err  # one norm's temporaries at a time bound the peak memory
+            if exact_gradient is not None:
+                gx, gy = exact_gradient(x, y)
+                # the projected gradient is constant per cell
+                dx = (coeffs[:, 1] / basis.scale)[:, None] \
+                    - np.asarray(gx, dtype=float).reshape(shape)
+                dy = (coeffs[:, 2] / basis.scale)[:, None] \
+                    - np.asarray(gy, dtype=float).reshape(shape)
+                h1_sq += float(((dx * dx + dy * dy) @ qw).sum())
     return l2_sq, h1_sq
 
 
-def l2_error(mesh: PolygonalMesh, degrees, vertex_values, exact,
+def l2_error(mesh: PolygonalMesh, vertex_values, exact,
              quadrature_degree: int = _ERROR_QUADRATURE_DEGREE) -> float:
     """sqrt of the summed squared L2 distance between the per-cell
     linear projection of the vertex data and ``exact``."""
@@ -67,7 +74,7 @@ def l2_error(mesh: PolygonalMesh, degrees, vertex_values, exact,
         mesh, vertex_values, exact, None, quadrature_degree)[0]))
 
 
-def h1_error(mesh: PolygonalMesh, degrees, vertex_values, exact_gradient,
+def h1_error(mesh: PolygonalMesh, vertex_values, exact_gradient,
              quadrature_degree: int = _ERROR_QUADRATURE_DEGREE) -> float:
     """Gradient analogue of :func:`l2_error` (H1 seminorm distance)."""
     if exact_gradient is None:

@@ -7,7 +7,6 @@ of any degree ``k`` basis is a prefix of every higher-degree ordering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,59 +78,23 @@ def gradient_coefficients(basis: ScaledMonomialBasis, a: int):
     return gx, gy
 
 
-@dataclass(frozen=True, eq=False)
-class VectorMonomialBasis:
-    """[P_l]^2 basis: all ``(m_a, 0)`` followed by all ``(0, m_a)``."""
-
-    scalar: ScaledMonomialBasis
-
-    @classmethod
-    def from_polygon(cls, poly: Polygon, degree: int):
-        return cls(ScaledMonomialBasis.from_polygon(poly, degree))
-
-    @property
-    def degree(self) -> int:
-        return self.scalar.degree
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.scalar.dim
+def divergence_matrix(basis: ScaledMonomialBasis) -> np.ndarray:
+    """Coefficients of ``div p_a`` in the degree ``k-1`` basis for every
+    [P_k]^2 monomial ``p_a`` of the degree ``k`` scalar ``basis``: all
+    ``(m_a, 0)`` followed by all ``(0, m_a)``; shape
+    ``(2 dim P_k, dim P_{k-1})``."""
+    grads = np.array([gradient_coefficients(basis, a) for a in range(basis.dim)])
+    return np.concatenate([grads[:, 0], grads[:, 1]])
 
 
-def divergence_coefficients(vbasis: VectorMonomialBasis, a: int) -> np.ndarray:
-    """Coefficients of ``div p_a`` in the degree ``l-1`` scalar basis."""
-    n = vbasis.scalar.dim
-    component, idx = divmod(a, n)
-    return gradient_coefficients(vbasis.scalar, idx)[component]
-
-
-def divergence_matrix(vbasis: VectorMonomialBasis) -> np.ndarray:
-    """Rows stack ``divergence_coefficients`` for every vector monomial."""
-    rows = [divergence_coefficients(vbasis, a) for a in range(vbasis.dim)]
-    return np.array(rows).reshape(vbasis.dim, space_dimension(vbasis.degree - 1))
-
-
-@dataclass(frozen=True, eq=False)
-class MomentTable:
-    """Gram matrix ``H[a, b] = (m_a, m_b)_E`` of a scaled monomial basis."""
-
-    matrix: np.ndarray
-    basis: ScaledMonomialBasis
-
-    @property
-    def degree(self) -> int:
-        return self.basis.degree
-
-
-def build_moment_table(poly: Polygon, degree: int, *,
-                       check_spd: bool = True) -> MomentTable:
-    """Moment matrix via sub-triangulation quadrature exact to ``2*degree``."""
+def build_moment_table(poly: Polygon, degree: int) -> np.ndarray:
+    """Read-only Gram matrix ``H[a, b] = (m_a, m_b)_E`` of the degree
+    ``degree`` scaled monomial basis, via sub-triangulation quadrature
+    exact to ``2*degree``."""
     basis = ScaledMonomialBasis.from_polygon(poly, degree)
     pts, w = polygon_quadrature(poly, 2 * degree)
     v = basis.evaluate(pts)
     h = (v * w[:, None]).T @ v
     h = 0.5 * (h + h.T)
-    if check_spd:
-        np.linalg.cholesky(h)
     h.setflags(write=False)
-    return MomentTable(h, basis)
+    return h

@@ -1,4 +1,5 @@
-"""Element projectors on the vertex DOF space and local matrices.
+"""The element kernel: projectors on the vertex DOF space and the local
+stiffness.
 
 For a polygon ``E`` with ``n`` vertices the virtual functions are known
 through their vertex values: traces are piecewise linear on the boundary
@@ -26,10 +27,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import IllConditioned, SingularSystem
-from .geometry import Polygon, polygon_quadrature
-from .polyspace import (MomentTable, ScaledMonomialBasis, VectorMonomialBasis,
-                        build_moment_table, divergence_matrix,
-                        space_dimension)
+from .geometry import Polygon
+from .polyspace import (ScaledMonomialBasis, build_moment_table,
+                        divergence_matrix, space_dimension)
+from .quadrature import segment_rule
 
 #: Gram condition number above which a warning is emitted (not fatal).
 GRAM_CONDITION_LIMIT = 1e12
@@ -71,6 +72,25 @@ def compute_pinabla(poly: Polygon) -> np.ndarray:
         raise SingularSystem(f"elliptic projector system: {exc}") from exc
 
 
+def _edge_moment_weights(poly: Polygon, l: int, edge_degree: int):
+    """Edge quadrature of the gradient projection's boundary term: the
+    points (n_e, n_q, 2) of a Gauss rule exact to ``edge_degree`` on each
+    edge, their parameters ``t`` (n_q,) along it, and weights ``W``
+    (2 dim P_l, n_e, n_q) with ``int_dE g (p_a . n) ds = sum W g(x)``
+    for the [P_l]^2 monomials ``p_a`` and traces ``g`` the rule
+    integrates exactly."""
+    v = poly.vertices
+    nxt = np.roll(v, -1, axis=0)
+    rule = segment_rule(edge_degree)
+    t = rule.nodes
+    basis = ScaledMonomialBasis.from_polygon(poly, l)
+    pts = v[:, None, :] + t[None, :, None] * (nxt - v)[:, None, :]
+    vb = basis.evaluate(pts.reshape(-1, 2)).reshape(len(v), len(t), basis.dim)
+    vb *= (poly.edge_lengths[:, None] * rule.weights)[:, :, None]
+    weights = poly.edge_normals.T[:, None, :, None] * vb.transpose(2, 0, 1)
+    return pts, t, weights.reshape(2 * basis.dim, len(v), len(t))
+
+
 def boundary_vector_moments(poly: Polygon, l: int) -> np.ndarray:
     """Matrix of ``int_dE phi_i (p_a . n) ds`` with shape (2 dim P_l, n).
 
@@ -78,159 +98,85 @@ def boundary_vector_moments(poly: Polygon, l: int) -> np.ndarray:
     along each edge, so a Gauss rule of that exactness integrates it
     exactly.
     """
-    from .quadrature import segment_rule
+    _, t, weights = _edge_moment_weights(poly, l, l + 1)
+    # phi_i is 1 - t on edge i and t on edge i - 1
+    return weights @ (1.0 - t) + np.roll(weights @ t, 1, axis=1)
 
-    v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
-    rule = segment_rule(l + 1)
-    t = rule.nodes
-    basis = ScaledMonomialBasis.from_polygon(poly, l)
-    n_e = poly.n_vertices
-    pts = v[:, None, :] + t[None, :, None] * (nxt - v)[:, None, :]
-    vb = basis.evaluate(pts.reshape(-1, 2)).reshape(n_e, len(t), basis.dim)
-    w0 = rule.weights * (1.0 - t)
-    w1 = rule.weights * t
-    b0 = poly.edge_lengths[:, None] * np.einsum("emk,m->ek", vb, w0)
-    b1 = poly.edge_lengths[:, None] * np.einsum("emk,m->ek", vb, w1)
-    out = np.empty((2 * basis.dim, n_e))
-    for comp in range(2):
-        c0 = poly.edge_normals[:, comp, None] * b0
-        c1 = poly.edge_normals[:, comp, None] * b1
-        out[comp * basis.dim:(comp + 1) * basis.dim] = (c0 + np.roll(c1, 1, axis=0)).T
-    return out
+
+def _project_gradient(poly: Polygon, l: int, gram: np.ndarray,
+                      boundary: np.ndarray, volume_moments):
+    """L2 projection of a gradient onto [P_l]^2 by the divergence identity
+    ``(grad v, p) = int_dE v (p . n) - int_E v div p``.
+
+    ``boundary`` holds the boundary term, ``volume_moments`` the moments
+    of ``v`` against the degree ``l - 1`` scalar basis and ``gram`` a
+    Gram matrix whose leading block is that of [P_l]. Returns the right
+    hand side, the projection coefficients and the [P_l] Gram condition
+    number, which warns above ``GRAM_CONDITION_LIMIT``.
+    """
+    rhs = boundary
+    if l > 0:
+        basis = ScaledMonomialBasis.from_polygon(poly, l)
+        rhs = rhs - divergence_matrix(basis) @ volume_moments
+    nl = space_dimension(l)
+    try:
+        factor = cho_factor(gram[:nl, :nl])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"[P_{l}]^2 Gram is not positive definite: {exc}") from exc
+    cond = float(np.linalg.cond(gram[:nl, :nl]))
+    if cond > GRAM_CONDITION_LIMIT:
+        warnings.warn(
+            f"vector Gram condition {cond:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e} "
+            f"(n={poly.n_vertices}, l={l})", IllConditioned, stacklevel=3)
+    return rhs, np.concatenate([cho_solve(factor, rhs[:nl]),
+                                cho_solve(factor, rhs[nl:])]), cond
 
 
 @dataclass(frozen=True, eq=False)
 class ElementProjectors:
     """Projector bundle for one polygon at gradient-projection degree ``l``."""
 
-    polygon: Polygon
-    l: int
-    pinabla: np.ndarray
     pigrad: np.ndarray
     pizero: np.ndarray
     pione: np.ndarray
     stiffness: np.ndarray
-    moments: MomentTable
     gram_condition: float
 
 
-def _gradient_rhs_volume(poly, l, moment_rows):
-    """- int_E (.) div p_a from supplied moments against P_{l-1}."""
-    if l == 0:
-        return 0.0
-    vbasis = VectorMonomialBasis.from_polygon(poly, l)
-    return divergence_matrix(vbasis) @ moment_rows
-
-
 def build_projectors(poly: Polygon, l: int) -> ElementProjectors:
+    """The element kernel at gradient-projection degree ``l``: the
+    projectors of the vertex hats and the stabilization-free local
+    stiffness (symmetric PSD, constants in its kernel)."""
     if l < 0:
         raise ValueError(f"negative projection degree {l}")
-    mdeg = max(1, l)
-    table = build_moment_table(poly, mdeg, check_spd=False)
-    h = table.matrix
+    h = build_moment_table(poly, max(1, l))
     pinabla = compute_pinabla(poly)
-    nl = space_dimension(l)
-    nlm1 = space_dimension(l - 1)
-    rhs = boundary_vector_moments(poly, l)
-    if nlm1 > 0:
-        rhs = rhs - _gradient_rhs_volume(poly, l, h[:nlm1, :3] @ pinabla)
-    hl = h[:nl, :nl]
-    try:
-        factor = cho_factor(hl)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"[P_{l}]^2 Gram is not positive definite: {exc}") from exc
-    pigrad = np.vstack([cho_solve(factor, rhs[:nl]),
-                        cho_solve(factor, rhs[nl:])])
-    cond = float(np.linalg.cond(hl))
-    if cond > GRAM_CONDITION_LIMIT:
-        warnings.warn(
-            f"vector Gram condition {cond:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e} "
-            f"(n={poly.n_vertices}, l={l})", IllConditioned, stacklevel=2)
+    # the enhancement slaves the hats' moments to their elliptic projection
+    rhs, pigrad, cond = _project_gradient(
+        poly, l, h, boundary_vector_moments(poly, l),
+        h[:space_dimension(l - 1), :3] @ pinabla)
+    # rhs = G pigrad, so this is pigrad^T G pigrad
     stiffness = rhs.T @ pigrad
     stiffness = 0.5 * (stiffness + stiffness.T)
     pizero = (h[0, :3] @ pinabla) / poly.area
     pione = np.linalg.solve(h[:3, :3], h[:3, :3] @ pinabla)
-    return ElementProjectors(poly, l, pinabla, pigrad, pizero, pione,
-                             stiffness, table, cond)
-
-
-def compute_pizero(poly: Polygon, pinabla=None) -> np.ndarray:
-    """Cell means of the vertex hat functions (slaved to ``pinabla``)."""
-    if pinabla is None:
-        pinabla = compute_pinabla(poly)
-    table = build_moment_table(poly, 1, check_spd=False)
-    return (table.matrix[0] @ pinabla) / poly.area
-
-
-def compute_pione(poly: Polygon, pinabla=None) -> np.ndarray:
-    """L2 projection onto linears of the virtual hats, from slaved moments."""
-    if pinabla is None:
-        pinabla = compute_pinabla(poly)
-    h1 = build_moment_table(poly, 1, check_spd=False).matrix
-    return np.linalg.solve(h1, h1 @ pinabla)
+    return ElementProjectors(pigrad, pizero, pione, stiffness, cond)
 
 
 def project_gradient_from_data(poly: Polygon, l: int, boundary_values,
-                               volume_moments=None, edge_degree=None) -> np.ndarray:
-    """Run the gradient-projection pipeline on explicit data.
+                               volume_moments=None) -> np.ndarray:
+    """Run the element's gradient projection on explicit data.
 
     ``boundary_values(points)`` supplies the trace on edge quadrature
-    points; ``volume_moments`` supplies the moments against the degree
-    ``l - 1`` scalar basis (required for ``l >= 1``). Returns the
-    coefficient vector of the projected gradient in [P_l]^2.
+    points (a rule exact to ``2 l + 2``); ``volume_moments`` supplies the
+    moments against the degree ``l - 1`` scalar basis (required for
+    ``l >= 1``). Returns the coefficient vector of the projected
+    gradient in [P_l]^2.
     """
-    from .quadrature import segment_rule
-
-    if edge_degree is None:
-        edge_degree = 2 * l + 2
-    basis = ScaledMonomialBasis.from_polygon(poly, l)
-    rule = segment_rule(edge_degree)
-    v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
-    t = rule.nodes
-    pts = (v[:, None, :] + t[None, :, None] * (nxt - v)[:, None, :]).reshape(-1, 2)
-    vals = np.asarray(boundary_values(pts), dtype=float).reshape(poly.n_vertices, len(t))
-    vb = basis.evaluate(pts).reshape(poly.n_vertices, len(t), basis.dim)
-    per_edge = np.einsum("emk,m,em->ek", vb, rule.weights, vals)
-    per_edge *= poly.edge_lengths[:, None]
-    rhs = np.concatenate([poly.edge_normals[:, 0] @ per_edge,
-                          poly.edge_normals[:, 1] @ per_edge])
-    nlm1 = space_dimension(l - 1)
-    if nlm1 > 0:
-        if volume_moments is None:
-            raise ValueError("volume_moments required for l >= 1")
-        rhs = rhs - _gradient_rhs_volume(poly, l, np.asarray(volume_moments, float))
-    table = build_moment_table(poly, max(1, l), check_spd=False)
-    nl = space_dimension(l)
-    factor = cho_factor(table.matrix[:nl, :nl])
-    return np.concatenate([cho_solve(factor, rhs[:nl]),
-                           cho_solve(factor, rhs[nl:])])
-
-
-def local_stiffness(poly: Polygon, l: int) -> np.ndarray:
-    """Stabilization-free local stiffness matrix (n, n), symmetric PSD
-    with the constant DOF vector in its kernel."""
-    return build_projectors(poly, l).stiffness
-
-
-def local_reaction(poly: Polygon, pizero: np.ndarray) -> np.ndarray:
-    """Reaction matrix ``(pizero_i, pizero_j)_E``: rank <= 1, PSD."""
-    return poly.area * np.outer(pizero, pizero)
-
-
-def local_load(poly: Polygon, projectors: ElementProjectors, f,
-               mode: str = "mean", quadrature_degree=None) -> np.ndarray:
-    """Load vector ``(f, Pi phi_i)_E`` with ``Pi`` the mean or the linear
-    L2 projection; quadrature default is exact to ``2 (l + 1) + 2``."""
-    if mode not in ("mean", "p1"):
-        raise ValueError(f"unknown load mode {mode!r}")
-    if quadrature_degree is None:
-        quadrature_degree = 2 * (projectors.l + 1) + 2
-    pts, w = polygon_quadrature(poly, quadrature_degree)
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    if mode == "mean":
-        return float(w @ fv) * projectors.pizero
-    basis1 = ScaledMonomialBasis.from_polygon(poly, 1)
-    moments = basis1.evaluate(pts).T @ (w * fv)
-    return projectors.pione.T @ moments
+    if l > 0 and volume_moments is None:
+        raise ValueError("volume_moments required for l >= 1")
+    pts, _, weights = _edge_moment_weights(poly, l, 2 * l + 2)
+    values = np.asarray(boundary_values(pts.reshape(-1, 2)), dtype=float)
+    boundary = weights.reshape(len(weights), -1) @ values
+    return _project_gradient(poly, l, build_moment_table(poly, l), boundary,
+                             volume_moments)[1]

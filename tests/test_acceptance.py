@@ -37,8 +37,8 @@ from e2vem.meshgen import (
 )
 from e2vem.polyspace import ScaledMonomialBasis, gradient_coefficients
 from e2vem.projectors import (
+    build_projectors,
     compute_pinabla,
-    local_stiffness,
     project_gradient_from_data,
 )
 
@@ -284,7 +284,7 @@ def test_criterion_10_spd_kernel_and_admissibility_refusal():
         mesh = level0(family)
         degrees = assign_degrees(mesh, "minimal")
         for i, poly in enumerate(mesh.polygons):
-            stiff = local_stiffness(poly, int(degrees.levels[i]))
+            stiff = build_projectors(poly, int(degrees.levels[i])).stiffness
             sv = np.linalg.svd(stiff, compute_uv=False)
             rank = int((sv > 1e-12 * sv[0]).sum())
             assert rank == poly.n_vertices - 1, (family, i)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from e2vem import analysis
 from e2vem.analysis import (
     StudyRow,
     build_report,
@@ -13,7 +14,6 @@ from e2vem.analysis import (
     solution_errors,
 )
 from e2vem.assembly import linear_problem, sin_sin_problem, solve_problem
-from e2vem.degree import assign_degrees
 from e2vem.errors import DegenerateData, MissingExactSolution
 from e2vem.geometry import PolygonalMesh
 from e2vem.meshgen import MeshFamilySpec, make_mesh
@@ -32,19 +32,17 @@ def test_linear_interpolant_errors_vanish():
 
 def test_zero_solution_error_is_exact_norm():
     mesh = make_mesh(MeshFamilySpec("square_grid", level=1))
-    degs = assign_degrees(mesh, "minimal")
     prob = sin_sin_problem("poisson")
     zeros = np.zeros(mesh.n_vertices)
     # ||sin sin||_L2 over the unit square is exactly 1/2
-    err = l2_error(mesh, degs, zeros, prob.exact_solution)
+    err = l2_error(mesh, zeros, prob.exact_solution)
     assert err == pytest.approx(0.5, abs=1e-6)
 
 
 def test_missing_exact_solution():
     mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
-    degs = assign_degrees(mesh, "minimal")
     with pytest.raises(MissingExactSolution):
-        l2_error(mesh, degs, np.zeros(mesh.n_vertices), None)
+        l2_error(mesh, np.zeros(mesh.n_vertices), None)
 
 
 def test_errors_mesh_order_independent():
@@ -56,11 +54,22 @@ def test_errors_mesh_order_independent():
     order = np.random.default_rng(1).permutation(mesh.n_cells)
     shuffled = PolygonalMesh(mesh.vertices, [mesh.cells[i] for i in order],
                              name=mesh.name)
-    degs = assign_degrees(shuffled, "minimal")
-    l2b = l2_error(shuffled, degs, res.vertex_values, prob.exact_solution)
-    h1b = h1_error(shuffled, degs, res.vertex_values, prob.exact_gradient)
+    l2b = l2_error(shuffled, res.vertex_values, prob.exact_solution)
+    h1b = h1_error(shuffled, res.vertex_values, prob.exact_gradient)
     assert abs(l2a - l2b) < 1e-13
     assert abs(h1a - h1b) < 1e-13
+
+
+def test_errors_chunked_over_class_members(monkeypatch):
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
+    prob = sin_sin_problem("poisson")
+    res = solve_problem(mesh, "minimal", prob)
+    monkeypatch.setattr(analysis, "_ERROR_CHUNK_CELLS", 10 ** 9)
+    whole = solution_errors(res)
+    assert max(len(cls.members) for cls in mesh.cell_classes) > 7
+    monkeypatch.setattr(analysis, "_ERROR_CHUNK_CELLS", 7)
+    chunked = solution_errors(res)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-13, atol=0.0)
 
 
 def test_eoc_rates_exact_power_laws():

@@ -41,6 +41,20 @@ def test_problem_residual_check():
         bad.residual_check()
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
+def test_residual_check_relative_to_data_scale(scale):
+    base = sin_sin_problem("poisson")
+
+    def scaled(f_factor):
+        return ProblemSpec(
+            "poisson", lambda x, y: scale * f_factor * base.f(x, y),
+            exact_solution=lambda x, y: scale * base.exact_solution(x, y))
+
+    scaled(1.0).residual_check()
+    with pytest.raises(ValueError):
+        scaled(1.01).residual_check()  # a source 1 % off
+
+
 def test_zero_problem_zero_solution():
     mesh = square_grid_2x2()
     prob = ProblemSpec("poisson", f=0.0)
@@ -146,6 +160,18 @@ def test_solve_one_by_one_and_known_inverse():
         x, stats = solve(sys3, method=method)
         assert np.allclose(x, np.linalg.solve(A, b), atol=1e-12)
         assert stats.method == method
+
+
+@pytest.mark.parametrize("n,expected", [(1200, "cholesky"), (1201, "cg")])
+def test_solve_default_picks_method_by_size(n, expected):
+    A = sps.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                  [-1, 0, 1], format="csr")
+    b = np.linspace(-1.0, 1.0, n)
+    system = LinearSystem(A, b, np.arange(n), np.array([], dtype=int),
+                          np.array([]), n)
+    x, stats = solve(system)
+    assert stats.method == expected
+    assert np.abs(A @ x - b).max() < 1e-10
 
 
 def test_solve_not_spd():

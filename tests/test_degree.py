@@ -82,10 +82,10 @@ def test_admissibility_monotone_in_l():
     for poly in (regular_polygon(8), make_polygon(
             PolygonFamilySpec("random_convex", n=12, seed=3))):
         ev = min_admissible_l(poly)
-        from e2vem.projectors import local_stiffness
+        from e2vem.projectors import build_projectors
 
         for l in range(ev.l, ev.l + 3):
-            K = local_stiffness(poly, l)
+            K = build_projectors(poly, l).stiffness
             evals = np.linalg.eigvalsh(K)
             assert int(np.sum(evals > 1e-10 * evals[-1])) == poly.n_vertices - 1
 

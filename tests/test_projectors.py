@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from e2vem.geometry import build_polygon, polygon_quadrature
+from e2vem.assembly import ProblemSpec, assemble_full
+from e2vem.degree import assign_degrees
+from e2vem.geometry import PolygonalMesh, build_polygon, polygon_quadrature
 from e2vem.meshgen import PolygonFamilySpec, make_polygon, regular_polygon
 from e2vem.polyspace import ScaledMonomialBasis, space_dimension
 from e2vem.projectors import (
     build_projectors,
     compute_pinabla,
-    compute_pione,
-    compute_pizero,
-    local_load,
-    local_reaction,
-    local_stiffness,
     project_gradient_from_data,
 )
 
@@ -19,6 +16,15 @@ from oracles import monte_carlo_integral
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 UNIT_RIGHT_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+def one_cell_matrix_and_load(poly, f, kind="poisson", strategy="minimal",
+                             **kwargs):
+    """``assemble_full`` on the mesh made of ``poly`` alone."""
+    mesh = PolygonalMesh(poly.vertices, [list(range(poly.n_vertices))])
+    degrees = assign_degrees(mesh, strategy)
+    matrix, load = assemble_full(mesh, degrees, ProblemSpec(kind, f), **kwargs)
+    return matrix.toarray(), load
 
 
 def evaluate_linear(poly, coeffs, pts):
@@ -92,10 +98,11 @@ def test_pigrad_unit_square_hand_case():
 
 def test_pizero_and_pione():
     poly = build_polygon(UNIT_SQUARE)
-    pz = compute_pizero(poly)
+    projs = build_projectors(poly, 1)
+    pz = projs.pizero
     assert pz @ np.ones(4) == pytest.approx(1.0, abs=1e-13)
     assert pz @ np.array([1.0, 0.0, 1.0, 0.0]) == pytest.approx(0.5, abs=1e-13)
-    pione = compute_pione(poly)
+    pione = projs.pione
     dofs = 0.2 + 0.9 * poly.vertices[:, 0] - 0.4 * poly.vertices[:, 1]
     pts, _ = polygon_quadrature(poly, 2)
     exact = 0.2 + 0.9 * pts[:, 0] - 0.4 * pts[:, 1]
@@ -103,7 +110,7 @@ def test_pizero_and_pione():
 
 
 def test_local_stiffness_unit_right_triangle():
-    K = local_stiffness(build_polygon(UNIT_RIGHT_TRIANGLE), 0)
+    K = build_projectors(build_polygon(UNIT_RIGHT_TRIANGLE), 0).stiffness
     expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                [-1.0, 1.0, 0.0],
                                [-1.0, 0.0, 1.0]])
@@ -112,10 +119,10 @@ def test_local_stiffness_unit_right_triangle():
 
 def test_local_stiffness_hexagon_ranks():
     poly = regular_polygon(6)
-    K2 = local_stiffness(poly, 2)
+    K2 = build_projectors(poly, 2).stiffness
     ev2 = np.linalg.eigvalsh(K2)
     assert int(np.sum(ev2 > 1e-10 * ev2[-1])) == 5
-    K1 = local_stiffness(poly, 1)
+    K1 = build_projectors(poly, 1).stiffness
     ev1 = np.linalg.eigvalsh(K1)
     assert int(np.sum(ev1 > 1e-10 * ev1[-1])) < 5
 
@@ -126,7 +133,7 @@ def test_local_stiffness_symmetric_psd_kernel():
         from e2vem.degree import min_admissible_l
 
         l = min_admissible_l(poly).l
-        K = local_stiffness(poly, l)
+        K = build_projectors(poly, l).stiffness
         assert np.allclose(K, K.T, atol=1e-13)
         assert np.linalg.eigvalsh(K)[0] > -1e-12
         assert np.max(np.abs(K @ np.ones(poly.n_vertices))) < 1e-12
@@ -134,24 +141,32 @@ def test_local_stiffness_symmetric_psd_kernel():
 
 def test_local_reaction_rank_one_psd():
     poly = regular_polygon(6)
-    pz = compute_pizero(poly)
-    M = local_reaction(poly, pz)
+    stiffness, _ = one_cell_matrix_and_load(poly, 0.0)
+    full, _ = one_cell_matrix_and_load(poly, 0.0, kind="diffusion_reaction")
+    M = full - stiffness
     assert np.linalg.matrix_rank(M, tol=1e-12) == 1
     assert np.linalg.eigvalsh(M)[0] > -1e-14
+    # the reaction pairs cell means: its constant-mode entry is the area
+    ones = np.ones(poly.n_vertices)
+    assert ones @ M @ ones == pytest.approx(poly.area, rel=1e-13)
 
 
 def test_local_load_cases():
     poly = build_polygon(UNIT_SQUARE)
-    projs = build_projectors(poly, 1)
-    f_one = local_load(poly, projs, lambda x, y: np.ones_like(x), mode="mean")
+
+    def load(f, **kwargs):
+        return one_cell_matrix_and_load(poly, f, strategy="fixed:1",
+                                        load_mode="mean", **kwargs)[1]
+
+    f_one = load(lambda x, y: np.ones_like(x))
     assert np.allclose(f_one, 0.25, atol=1e-13)
-    f_zero = local_load(poly, projs, lambda x, y: np.zeros_like(x), mode="mean")
+    f_zero = load(lambda x, y: np.zeros_like(x))
     assert not f_zero.any()
 
     def f(x, y):
         return 8 * np.pi ** 2 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
 
-    f_mean = local_load(poly, projs, f, mode="mean", quadrature_degree=20)
+    f_mean = load(f, quadrature_degree=20)
     est, se = monte_carlo_integral(poly.vertices, f)
     # mean mode distributes (integral of f) by the cell-mean row
     assert f_mean.sum() == pytest.approx(est, abs=5 * se + 1e-6)

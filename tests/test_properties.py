@@ -70,8 +70,7 @@ def test_subtriangulation_covers_polygon(n, seed, alpha):
 @settings(max_examples=20, deadline=None)
 @given(sizes, seeds, st.integers(min_value=0, max_value=4))
 def test_moment_table_spd(n, seed, degree):
-    table = build_moment_table(convex(n, seed), degree, check_spd=False)
-    h = table.matrix
+    h = build_moment_table(convex(n, seed), degree)
     assert np.array_equal(h, h.T)
     assert np.linalg.eigvalsh(h).min() > 0.0
 
