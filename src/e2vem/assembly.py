@@ -250,8 +250,9 @@ def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
     xb, yb = mesh.vertices[boundary, 0], mesh.vertices[boundary, 1]
     bvals = np.asarray(problem.dirichlet_data(xb, yb), dtype=float)
     bvals = np.broadcast_to(bvals, boundary.shape).astype(float)
-    reduced = matrix[free][:, free].tocsr()
-    rhs = load[free] - matrix[free][:, boundary] @ bvals
+    free_rows = matrix[free]
+    reduced = free_rows[:, free].tocsr()
+    rhs = load[free] - free_rows[:, boundary] @ bvals
     return LinearSystem(reduced, rhs, free, boundary, bvals,
                         mesh.n_vertices)
 

@@ -9,11 +9,12 @@ with mesh-wide assignment strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AdmissibilityNotReached
-from .geometry import Polygon, PolygonalMesh
+from .geometry import Polygon, PolygonalMesh, cyclic_next
 from .polyspace import space_dimension
 from .projectors import (boundary_mean_row, boundary_vector_moments,
                          build_projectors)
@@ -125,28 +126,37 @@ def min_admissible_l(poly: Polygon) -> AdmissibilityEvidence:
         n_vertices=n, searched=(lo, hi))
 
 
+@lru_cache(maxsize=None)
+def _rotations(n: int) -> np.ndarray:
+    """(n, n) indices: row ``k`` lists ``k, k + 1, ..., k - 1`` mod ``n``."""
+    rot = (np.arange(n)[:, None] + np.arange(n)) % n
+    rot.setflags(write=False)
+    return rot
+
+
 def congruence_key(poly: Polygon, quantum: float = 1e-9) -> tuple:
     """Hashable key invariant under rigid motion (reflections included)
     and scaling: cyclic sequence of edge-length ratios and turning
-    angles, quantized at ``quantum`` and canonicalized."""
-
-    def sequence(pts):
-        d = np.roll(pts, -1, axis=0) - pts
-        lens = np.hypot(d[:, 0], d[:, 1])
-        nxt = np.roll(d, -1, axis=0)
-        turn = np.arctan2(d[:, 0] * nxt[:, 1] - d[:, 1] * nxt[:, 0],
-                          (d * nxt).sum(axis=1))
-        ratio = lens / poly.diameter
-        return [(int(round(r / quantum)), int(round(a / quantum)))
-                for r, a in zip(ratio, turn)]
-
+    angles, quantized at ``quantum`` and canonicalized to the
+    lexicographically smallest of the 2n rotations of the sequence and
+    of its mirror image."""
     mirrored = poly.vertices[::-1].copy()
     mirrored[:, 1] *= -1.0
-    candidates = []
-    for seq in (sequence(poly.vertices), sequence(mirrored)):
-        n = len(seq)
-        candidates.extend(tuple(seq[k:] + seq[:k]) for k in range(n))
-    return min(candidates)
+    seqs = []
+    for pts in (poly.vertices, mirrored):
+        d = cyclic_next(pts) - pts
+        lens = np.hypot(d[:, 0], d[:, 1])
+        nxt = cyclic_next(d)
+        turn = np.arctan2(d[:, 0] * nxt[:, 1] - d[:, 1] * nxt[:, 0],
+                          (d * nxt).sum(axis=1))
+        # integral-valued floats order like the integers they hold
+        seqs.append(np.column_stack([np.rint(lens / poly.diameter / quantum),
+                                     np.rint(turn / quantum)]))
+    n = poly.n_vertices
+    candidates = np.concatenate([seq[_rotations(n)] for seq in seqs])
+    candidates = candidates.reshape(2 * n, 2 * n)
+    best = candidates[np.lexsort(candidates.T[::-1])[0]].tolist()
+    return tuple((int(r), int(a)) for r, a in zip(best[::2], best[1::2]))
 
 
 @dataclass(frozen=True, eq=False)

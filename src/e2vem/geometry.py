@@ -67,13 +67,26 @@ class SubTriangulation:
     areas: np.ndarray      # (n,)
 
 
+def cyclic_next(x):
+    """``np.roll(x, -1, axis=0)``: row ``i`` holds row ``i + 1`` of ``x``,
+    the last row row 0. The same values without ``np.roll``'s per-call
+    cost, which dominates on per-cell arrays."""
+    return np.concatenate((x[1:], x[:1]))
+
+
+def cyclic_prev(x):
+    """``np.roll(x, 1, axis=0)``: row ``i`` holds row ``i - 1`` of ``x``,
+    row 0 the last row."""
+    return np.concatenate((x[-1:], x[:-1]))
+
+
 def _signed_area(pts):
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return 0.5 * float(np.dot(x, cyclic_next(y)) - np.dot(cyclic_next(x), y))
 
 
 def _area_centroid(pts):
-    nxt = np.roll(pts, -1, axis=0)
+    nxt = cyclic_next(pts)
     cross = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
     area = 0.5 * cross.sum()
     return ((pts + nxt) * cross[:, None]).sum(axis=0) / (6.0 * area)
@@ -98,12 +111,12 @@ def _orient(a, b, c):
 
 def _check_simple(pts, diameter):
     n = len(pts)
-    d = np.roll(pts, -1, axis=0) - pts
+    d = cyclic_next(pts) - pts
     lens = np.hypot(d[:, 0], d[:, 1])
     if lens.min() <= 1e-14 * diameter:
         raise NotSimple("zero-length edge (repeated consecutive vertices)")
     # straight angles (collinear vertices) are allowed; folds back are not
-    nxt = np.roll(d, -1, axis=0)
+    nxt = cyclic_next(d)
     cross = d[:, 0] * nxt[:, 1] - d[:, 1] * nxt[:, 0]
     dot = (d * nxt).sum(axis=1)
     tol = 1e-12 * diameter ** 2
@@ -139,14 +152,14 @@ def _check_simple(pts, diameter):
 
 
 def _inward_clearance(pts, point):
-    d = np.roll(pts, -1, axis=0) - pts
+    d = cyclic_next(pts) - pts
     lens = np.hypot(d[:, 0], d[:, 1])
     n_in = np.column_stack([-d[:, 1], d[:, 0]]) / lens[:, None]
     return float((n_in * (point[None, :] - pts)).sum(axis=1).min())
 
 
 def _chebyshev_kernel_point(pts):
-    d = np.roll(pts, -1, axis=0) - pts
+    d = cyclic_next(pts) - pts
     lens = np.hypot(d[:, 0], d[:, 1])
     n_in = np.column_stack([-d[:, 1], d[:, 0]]) / lens[:, None]
     a_ub = np.column_stack([-n_in, np.ones(len(pts))])
@@ -195,7 +208,7 @@ def build_polygon(points, *, normalize_orientation=True) -> Polygon:
         pts = pts[::-1].copy()
         area = -area
     _check_simple(pts, diameter)
-    d = np.roll(pts, -1, axis=0) - pts
+    d = cyclic_next(pts) - pts
     lens = np.hypot(d[:, 0], d[:, 1])
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lens[:, None]
     center, inradius = _star_center(pts, diameter)
@@ -208,7 +221,7 @@ def build_polygon(points, *, normalize_orientation=True) -> Polygon:
 def sub_triangulate(poly: Polygon) -> SubTriangulation:
     """Fan sub-triangulation of ``poly`` around its star center."""
     v = poly.vertices
-    w = np.roll(v, -1, axis=0)
+    w = cyclic_next(v)
     c = np.broadcast_to(poly.star_center, v.shape)
     tris = np.stack([c, v, w], axis=1)
     rel_v = v - poly.star_center

@@ -21,13 +21,14 @@ stabilization-free bilinear form; its rank certifies coercivity.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import IllConditioned, SingularSystem
-from .geometry import Polygon
+from .geometry import Polygon, cyclic_next, cyclic_prev
 from .polyspace import (ScaledMonomialBasis, build_moment_table,
                         divergence_matrix, space_dimension)
 from .quadrature import segment_rule
@@ -40,22 +41,43 @@ def boundary_mean_row(poly: Polygon) -> np.ndarray:
     """Boundary integral means of the vertex hat traces,
     ``P0(phi_i) = (|e_{i-1}| + |e_i|) / (2 |dE|)``."""
     lens = poly.edge_lengths
-    return (lens + np.roll(lens, 1)) / (2.0 * poly.perimeter)
+    return (lens + cyclic_prev(lens)) / (2.0 * poly.perimeter)
+
+
+#: Kernels computed so far: polygon -> {"pinabla" or degree l: result}.
+#: The keys are weak, so an entry lives exactly as long as its polygon.
+#: Reuse is exact: polygons come from ``build_polygon``, which returns
+#: them frozen with read-only arrays, so a polygon's kernel cannot
+#: change; a new mesh builds new polygons.
+_KERNELS = weakref.WeakKeyDictionary()
+
+
+def _memoised(poly: Polygon, key, compute, *args):
+    """``compute(poly, *args)``, computed once per polygon and ``key``."""
+    table = _KERNELS.setdefault(poly, {})
+    if key not in table:
+        table[key] = compute(poly, *args)
+    return table[key]
 
 
 def compute_pinabla(poly: Polygon) -> np.ndarray:
-    """Elliptic projector onto linears, (3, n) coefficient matrix.
+    """Elliptic projector onto linears, (3, n) coefficient matrix,
+    computed once per polygon and returned read-only.
 
     Row system: the gradient orthogonality equations against the two
     linear monomials (pure boundary integrals, since linears are
     harmonic) plus the boundary-mean constraint fixing constants.
     """
+    return _memoised(poly, "pinabla", _compute_pinabla)
+
+
+def _compute_pinabla(poly: Polygon) -> np.ndarray:
     v = poly.vertices
     lens = poly.edge_lengths
     normals = poly.edge_normals
     h = poly.diameter
     peri = poly.perimeter
-    mids = (0.5 * (v + np.roll(v, -1, axis=0)) - poly.star_center) / h
+    mids = (0.5 * (v + cyclic_next(v)) - poly.star_center) / h
     g = np.zeros((3, 3))
     g[0, 0] = 1.0
     g[0, 1] = float(lens @ mids[:, 0]) / peri
@@ -64,12 +86,13 @@ def compute_pinabla(poly: Polygon) -> np.ndarray:
     weighted = lens[:, None] * normals
     b = np.empty((3, poly.n_vertices))
     b[0] = boundary_mean_row(poly)
-    b[1] = (weighted[:, 0] + np.roll(weighted[:, 0], 1)) / (2.0 * h)
-    b[2] = (weighted[:, 1] + np.roll(weighted[:, 1], 1)) / (2.0 * h)
+    b[1:] = (weighted + cyclic_prev(weighted)).T / (2.0 * h)
     try:
-        return np.linalg.solve(g, b)
+        pinabla = np.linalg.solve(g, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"elliptic projector system: {exc}") from exc
+    pinabla.setflags(write=False)
+    return pinabla
 
 
 def _edge_moment_weights(poly: Polygon, l: int, edge_degree: int):
@@ -80,7 +103,7 @@ def _edge_moment_weights(poly: Polygon, l: int, edge_degree: int):
     for the [P_l]^2 monomials ``p_a`` and traces ``g`` the rule
     integrates exactly."""
     v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
+    nxt = cyclic_next(v)
     rule = segment_rule(edge_degree)
     t = rule.nodes
     basis = ScaledMonomialBasis.from_polygon(poly, l)
@@ -100,7 +123,7 @@ def boundary_vector_moments(poly: Polygon, l: int) -> np.ndarray:
     """
     _, t, weights = _edge_moment_weights(poly, l, l + 1)
     # phi_i is 1 - t on edge i and t on edge i - 1
-    return weights @ (1.0 - t) + np.roll(weights @ t, 1, axis=1)
+    return weights @ (1.0 - t) + cyclic_prev((weights @ t).T).T
 
 
 def _project_gradient(poly: Polygon, l: int, gram: np.ndarray,
@@ -134,7 +157,8 @@ def _project_gradient(poly: Polygon, l: int, gram: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class ElementProjectors:
-    """Projector bundle for one polygon at gradient-projection degree ``l``."""
+    """Projector bundle for one polygon at gradient-projection degree
+    ``l``; its arrays are read-only."""
 
     pigrad: np.ndarray
     pizero: np.ndarray
@@ -146,9 +170,18 @@ class ElementProjectors:
 def build_projectors(poly: Polygon, l: int) -> ElementProjectors:
     """The element kernel at gradient-projection degree ``l``: the
     projectors of the vertex hats and the stabilization-free local
-    stiffness (symmetric PSD, constants in its kernel)."""
+    stiffness (symmetric PSD, constants in its kernel).
+
+    Computed once per polygon and degree and returned with read-only
+    arrays: degree certification and assembly share it (and its
+    :func:`compute_pinabla` with the error norms), and an
+    :class:`IllConditioned` warning fires once per (polygon, degree)."""
     if l < 0:
         raise ValueError(f"negative projection degree {l}")
+    return _memoised(poly, l, _build_projectors, l)
+
+
+def _build_projectors(poly: Polygon, l: int) -> ElementProjectors:
     h = build_moment_table(poly, max(1, l))
     pinabla = compute_pinabla(poly)
     # the enhancement slaves the hats' moments to their elliptic projection
@@ -160,6 +193,8 @@ def build_projectors(poly: Polygon, l: int) -> ElementProjectors:
     stiffness = 0.5 * (stiffness + stiffness.T)
     pizero = (h[0, :3] @ pinabla) / poly.area
     pione = np.linalg.solve(h[:3, :3], h[:3, :3] @ pinabla)
+    for arr in (pigrad, pizero, pione, stiffness):
+        arr.setflags(write=False)
     return ElementProjectors(pigrad, pizero, pione, stiffness, cond)
 
 

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from e2vem.analysis import solution_errors
 from e2vem.assembly import (
     LinearSystem,
     ProblemSpec,
@@ -143,6 +146,40 @@ def test_results_independent_of_coordinate_scale(scale):
     res = solve_problem(scaled, "minimal", patch)
     exact = linear(scaled.vertices[:, 0], scaled.vertices[:, 1])
     assert np.abs(res.vertex_values - exact).max() < 1e-10
+
+
+def test_kernel_built_once_per_class_and_level(monkeypatch):
+    from e2vem import projectors
+
+    base = make_mesh(MeshFamilySpec("honeycomb", level=0))
+    verts = base.vertices.copy()
+    interior = ~base.boundary_vertex_flags
+    shift = np.random.default_rng(4).uniform(-0.05, 0.05, (interior.sum(), 2))
+    verts[interior] += shift * base.h
+    mesh = PolygonalMesh(verts, base.cells)
+    kernels, pinablas = [], []
+    build_fn, pinabla_fn = projectors._build_projectors, projectors._compute_pinabla
+
+    def counting_build(poly, l):
+        kernels.append((poly, l))
+        return build_fn(poly, l)
+
+    def counting_pinabla(poly):
+        pinablas.append(poly)
+        return pinabla_fn(poly)
+
+    monkeypatch.setattr(projectors, "_build_projectors", counting_build)
+    monkeypatch.setattr(projectors, "_compute_pinabla", counting_pinabla)
+    result = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
+    solution_errors(result)
+    classes = mesh.cell_classes
+    assert len(classes) == mesh.n_cells  # every cell is its own class
+    # certification, assembly and the error norms share one kernel per
+    # (class, level) and one elliptic projector per class
+    assert set(Counter(kernels).values()) == {1}
+    assert {(c.polygon, int(result.degrees.levels[c.members[0]]))
+            for c in classes} <= set(kernels)
+    assert Counter(pinablas) == Counter(c.polygon for c in classes)
 
 
 def test_solve_one_by_one_and_known_inverse():

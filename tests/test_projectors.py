@@ -198,3 +198,30 @@ def test_project_gradient_from_data_quartic():
 def test_gram_condition_reported():
     projs = build_projectors(regular_polygon(6), 2)
     assert projs.gram_condition >= 1.0
+
+
+def reuse_polygons():
+    jitter = np.random.default_rng(2).uniform(-0.05, 0.05, (6, 2))
+    return (build_polygon(regular_polygon(6).vertices + jitter),
+            make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4)))
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_kernel_memoised_bitwise_and_read_only(l):
+    for poly in reuse_polygons():
+        projs = build_projectors(poly, l)
+        assert build_projectors(poly, l) is projs
+        # reuse is valid: a new polygon on the same vertices gives the same bits
+        fresh = build_projectors(build_polygon(poly.vertices), l)
+        assert fresh is not projs
+        assert fresh.gram_condition == projs.gram_condition
+        pinabla = compute_pinabla(poly)
+        assert compute_pinabla(poly) is pinabla
+        arrays = [(getattr(projs, name), getattr(fresh, name))
+                  for name in ("pigrad", "pizero", "pione", "stiffness")]
+        arrays.append((pinabla, compute_pinabla(build_polygon(poly.vertices))))
+        for kept, rebuilt in arrays:
+            assert kept.shape == rebuilt.shape
+            assert kept.tobytes() == rebuilt.tobytes()
+            with pytest.raises(ValueError):
+                kept[...] = 0.0
