@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -173,9 +173,6 @@ def coercivity_scan(family: str, n_range=None, seeds=(0,),
     return rows
 
 
-_SCAN_HEADER = "n_vertices,ell_hat,ell_check,minimal_l,dim_badpoly_at_minimal"
-
-
 def _preamble(config) -> str:
     lines = []
     if config is not None:
@@ -185,13 +182,17 @@ def _preamble(config) -> str:
     return "\n".join(lines) + "\n"
 
 
+def scan_csv_lines(rows) -> list:
+    """The header and one line per :class:`ScanRow`: the table that
+    :func:`scan_to_csv` writes and the CLI prints."""
+    return ([",".join(f.name for f in fields(ScanRow))]
+            + [",".join(map(str, astuple(r))) for r in rows])
+
+
 def scan_to_csv(rows, path, config=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_preamble(config))
-        fh.write(_SCAN_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.n_vertices},{r.ell_hat},{r.ell_check},"
-                     f"{r.minimal_l},{r.dim_badpoly_at_minimal}\n")
+        fh.writelines(line + "\n" for line in scan_csv_lines(rows))
 
 
 # -- convergence studies -----------------------------------------------

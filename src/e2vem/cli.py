@@ -113,11 +113,7 @@ def cmd_coercivity(args) -> int:
         analysis.scan_to_csv(rows, args.out, config.to_dict())
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
-        print("n_vertices,ell_hat,ell_check,minimal_l,"
-              "dim_badpoly_at_minimal")
-        for r in rows:
-            print(f"{r.n_vertices},{r.ell_hat},{r.ell_check},"
-                  f"{r.minimal_l},{r.dim_badpoly_at_minimal}")
+        print("\n".join(analysis.scan_csv_lines(rows)))
     return EXIT_OK
 
 

@@ -9,12 +9,11 @@ with mesh-wide assignment strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import AdmissibilityNotReached
-from .geometry import Polygon, PolygonalMesh, cyclic_next
+from .geometry import Polygon, PolygonalMesh
 from .polyspace import space_dimension
 from .projectors import (boundary_mean_row, boundary_vector_moments,
                          build_projectors)
@@ -44,18 +43,19 @@ def ell_check(n: int) -> int:
     return l
 
 
-def rank_tolerance(shape_dim: int, sigma_max: float) -> float:
-    return shape_dim * sigma_max * _EPS * _RANK_SAFETY
+def _svd_rank(s: np.ndarray, shape_dim: int) -> int:
+    """Count of the descending singular values ``s`` above
+    ``shape_dim * s[0] * eps * 64``; 0 when ``s`` is empty or zero."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int((s > shape_dim * float(s[0]) * _EPS * _RANK_SAFETY).sum())
 
 
 def numerical_rank(matrix: np.ndarray, context_dim: int = 0) -> int:
     """Rank with singular values below
     ``max(shape, context_dim) * sigma_max * eps * 64`` counted as zero."""
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    tol = rank_tolerance(max(max(matrix.shape), context_dim), float(s[0]))
-    return int((s > tol).sum())
+    return _svd_rank(s, max(max(matrix.shape), context_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,18 +78,15 @@ def dim_badpoly(poly: Polygon, l: int) -> BadPolySpace:
     d = pairing[:, :poly.n_vertices - 1].T
     u, s, vt = np.linalg.svd(d)
     dim_vec = 2 * space_dimension(l)
-    if s.size and s[0] > 0.0:
-        tol = rank_tolerance(max(max(d.shape), poly.n_vertices, dim_vec), float(s[0]))
-        rank = int((s > tol).sum())
-    else:
-        rank = 0
+    rank = _svd_rank(s, max(max(d.shape), poly.n_vertices, dim_vec))
     basis = vt[rank:].T.copy()
     return BadPolySpace(l, dim_vec - rank, basis)
 
 
 @dataclass(frozen=True)
 class AdmissibilityEvidence:
-    """Rank certificate for one polygon congruence class at degree ``l``."""
+    """Rank certificate for one cell class's representative polygon at
+    degree ``l``."""
 
     l: int
     n_vertices: int
@@ -126,39 +123,6 @@ def min_admissible_l(poly: Polygon) -> AdmissibilityEvidence:
         n_vertices=n, searched=(lo, hi))
 
 
-@lru_cache(maxsize=None)
-def _rotations(n: int) -> np.ndarray:
-    """(n, n) indices: row ``k`` lists ``k, k + 1, ..., k - 1`` mod ``n``."""
-    rot = (np.arange(n)[:, None] + np.arange(n)) % n
-    rot.setflags(write=False)
-    return rot
-
-
-def congruence_key(poly: Polygon, quantum: float = 1e-9) -> tuple:
-    """Hashable key invariant under rigid motion (reflections included)
-    and scaling: cyclic sequence of edge-length ratios and turning
-    angles, quantized at ``quantum`` and canonicalized to the
-    lexicographically smallest of the 2n rotations of the sequence and
-    of its mirror image."""
-    mirrored = poly.vertices[::-1].copy()
-    mirrored[:, 1] *= -1.0
-    seqs = []
-    for pts in (poly.vertices, mirrored):
-        d = cyclic_next(pts) - pts
-        lens = np.hypot(d[:, 0], d[:, 1])
-        nxt = cyclic_next(d)
-        turn = np.arctan2(d[:, 0] * nxt[:, 1] - d[:, 1] * nxt[:, 0],
-                          (d * nxt).sum(axis=1))
-        # integral-valued floats order like the integers they hold
-        seqs.append(np.column_stack([np.rint(lens / poly.diameter / quantum),
-                                     np.rint(turn / quantum)]))
-    n = poly.n_vertices
-    candidates = np.concatenate([seq[_rotations(n)] for seq in seqs])
-    candidates = candidates.reshape(2 * n, 2 * n)
-    best = candidates[np.lexsort(candidates.T[::-1])[0]].tolist()
-    return tuple((int(r), int(a)) for r, a in zip(best[::2], best[1::2]))
-
-
 @dataclass(frozen=True, eq=False)
 class DegreeAssignment:
     """Per-cell projection degrees with their rank evidence."""
@@ -190,27 +154,25 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
     All strategies are backed by rank evidence: the formula strategies
     compute the degree from the vertex count and then certify the
     stiffness rank, raising :class:`AdmissibilityNotReached` (with the
-    cell index) when the certificate fails. Degrees are certified once
-    per polygon congruence class, on the representatives of the mesh's
-    cell classes.
+    cell index) when the certificate fails. Each of the mesh's cell
+    classes is certified on its own representative, whose kernel
+    (memoised per polygon and degree) is the one assembly scatters to
+    the class members.
     """
     kind, fixed_l = parse_strategy(strategy)
     levels = np.empty(mesh.n_cells, dtype=int)
     evidence = [None] * mesh.n_cells
-    cache: dict = {}
     for cls in mesh.cell_classes:
         poly, ci = cls.polygon, int(cls.members[0])
         n = poly.n_vertices
-        key = congruence_key(poly)
-        ev = cache.get(key)
-        if ev is None and kind == "minimal":
+        if kind == "minimal":
             try:
                 ev = min_admissible_l(poly)
             except AdmissibilityNotReached as exc:
                 raise AdmissibilityNotReached(
                     str(exc), cell=ci, n_vertices=n,
                     searched=exc.searched) from exc
-        elif ev is None:
+        else:
             if kind == "ell_hat":
                 l = ell_hat(n)
             elif kind == "ell_check":
@@ -224,7 +186,6 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
                     f"strategy {strategy!r} gives l={l} but stiffness rank is "
                     f"{ev.rank} < {n - 1}", cell=ci, n_vertices=n,
                     searched=(l, l))
-        cache[key] = ev
         levels[cls.members] = ev.l
         for member in cls.members.tolist():
             evidence[member] = ev

@@ -109,10 +109,10 @@ def _orient(a, b, c):
             - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-def _check_simple(pts, diameter):
+def _check_simple(pts, d, lens, diameter):
+    """Raise :class:`NotSimple` unless the chain ``pts`` with edge vectors
+    ``d`` and lengths ``lens`` bounds a simple polygon."""
     n = len(pts)
-    d = cyclic_next(pts) - pts
-    lens = np.hypot(d[:, 0], d[:, 1])
     if lens.min() <= 1e-14 * diameter:
         raise NotSimple("zero-length edge (repeated consecutive vertices)")
     # straight angles (collinear vertices) are allowed; folds back are not
@@ -151,17 +151,13 @@ def _check_simple(pts, diameter):
                 raise NotSimple("non-adjacent edges touch or overlap")
 
 
-def _inward_clearance(pts, point):
-    d = cyclic_next(pts) - pts
-    lens = np.hypot(d[:, 0], d[:, 1])
-    n_in = np.column_stack([-d[:, 1], d[:, 0]]) / lens[:, None]
+def _inward_clearance(pts, n_in, point):
+    """Smallest distance from ``point`` to the edge lines, signed along the
+    inward unit normals ``n_in``."""
     return float((n_in * (point[None, :] - pts)).sum(axis=1).min())
 
 
-def _chebyshev_kernel_point(pts):
-    d = cyclic_next(pts) - pts
-    lens = np.hypot(d[:, 0], d[:, 1])
-    n_in = np.column_stack([-d[:, 1], d[:, 0]]) / lens[:, None]
+def _chebyshev_kernel_point(pts, n_in):
     a_ub = np.column_stack([-n_in, np.ones(len(pts))])
     b_ub = -(n_in * pts).sum(axis=1)
     res = linprog([0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
@@ -172,15 +168,15 @@ def _chebyshev_kernel_point(pts):
     return np.array(res.x[:2]), float(res.x[2])
 
 
-def _star_center(pts, diameter):
+def _star_center(pts, n_in, diameter):
     center = _area_centroid(pts)
-    clearance = _inward_clearance(pts, center)
+    clearance = _inward_clearance(pts, n_in, center)
     if clearance > 1e-9 * diameter:
         return center, clearance
-    center, radius = _chebyshev_kernel_point(pts)
+    center, radius = _chebyshev_kernel_point(pts, n_in)
     if not np.isfinite(radius) or radius <= 1e-12 * diameter:
         raise NotStarShaped("kernel is empty or degenerate")
-    return center, _inward_clearance(pts, center)
+    return center, _inward_clearance(pts, n_in, center)
 
 
 def build_polygon(points, *, normalize_orientation=True) -> Polygon:
@@ -207,11 +203,11 @@ def build_polygon(points, *, normalize_orientation=True) -> Polygon:
             raise ClockwiseOrientation("vertices are ordered clockwise")
         pts = pts[::-1].copy()
         area = -area
-    _check_simple(pts, diameter)
     d = cyclic_next(pts) - pts
     lens = np.hypot(d[:, 0], d[:, 1])
+    _check_simple(pts, d, lens, diameter)  # no zero-length edge past here
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lens[:, None]
-    center, inradius = _star_center(pts, diameter)
+    center, inradius = _star_center(pts, -normals, diameter)
     for arr in (pts, center, lens, normals):
         arr.setflags(write=False)
     return Polygon(pts, float(area), diameter, center, lens, normals,

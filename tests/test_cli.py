@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import e2vem
 from e2vem import cli
 
 
@@ -20,6 +23,17 @@ def test_coercivity_table_csv(tmp_path):
     cfg = json.loads(lines[0].removeprefix("# config: "))
     assert cfg["command"] == "coercivity"
     assert cfg["family"] == "regular"
+
+
+def test_coercivity_stdout_matches_csv(tmp_path, capsys):
+    args = ("coercivity", "--family", "split_triangle", "--n-range", "3..7")
+    out = tmp_path / "split.csv"
+    assert run_cli(*args, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli(*args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    written = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert printed == written and len(written) == 6
 
 
 def test_unknown_family_is_config_error(tmp_path):
@@ -174,7 +188,11 @@ def test_no_command_shows_help():
 
 
 def test_console_script_help_runs():
+    # the subprocess imports the same e2vem as this test, installed or not
+    src = str(Path(e2vem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "e2vem.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "coercivity" in proc.stdout

@@ -141,27 +141,43 @@ def test_assign_degrees_fixed_below_minimal_raises():
         assign_degrees(honey, "ell_check")
 
 
-def test_assign_degrees_memoizes_congruent_cells(monkeypatch):
-    from e2vem import degree
+def test_assign_degrees_certifies_every_scattered_kernel(monkeypatch):
+    import time
 
-    mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
-    keys, searches = [], []
-    key_fn, search_fn = degree.congruence_key, degree.min_admissible_l
+    from e2vem import assembly, degree
 
-    def counting_key(poly, *args, **kwargs):
-        keys.append(key_fn(poly, *args, **kwargs))
-        return keys[-1]
+    searches, checked, scattered = [], {}, []
+    search_fn, rank_fn = degree.min_admissible_l, degree.stiffness_rank
+    kernel_fn = assembly.build_projectors
 
     def counting_search(poly):
         searches.append(poly)
         return search_fn(poly)
 
-    monkeypatch.setattr(degree, "congruence_key", counting_key)
-    monkeypatch.setattr(degree, "min_admissible_l", counting_search)
-    import time
+    def recording_rank(poly, l):
+        checked[poly, l] = rank_fn(poly, l)
+        return checked[poly, l]
 
-    t0 = time.perf_counter()
-    assign_degrees(mesh, "minimal")
-    assert time.perf_counter() - t0 < 2.0  # 1166 cells, a handful of classes
-    assert len(keys) == len(mesh.cell_classes)  # once per translation class
-    assert len(searches) == len(set(keys))      # once per congruence class
+    def recording_kernel(poly, l):
+        scattered.append((poly, l))
+        return kernel_fn(poly, l)
+
+    monkeypatch.setattr(degree, "min_admissible_l", counting_search)
+    monkeypatch.setattr(degree, "stiffness_rank", recording_rank)
+    monkeypatch.setattr(assembly, "build_projectors", recording_kernel)
+    for family in ("honeycomb", "cut_corner_octagon"):
+        mesh = make_mesh(MeshFamilySpec(family, level=1))
+        searches.clear()
+        scattered.clear()
+        t0 = time.perf_counter()
+        degrees = assign_degrees(mesh, "minimal")
+        assert time.perf_counter() - t0 < 2.0  # 1166 / 685 cells, 9 / 10 classes
+        # one search per cell class, on the class's own representative
+        assert len(searches) == len(mesh.cell_classes)
+        assert all(p is c.polygon for p, c in zip(searches, mesh.cell_classes))
+        assembly.assemble_full(mesh, degrees, assembly.sin_sin_problem())
+        assert scattered
+        # every kernel assembly scatters had its own rank certified
+        uncertified = [(poly.n_vertices, l) for poly, l in scattered
+                       if checked.get((poly, l)) != poly.n_vertices - 1]
+        assert not uncertified, family
