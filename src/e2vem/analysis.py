@@ -28,7 +28,7 @@ _ERROR_CHUNK_CELLS = 4096
 
 
 def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
-                       exact_gradient, quadrature_degree: int):
+                       exact_gradient):
     """Squared L2 and H1-seminorm distances between the per-cell linear
     projection of the vertex data and the exact solution and gradient,
     summed over cells; a sum whose exact field is None stays 0. The
@@ -39,7 +39,7 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     for cls in mesh.cell_classes:
         poly = cls.polygon
         pinabla = compute_pinabla(poly)
-        qpts, qw = polygon_quadrature(poly, quadrature_degree)
+        qpts, qw = polygon_quadrature(poly, _ERROR_QUADRATURE_DEGREE)
         basis = ScaledMonomialBasis.from_polygon(poly, 1)
         qbasis = basis.evaluate(qpts).T                         # (3, P)
         for start in range(0, len(cls.members), _ERROR_CHUNK_CELLS):
@@ -64,27 +64,24 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     return l2_sq, h1_sq
 
 
-def l2_error(mesh: PolygonalMesh, vertex_values, exact,
-             quadrature_degree: int = _ERROR_QUADRATURE_DEGREE) -> float:
+def l2_error(mesh: PolygonalMesh, vertex_values, exact) -> float:
     """sqrt of the summed squared L2 distance between the per-cell
     linear projection of the vertex data and ``exact``."""
     if exact is None:
         raise MissingExactSolution("l2_error needs an exact solution")
     return float(np.sqrt(_projection_errors(
-        mesh, vertex_values, exact, None, quadrature_degree)[0]))
+        mesh, vertex_values, exact, None)[0]))
 
 
-def h1_error(mesh: PolygonalMesh, vertex_values, exact_gradient,
-             quadrature_degree: int = _ERROR_QUADRATURE_DEGREE) -> float:
+def h1_error(mesh: PolygonalMesh, vertex_values, exact_gradient) -> float:
     """Gradient analogue of :func:`l2_error` (H1 seminorm distance)."""
     if exact_gradient is None:
         raise MissingExactSolution("h1_error needs an exact gradient")
     return float(np.sqrt(_projection_errors(
-        mesh, vertex_values, None, exact_gradient, quadrature_degree)[1]))
+        mesh, vertex_values, None, exact_gradient)[1]))
 
 
-def solution_errors(result, quadrature_degree: int =
-                    _ERROR_QUADRATURE_DEGREE):
+def solution_errors(result):
     """(l2, h1) errors of a :class:`SolutionResult` against the declared
     exact solution."""
     problem = result.problem
@@ -93,7 +90,7 @@ def solution_errors(result, quadrature_degree: int =
             "solution_errors needs an exact solution and gradient")
     l2_sq, h1_sq = _projection_errors(
         result.mesh, result.vertex_values, problem.exact_solution,
-        problem.exact_gradient, quadrature_degree)
+        problem.exact_gradient)
     return float(np.sqrt(l2_sq)), float(np.sqrt(h1_sq))
 
 

@@ -186,8 +186,7 @@ def _check_admissible(mesh: PolygonalMesh, degrees: DegreeAssignment):
 
 
 def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
-                  problem: ProblemSpec, load_mode: str = "mean",
-                  quadrature_degree=None):
+                  problem: ProblemSpec, load_mode: str = "mean"):
     """Assemble the global matrix and load over all vertices, before any
     boundary treatment. Returns ``(A, F)`` with A sparse CSR symmetric,
     constants in its kernel."""
@@ -208,10 +207,7 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
             local = projs.stiffness.copy()
             if reaction:
                 local += poly.area * np.outer(projs.pizero, projs.pizero)
-            qdeg = quadrature_degree
-            if qdeg is None:
-                qdeg = 2 * (l + 1) + 2
-            qpts, qw = polygon_quadrature(poly, qdeg)
+            qpts, qw = polygon_quadrature(poly, 2 * (l + 1) + 2)
             m, nv = idx.shape
             row_parts.append(np.repeat(idx, nv, axis=1).ravel())
             col_parts.append(np.tile(idx, (1, nv)).ravel())
@@ -238,12 +234,10 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
 
 
 def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
-             problem: ProblemSpec, load_mode: str = "mean",
-             quadrature_degree=None) -> LinearSystem:
+             problem: ProblemSpec, load_mode: str = "mean") -> LinearSystem:
     """Assemble and eliminate Dirichlet vertices (values interpolated
     from ``problem.dirichlet_data`` move to the right-hand side)."""
-    matrix, load = assemble_full(mesh, degrees, problem, load_mode,
-                                 quadrature_degree)
+    matrix, load = assemble_full(mesh, degrees, problem, load_mode)
     flags = mesh.boundary_vertex_flags
     boundary = np.flatnonzero(flags)
     free = np.flatnonzero(~flags)
@@ -344,12 +338,12 @@ def export_solution(result: "SolutionResult") -> dict:
 
 def solve_problem(mesh: PolygonalMesh, strategy, problem: ProblemSpec,
                   load_mode: str = "mean", solver: str = "auto",
-                  tol: float = 1e-12, quadrature_degree=None,
+                  tol: float = 1e-12,
                   degrees: DegreeAssignment = None) -> SolutionResult:
     """assign_degrees + assemble + solve, returning vertex values."""
     problem.residual_check()
     if degrees is None:
         degrees = assign_degrees(mesh, strategy)
-    system = assemble(mesh, degrees, problem, load_mode, quadrature_degree)
+    system = assemble(mesh, degrees, problem, load_mode)
     x, stats = solve(system, solver, tol=tol)
     return SolutionResult(mesh, problem, degrees, system.expand(x), stats)

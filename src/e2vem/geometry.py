@@ -9,8 +9,10 @@ intersection linear program.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linprog
@@ -65,6 +67,22 @@ class SubTriangulation:
 
     triangles: np.ndarray  # (n, 3, 2)
     areas: np.ndarray      # (n,)
+
+
+#: Data computed per polygon: polygon -> {key: result}. The keys are weak,
+#: so an entry lives exactly as long as its polygon. Reuse is exact:
+#: polygons come from ``build_polygon``, which returns them frozen with
+#: read-only arrays, so nothing computed from a polygon can change; a new
+#: mesh builds new polygons.
+_PER_POLYGON = weakref.WeakKeyDictionary()
+
+
+def memoised(poly: Polygon, key, compute, *args):
+    """``compute(poly, *args)``, computed once per polygon and ``key``."""
+    table = _PER_POLYGON.setdefault(poly, {})
+    if key not in table:
+        table[key] = compute(poly, *args)
+    return table[key]
 
 
 def cyclic_next(x):
@@ -215,7 +233,12 @@ def build_polygon(points, *, normalize_orientation=True) -> Polygon:
 
 
 def sub_triangulate(poly: Polygon) -> SubTriangulation:
-    """Fan sub-triangulation of ``poly`` around its star center."""
+    """Fan sub-triangulation of ``poly`` around its star center, computed
+    once per polygon and returned with read-only arrays."""
+    return memoised(poly, "fan", _sub_triangulate)
+
+
+def _sub_triangulate(poly: Polygon) -> SubTriangulation:
     v = poly.vertices
     w = cyclic_next(v)
     c = np.broadcast_to(poly.star_center, v.shape)
@@ -225,6 +248,8 @@ def sub_triangulate(poly: Polygon) -> SubTriangulation:
     areas = 0.5 * (rel_v[:, 0] * rel_w[:, 1] - rel_v[:, 1] * rel_w[:, 0])
     if areas.min() <= 0.0:
         raise NotStarShaped("star center does not see the whole boundary")
+    tris.setflags(write=False)
+    areas.setflags(write=False)
     return SubTriangulation(tris, areas)
 
 
@@ -280,8 +305,8 @@ class CellClass:
     diameters: np.ndarray   # (m,) largest vertex-to-vertex distance
 
 
-def _cell_classes(vertices, cells) -> tuple:
-    """Translation classes of ``cells``, ordered by representative.
+def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
+    """Translation classes of the cells, ordered by representative.
 
     Cells are grouped by vertex count and keyed on their vertex offsets
     from vertex 0, quantized relative to the cell diameter, so the
@@ -290,11 +315,11 @@ def _cell_classes(vertices, cells) -> tuple:
     ``_CLASS_TOLERANCE`` times the diameter; otherwise it forms a class
     of its own.
     """
-    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    sizes = np.diff(cell_start)
     groups = []
     for n in np.unique(sizes):
         ids = np.flatnonzero(sizes == n)
-        idx = np.array([cells[c] for c in ids], dtype=np.int64)
+        idx = cell_vertices[cell_start[ids, None] + np.arange(n)]
         pts = vertices[idx]
         rel = pts - pts[:, :1]
         sq = np.zeros(len(ids))
@@ -325,6 +350,26 @@ def _cell_classes(vertices, cells) -> tuple:
                  for members, idx, pts, diam in groups)
 
 
+def _successors(cell_start):
+    """For each position in the concatenated cell chains, the position of
+    the next vertex of the same cell."""
+    following = np.arange(1, cell_start[-1] + 1)
+    following[cell_start[1:] - 1] = cell_start[:-1]
+    return following
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """The cells' directed edges, one per cell vertex in storage order:
+    from ``tail`` to ``head``, the next vertex of the same cell. ``uses``
+    counts the cells that use the edge in either direction: 1 on the
+    boundary, 2 inside."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    uses: np.ndarray
+
+
 class PolygonalMesh:
     """Conforming polygonal tessellation described by shared vertices.
 
@@ -337,16 +382,36 @@ class PolygonalMesh:
     name : str, optional
         Label carried through JSON round trips.
 
+    The connectivity is stored once, as two read-only int64 arrays:
+    ``cell_vertices`` concatenates the cells' chains, and cell ``c`` is
+    ``cell_vertices[cell_start[c]:cell_start[c + 1]]``. Every topology
+    question reads them or the :class:`EdgeTable` derived from them.
     Boundary vertices are inferred: an edge used by exactly one cell is a
-    boundary edge and its endpoints are boundary vertices.
+    boundary edge and its endpoints are boundary vertices. Raises
+    :class:`StructuralDefect`, naming the cell, for a cell with fewer than
+    3 vertices or a vertex index out of range.
     """
 
     def __init__(self, vertices, cells, name=None):
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise StructuralDefect("vertices must be an (N, 2) array")
-        self.vertices.setflags(write=False)
-        self.cells = tuple(tuple(int(i) for i in cell) for cell in cells)
+        cells = list(cells)
+        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        self.cell_start = np.concatenate(([0], np.cumsum(sizes)))
+        self.cell_vertices = np.fromiter(chain.from_iterable(cells),
+                                         dtype=np.int64,
+                                         count=int(self.cell_start[-1]))
+        short = np.flatnonzero(sizes < 3)
+        if len(short):
+            raise StructuralDefect("fewer than 3 vertices", cell=int(short[0]))
+        outside = np.flatnonzero((self.cell_vertices < 0)
+                                 | (self.cell_vertices >= len(self.vertices)))
+        if len(outside):
+            cell = np.searchsorted(self.cell_start, outside[0], side="right") - 1
+            raise StructuralDefect("vertex index out of range", cell=int(cell))
+        for arr in (self.vertices, self.cell_start, self.cell_vertices):
+            arr.setflags(write=False)
         self.name = name
 
     @property
@@ -355,26 +420,36 @@ class PolygonalMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_start) - 1
 
     @cached_property
-    def _undirected_edge_counts(self):
-        counts = {}
-        for cell in self.cells:
-            m = len(cell)
-            for k in range(m):
-                a, b = cell[k], cell[(k + 1) % m]
-                key = (a, b) if a < b else (b, a)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+    def cells(self) -> tuple:
+        """Per-cell vertex index arrays, read-only views of
+        ``cell_vertices``."""
+        bounds = self.cell_start.tolist()
+        return tuple(self.cell_vertices[a:b]
+                     for a, b in zip(bounds[:-1], bounds[1:]))
+
+    @cached_property
+    def edges(self) -> EdgeTable:
+        """The one edge table of the mesh."""
+        tail = self.cell_vertices
+        head = tail[_successors(self.cell_start)]
+        key = np.minimum(tail, head) * self.n_vertices + np.maximum(tail, head)
+        _, inverse, counts = np.unique(key, return_inverse=True,
+                                       return_counts=True)
+        uses = counts[inverse]
+        for arr in (head, uses):
+            arr.setflags(write=False)
+        return EdgeTable(tail, head, uses)
 
     @cached_property
     def boundary_vertex_flags(self):
+        edges = self.edges
+        once = edges.uses == 1
         flags = np.zeros(self.n_vertices, dtype=bool)
-        for (a, b), count in self._undirected_edge_counts.items():
-            if count == 1:
-                flags[a] = True
-                flags[b] = True
+        flags[edges.tail[once]] = True
+        flags[edges.head[once]] = True
         flags.setflags(write=False)
         return flags
 
@@ -382,16 +457,8 @@ class PolygonalMesh:
     def cell_classes(self) -> tuple:
         """The one index of cells that share shape data, a tuple of
         :class:`CellClass`; degrees, assembly and error norms iterate it."""
-        return _cell_classes(self.vertices, self.cells)
-
-    @cached_property
-    def polygons(self):
-        return [build_polygon(self.vertices[list(cell)],
-                              normalize_orientation=False)
-                for cell in self.cells]
-
-    def polygon(self, i: int) -> Polygon:
-        return self.polygons[i]
+        return _cell_classes(self.vertices, self.cell_vertices,
+                             self.cell_start)
 
     @cached_property
     def h(self) -> float:
@@ -413,58 +480,72 @@ class MeshQuality:
     total_area: float
 
 
+#: Largest sum of the cells' interior angles at one vertex: a full turn,
+#: plus rounding. A larger sum means cells overlap at that vertex.
+_FULL_TURN = 2.0 * np.pi + 1e-9
+
+
+def _first_repeat(keys):
+    """Positions ``(k, j)`` of the first key equal to an earlier one and of
+    that earlier one, or None when the keys are distinct."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    earlier = first[inverse]
+    repeats = np.flatnonzero(earlier != np.arange(len(keys)))
+    return (repeats[0], earlier[repeats[0]]) if len(repeats) else None
+
+
 def validate_mesh(mesh: PolygonalMesh, kappa_min: float = 0.0) -> MeshQuality:
     """Check structural validity and report shape-regularity numbers.
 
     Raises :class:`StructuralDefect` (naming the offending cell) when the
-    tessellation is broken: bad indices, repeated vertices inside a cell,
-    an edge used twice with the same orientation, an edge shared by more
-    than two cells, non-CCW or invalid cell polygons, or cell areas that
-    do not tile the region enclosed by the boundary edges.
+    tessellation is broken: repeated vertices inside a cell, an edge used
+    twice with the same orientation, non-CCW or invalid cell polygons, or
+    cells that overlap, so that their interior angles at some vertex sum
+    to more than a full turn. Bad vertex counts and indices are refused
+    when the mesh is built.
     """
     n = mesh.n_vertices
-    directed = {}
-    for ci, cell in enumerate(mesh.cells):
-        if len(cell) < 3:
-            raise StructuralDefect("fewer than 3 vertices", cell=ci)
-        if any(i < 0 or i >= n for i in cell):
-            raise StructuralDefect("vertex index out of range", cell=ci)
-        if len(set(cell)) != len(cell):
-            raise StructuralDefect("repeated vertex inside cell", cell=ci)
-        m = len(cell)
-        for k in range(m):
-            key = (cell[k], cell[(k + 1) % m])
-            if key in directed:
-                raise StructuralDefect(
-                    f"edge {key} already used with the same orientation by "
-                    f"cell {directed[key]}", cell=ci)
-            directed[key] = ci
-    for (a, b), count in mesh._undirected_edge_counts.items():
-        if count > 2:
-            raise StructuralDefect(f"edge ({a}, {b}) shared by {count} cells")
+    edges = mesh.edges
+    cell_of = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_start))
+    repeat = _first_repeat(cell_of * n + edges.tail)
+    if repeat is not None:
+        raise StructuralDefect("repeated vertex inside cell",
+                               cell=int(cell_of[repeat[0]]))
+    again = _first_repeat(edges.tail * n + edges.head)
+    if again is not None:
+        k, j = again
+        raise StructuralDefect(
+            f"edge {(int(edges.tail[k]), int(edges.head[k]))} already used "
+            f"with the same orientation by cell {int(cell_of[j])}",
+            cell=int(cell_of[k]))
     polygons = []
     for ci, cell in enumerate(mesh.cells):
         try:
-            polygons.append(build_polygon(mesh.vertices[list(cell)],
+            polygons.append(build_polygon(mesh.vertices[cell],
                                           normalize_orientation=False))
         except (NotSimple, NotStarShaped, ClockwiseOrientation) as exc:
             raise StructuralDefect(str(exc), cell=ci) from exc
-    total_area = sum(p.area for p in polygons)
-    boundary_area = 0.0
-    for (a, b), ci in directed.items():
-        if (b, a) not in directed:
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            boundary_area += 0.5 * (va[0] * vb[1] - vb[0] * va[1])
-    if abs(total_area - boundary_area) > 1e-12 * abs(total_area):
+    # each cell's interior angle at every edge's head, from the next edge
+    # round to this one reversed; CCW simple cells give angles in (0, 2 pi)
+    d = mesh.vertices[edges.head] - mesh.vertices[edges.tail]
+    out = d[_successors(mesh.cell_start)]
+    angles = np.mod(np.arctan2(d[:, 0] * out[:, 1] - d[:, 1] * out[:, 0],
+                               -(d * out).sum(axis=1)), 2.0 * np.pi)
+    turn = np.bincount(edges.head, angles, minlength=n)
+    over = np.flatnonzero(turn > _FULL_TURN)
+    if len(over):
+        v = int(over[0])
         raise StructuralDefect(
-            f"cells do not tile the enclosed region: sum of areas "
-            f"{total_area!r} vs boundary loop area {boundary_area!r}")
+            f"cells overlap at vertex {v}: their interior angles there sum "
+            f"to {float(turn[v])!r}, more than 2 pi",
+            cell=int(cell_of[edges.head == v].max()))
+    total_area = sum(p.area for p in polygons)
     kernel_ratios = np.array([p.kernel_inradius / p.diameter for p in polygons])
     edge_ratios = np.array([p.edge_lengths.min() / p.diameter for p in polygons])
     kappa = float(min(kernel_ratios.min(), edge_ratios.min()))
     return MeshQuality(
         kappa=kappa,
-        max_vertices=max(len(c) for c in mesh.cells),
+        max_vertices=int(np.diff(mesh.cell_start).max()),
         cell_kernel_ratios=kernel_ratios,
         cell_edge_ratios=edge_ratios,
         kappa_min=kappa_min,

@@ -410,10 +410,8 @@ def make_mesh(spec: MeshFamilySpec) -> PolygonalMesh:
 
 def cell_census(mesh: PolygonalMesh) -> dict[int, int]:
     """Histogram of cell vertex counts, e.g. {6: 288, 5: 40, 4: 12}."""
-    counts: dict[int, int] = {}
-    for c in mesh.cells:
-        counts[len(c)] = counts.get(len(c), 0) + 1
-    return dict(sorted(counts.items()))
+    sizes, counts = np.unique(np.diff(mesh.cell_start), return_counts=True)
+    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,13 @@ stabilization-free bilinear form; its rank certifies coercivity.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import IllConditioned, SingularSystem
-from .geometry import Polygon, cyclic_next, cyclic_prev
+from .geometry import Polygon, cyclic_next, cyclic_prev, memoised
 from .polyspace import (ScaledMonomialBasis, build_moment_table,
                         divergence_matrix, space_dimension)
 from .quadrature import segment_rule
@@ -44,22 +43,6 @@ def boundary_mean_row(poly: Polygon) -> np.ndarray:
     return (lens + cyclic_prev(lens)) / (2.0 * poly.perimeter)
 
 
-#: Kernels computed so far: polygon -> {"pinabla" or degree l: result}.
-#: The keys are weak, so an entry lives exactly as long as its polygon.
-#: Reuse is exact: polygons come from ``build_polygon``, which returns
-#: them frozen with read-only arrays, so a polygon's kernel cannot
-#: change; a new mesh builds new polygons.
-_KERNELS = weakref.WeakKeyDictionary()
-
-
-def _memoised(poly: Polygon, key, compute, *args):
-    """``compute(poly, *args)``, computed once per polygon and ``key``."""
-    table = _KERNELS.setdefault(poly, {})
-    if key not in table:
-        table[key] = compute(poly, *args)
-    return table[key]
-
-
 def compute_pinabla(poly: Polygon) -> np.ndarray:
     """Elliptic projector onto linears, (3, n) coefficient matrix,
     computed once per polygon and returned read-only.
@@ -68,7 +51,7 @@ def compute_pinabla(poly: Polygon) -> np.ndarray:
     linear monomials (pure boundary integrals, since linears are
     harmonic) plus the boundary-mean constraint fixing constants.
     """
-    return _memoised(poly, "pinabla", _compute_pinabla)
+    return memoised(poly, "pinabla", _compute_pinabla)
 
 
 def _compute_pinabla(poly: Polygon) -> np.ndarray:
@@ -178,7 +161,7 @@ def build_projectors(poly: Polygon, l: int) -> ElementProjectors:
     :class:`IllConditioned` warning fires once per (polygon, degree)."""
     if l < 0:
         raise ValueError(f"negative projection degree {l}")
-    return _memoised(poly, l, _build_projectors, l)
+    return memoised(poly, l, _build_projectors, l)
 
 
 def _build_projectors(poly: Polygon, l: int) -> ElementProjectors:

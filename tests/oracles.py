@@ -203,3 +203,19 @@ def eoc_fit(hs, errs):
     """Least-squares slope of log err vs log h (independent of package)."""
     return float(np.polyfit(np.log(np.asarray(hs)),
                             np.log(np.asarray(errs)), 1)[0])
+
+
+def boundary_flags_by_edge_walk(n_vertices, cells):
+    """Boundary vertex flags from a dict walk over the undirected edges:
+    the endpoints of every edge that exactly one cell uses."""
+    counts = {}
+    for cell in cells:
+        cell = [int(i) for i in cell]
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    flags = np.zeros(n_vertices, dtype=bool)
+    for (a, b), count in counts.items():
+        if count == 1:
+            flags[a] = flags[b] = True
+    return flags

@@ -232,8 +232,10 @@ def test_criterion_07_triangle_mesh_matches_p1_fem():
     assert all(l == 0 for l in result.degrees.levels)
     # same load rule as the solver under test: cell mean of f from the
     # documented degree-4 rule, lumped one third per vertex
-    loads = [polygon_integrate(mesh.polygon(i), problem.f, 4)
-             for i in range(mesh.n_cells)]
+    loads = [polygon_integrate(build_polygon(mesh.vertices[cell],
+                                             normalize_orientation=False),
+                               problem.f, 4)
+             for cell in mesh.cells]
     fem = fem_p1_solve(mesh.vertices, mesh.cells,
                        mesh.boundary_vertex_flags, loads)
     gap = np.abs(result.vertex_values - fem).max()
@@ -283,7 +285,9 @@ def test_criterion_10_spd_kernel_and_admissibility_refusal():
     for family in MESH_FAMILIES:
         mesh = level0(family)
         degrees = assign_degrees(mesh, "minimal")
-        for i, poly in enumerate(mesh.polygons):
+        for i, cell in enumerate(mesh.cells):
+            poly = build_polygon(mesh.vertices[cell],
+                                 normalize_orientation=False)
             stiff = build_projectors(poly, int(degrees.levels[i])).stiffness
             sv = np.linalg.svd(stiff, compute_uv=False)
             rank = int((sv > 1e-12 * sv[0]).sum())

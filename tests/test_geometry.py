@@ -5,11 +5,13 @@ import pytest
 import sympy as sp
 
 from e2vem.errors import NotSimple, NotStarShaped, ParseError, StructuralDefect
+from e2vem import geometry
 from e2vem.geometry import (
     PolygonalMesh,
     build_polygon,
     edge_integrate,
     polygon_integrate,
+    polygon_quadrature,
     sub_triangulate,
     validate_mesh,
 )
@@ -21,10 +23,16 @@ from e2vem.meshgen import (
     regular_polygon,
 )
 
-from oracles import exact_polygon_integral, kernel_contains, monte_carlo_integral
+from oracles import (boundary_flags_by_edge_walk, exact_polygon_integral,
+                     kernel_contains, monte_carlo_integral)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 UNIT_RIGHT_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+MESH_FAMILIES = ("honeycomb", "cut_corner_octagon", "concave_star",
+                 "triangulation", "square_grid")
+#: 2 x 2 unit squares on a 3 x 3 vertex lattice, vertex 4 at the center
+GRID_VERTICES = [(x, y) for y in range(3) for x in range(3)]
+GRID_CELLS = [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]]
 
 
 def test_unit_square_metrics():
@@ -124,6 +132,77 @@ def test_validate_duplicated_cell():
     broken = PolygonalMesh(mesh.vertices, list(mesh.cells) + [list(mesh.cells[0])])
     with pytest.raises(StructuralDefect):
         validate_mesh(broken)
+
+
+@pytest.mark.parametrize("cells, cell", [
+    (GRID_CELLS[:2] + [[3, 4, 7, 4]] + GRID_CELLS[3:], 2),  # repeated vertex
+    (GRID_CELLS + [GRID_CELLS[0]], 4),                       # duplicated cell
+    (GRID_CELLS[:2] + [GRID_CELLS[2][::-1]] + GRID_CELLS[3:], 2),  # clockwise
+    (GRID_CELLS + [[0, 2, 4]], 4),  # overlaps cells 0 and 1 around vertex 4
+], ids=["repeated_vertex", "duplicated_cell", "clockwise_cell",
+        "overlapping_cell"])
+def test_validate_names_defective_cell(cells, cell):
+    with pytest.raises(StructuralDefect) as exc:
+        validate_mesh(PolygonalMesh(GRID_VERTICES, cells))
+    assert exc.value.cell == cell
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e4])
+def test_validate_translated_mesh(shift):
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
+    moved = validate_mesh(PolygonalMesh(mesh.vertices + shift, mesh.cells))
+    assert moved.passed and moved.n_cells == mesh.n_cells
+
+
+@pytest.mark.parametrize("cells, cell", [
+    (GRID_CELLS[:3] + [[4, 5, -1, 7]], 3),
+    (GRID_CELLS[:1] + [[1, 2, 9, 4]] + GRID_CELLS[2:], 1),
+    (GRID_CELLS[:2] + [[3, 4]] + GRID_CELLS[3:], 2),
+], ids=["negative_index", "index_past_end", "two_vertices"])
+def test_mesh_refuses_bad_connectivity(cells, cell):
+    with pytest.raises(StructuralDefect) as exc:
+        PolygonalMesh(GRID_VERTICES, cells)
+    assert exc.value.cell == cell
+
+
+def test_mesh_connectivity_arrays():
+    mesh = PolygonalMesh(GRID_VERTICES, GRID_CELLS + [[0, 2, 4]])
+    assert mesh.cell_start.tolist() == [0, 4, 8, 12, 16, 19]
+    assert mesh.cell_vertices.tolist() == sum(GRID_CELLS + [[0, 2, 4]], [])
+    assert mesh.cells is mesh.cells  # built once, not on every access
+    assert [c.tolist() for c in mesh.cells] == GRID_CELLS + [[0, 2, 4]]
+    for arr in (mesh.cell_start, mesh.cell_vertices, mesh.cells[1]):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_boundary_flags_match_edge_walk(family):
+    for level in range(3):
+        mesh = make_mesh(MeshFamilySpec(family, level=level))
+        expected = boundary_flags_by_edge_walk(mesh.n_vertices, mesh.cells)
+        assert np.array_equal(mesh.boundary_vertex_flags, expected)
+    order = np.random.default_rng(5).permutation(mesh.n_cells)
+    shuffled = PolygonalMesh(mesh.vertices, [mesh.cells[i] for i in order])
+    assert np.array_equal(shuffled.boundary_vertex_flags, expected)
+
+
+def test_polygon_quadrature_builds_fan_once(monkeypatch):
+    calls = []
+
+    def counting_fan(poly):
+        calls.append(poly)
+        return fan(poly)
+
+    fan = geometry._sub_triangulate
+    monkeypatch.setattr(geometry, "_sub_triangulate", counting_fan)
+    poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4))
+    for degree in (2, 6, 8):
+        _, w = polygon_quadrature(poly, degree)
+        assert w.sum() == pytest.approx(poly.area, rel=1e-13)
+    assert calls == [poly]
+    with pytest.raises(ValueError):
+        sub_triangulate(poly).areas[0] = 0.0
 
 
 def test_validate_honeycomb_kappa_across_levels():

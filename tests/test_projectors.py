@@ -166,7 +166,7 @@ def test_local_load_cases():
     def f(x, y):
         return 8 * np.pi ** 2 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
 
-    f_mean = load(f, quadrature_degree=20)
+    f_mean = load(f)
     est, se = monte_carlo_integral(poly.vertices, f)
     # mean mode distributes (integral of f) by the cell-mean row
     assert f_mean.sum() == pytest.approx(est, abs=5 * se + 1e-6)
