@@ -9,6 +9,7 @@ intersection linear program.
 """
 from __future__ import annotations
 
+import heapq
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -98,21 +99,15 @@ def cyclic_prev(x):
     return np.concatenate((x[-1:], x[:-1]))
 
 
-def _signed_area(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, cyclic_next(y)) - np.dot(cyclic_next(x), y))
+_vertex_pairs = lru_cache(maxsize=None)(np.triu_indices)
 
 
-def _area_centroid(pts):
-    nxt = cyclic_next(pts)
-    cross = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
-    area = 0.5 * cross.sum()
-    return ((pts + nxt) * cross[:, None]).sum(axis=0) / (6.0 * area)
-
-
-def _diameter(pts):
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+def _diameters(rel):
+    """Largest vertex-to-vertex distance of each chain of offsets to vertex
+    0 in ``rel``, an ``(..., n, 2)`` array, over the unique vertex pairs."""
+    i, j = _vertex_pairs(rel.shape[-2], 1)
+    d = rel[..., i, :] - rel[..., j, :]
+    return np.sqrt((d * d).sum(-1).max(-1))
 
 
 @lru_cache(maxsize=None)
@@ -140,9 +135,7 @@ def _check_simple(pts, d, lens, diameter):
     tol = 1e-12 * diameter ** 2
     if np.any((np.abs(cross) <= tol) & (dot < 0.0)):
         raise NotSimple("boundary folds back on itself")
-    pairs = _nonadjacent_pairs(n)
-    if len(pairs) == 0:
-        return
+    pairs = _nonadjacent_pairs(n)  # none for a triangle
     a = pts[pairs[:, 0]]
     b = pts[pairs[:, 0] + 1]
     c = pts[pairs[:, 1]]
@@ -156,17 +149,12 @@ def _check_simple(pts, d, lens, diameter):
         raise NotSimple("non-adjacent edges intersect")
     # touching or collinear-overlap: some orientation ~0 with overlapping boxes
     near = (np.abs(o1) <= tol) | (np.abs(o2) <= tol) | (np.abs(o3) <= tol) | (np.abs(o4) <= tol)
-    if near.any():
-        idx = np.where(near)[0]
-        for k in idx:
-            lo1 = np.minimum(a[k], b[k]) - tol
-            hi1 = np.maximum(a[k], b[k]) + tol
-            lo2 = np.minimum(c[k], e[k]) - tol
-            hi2 = np.maximum(c[k], e[k]) + tol
-            boxes_overlap = np.all(hi1 >= lo2) and np.all(hi2 >= lo1)
-            crossing = (o1[k] * o2[k] <= tol * tol) and (o3[k] * o4[k] <= tol * tol)
-            if boxes_overlap and crossing:
-                raise NotSimple("non-adjacent edges touch or overlap")
+    lo_ab, hi_ab = np.minimum(a, b) - tol, np.maximum(a, b) + tol
+    lo_ce, hi_ce = np.minimum(c, e) - tol, np.maximum(c, e) + tol
+    boxes_overlap = (hi_ab >= lo_ce).all(1) & (hi_ce >= lo_ab).all(1)
+    crossing = (o1 * o2 <= tol * tol) & (o3 * o4 <= tol * tol)
+    if np.any(near & boxes_overlap & crossing):
+        raise NotSimple("non-adjacent edges touch or overlap")
 
 
 def _inward_clearance(pts, n_in, point):
@@ -186,11 +174,10 @@ def _chebyshev_kernel_point(pts, n_in):
     return np.array(res.x[:2]), float(res.x[2])
 
 
-def _star_center(pts, n_in, diameter):
-    center = _area_centroid(pts)
-    clearance = _inward_clearance(pts, n_in, center)
+def _star_center(pts, n_in, diameter, centroid):
+    clearance = _inward_clearance(pts, n_in, centroid)
     if clearance > 1e-9 * diameter:
-        return center, clearance
+        return centroid, clearance
     center, radius = _chebyshev_kernel_point(pts, n_in)
     if not np.isfinite(radius) or radius <= 1e-12 * diameter:
         raise NotStarShaped("kernel is empty or degenerate")
@@ -203,29 +190,37 @@ def build_polygon(points, *, normalize_orientation=True) -> Polygon:
     Clockwise input is reversed when ``normalize_orientation`` is true
     (the default), otherwise it raises :class:`ClockwiseOrientation`.
     Raises :class:`NotSimple` for degenerate or self-intersecting chains
-    and :class:`NotStarShaped` when the kernel is empty.
+    and :class:`NotStarShaped` when the kernel is empty. All but the
+    stored vertices comes from the offsets to vertex 0, those the
+    cell-class index compares, so nothing depends on where the polygon lies.
     """
     pts = np.array(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise NotSimple("a polygon needs at least 3 planar vertices")
     if not np.all(np.isfinite(pts)):
         raise NotSimple("non-finite vertex coordinates")
-    diameter = _diameter(pts)
+    origin = pts[0]
+    rel = pts - origin
+    diameter = float(_diameters(rel))
     if diameter == 0.0:
         raise NotSimple("all vertices coincide")
-    area = _signed_area(pts)
+    nxt = cyclic_next(rel)
+    cross = rel[:, 0] * nxt[:, 1] - nxt[:, 0] * rel[:, 1]
+    area = 0.5 * float(cross.sum())
     if abs(area) <= 1e-14 * diameter ** 2:
         raise NotSimple("degenerate polygon (zero area)")
+    centroid = ((rel + nxt) * cross[:, None]).sum(axis=0) / (6.0 * area)
     if area < 0.0:
         if not normalize_orientation:
             raise ClockwiseOrientation("vertices are ordered clockwise")
-        pts = pts[::-1].copy()
+        pts, rel = pts[::-1].copy(), rel[::-1]
         area = -area
-    d = cyclic_next(pts) - pts
+    d = cyclic_next(rel) - rel
     lens = np.hypot(d[:, 0], d[:, 1])
-    _check_simple(pts, d, lens, diameter)  # no zero-length edge past here
+    _check_simple(rel, d, lens, diameter)  # no zero-length edge past here
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lens[:, None]
-    center, inradius = _star_center(pts, -normals, diameter)
+    center, inradius = _star_center(rel, -normals, diameter, centroid)
+    center = center + origin
     for arr in (pts, center, lens, normals):
         arr.setflags(write=False)
     return Polygon(pts, float(area), diameter, center, lens, normals,
@@ -292,6 +287,18 @@ _CLASS_QUANTUM = 1e-10
 #: matrices are then off by about this relative amount, far below solver
 #: tolerance. Smaller than the key resolution, so equal keys are checked.
 _CLASS_TOLERANCE = 1e-12
+#: Smallest kappa = min(kernel_inradius, shortest edge) / diameter of a
+#: representative whose validity its members reuse; a class whose
+#: representative falls short is split into singletons. A polygon
+#: star-shaped with respect to B(star_center, rho), with shortest edge e
+#: and diameter h, has interior angles with sin(theta / 2) >= rho / h, so
+#: consecutive edges that turn back have |cross| >= sqrt(2) e^2 rho / h
+#: and non-adjacent edges are at least (2 / pi) rho^2 e / h^2 apart.
+#: Member vertices move at most sqrt(2) _CLASS_TOLERANCE h, so kappa >=
+#: 1e-2 leaves a factor of more than 1e3 on every tolerance test in
+#: ``build_polygon``. The tightest is the 1e-12 h^2 orientation tolerance
+#: divided by an edge of at least kappa h.
+_CLASS_KAPPA = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,8 +319,11 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
     from vertex 0, quantized relative to the cell diameter, so the
     grouping does not depend on coordinate scale. A cell joins its key's
     class only when its offsets match the representative's within
-    ``_CLASS_TOLERANCE`` times the diameter; otherwise it forms a class
-    of its own.
+    ``_CLASS_TOLERANCE`` times the diameter and the representative's
+    kappa is at least ``_CLASS_KAPPA``; otherwise it forms a class of its
+    own. This is the only code that builds a mesh's polygons: each class
+    validates its representative, and an invalid one raises
+    :class:`StructuralDefect` naming the lowest-index invalid cell.
     """
     sizes = np.diff(cell_start)
     groups = []
@@ -322,11 +332,9 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
         idx = cell_vertices[cell_start[ids, None] + np.arange(n)]
         pts = vertices[idx]
         rel = pts - pts[:, :1]
-        sq = np.zeros(len(ids))
-        for i in range(n):
-            d = pts - pts[:, i:i + 1]
-            sq = np.maximum(sq, (d * d).sum(-1).max(1))
-        diam = np.sqrt(sq)
+        # 4,096 cells at a time keep the pair differences' memory small
+        diam = np.concatenate([_diameters(rel[k:k + 4096])
+                               for k in range(0, len(ids), 4096)])
         # degenerate or non-finite cells get garbage keys, fail the check
         # below and are rejected when their polygon is built
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -344,10 +352,26 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
         bounds = np.flatnonzero(np.diff(rep[order])) + 1
         groups += [(ids[g], idx[g], pts[g], diam[g])
                    for g in np.split(order, bounds)]
-    groups.sort(key=lambda g: g[0][0])
-    return tuple(CellClass(build_polygon(pts[0], normalize_orientation=False),
-                           members, idx, pts[:, 0] - pts[0, 0], diam)
-                 for members, idx, pts, diam in groups)
+    # a heap on the representative, which split-off singletons join: the
+    # first polygon that fails is the lowest-index invalid cell
+    pending = sorted((int(g[0][0]), g) for g in groups)
+    classes = []
+    while pending:
+        _, group = heapq.heappop(pending)
+        members, idx, pts, diam = group
+        try:
+            poly = build_polygon(pts[0], normalize_orientation=False)
+        except (NotSimple, NotStarShaped, ClockwiseOrientation) as exc:
+            raise StructuralDefect(str(exc), cell=int(members[0])) from exc
+        shortest = min(poly.kernel_inradius, poly.edge_lengths.min())
+        if len(members) > 1 and shortest < _CLASS_KAPPA * poly.diameter:
+            for k in range(1, len(members)):
+                heapq.heappush(pending, (int(members[k]),
+                                         [a[k:k + 1] for a in group]))
+            members, idx, pts, diam = (a[:1] for a in group)
+        classes.append(CellClass(poly, members, idx, pts[:, 0] - pts[0, 0],
+                                 diam))
+    return tuple(classes)
 
 
 def _successors(cell_start):
@@ -456,7 +480,8 @@ class PolygonalMesh:
     @cached_property
     def cell_classes(self) -> tuple:
         """The one index of cells that share shape data, a tuple of
-        :class:`CellClass`; degrees, assembly and error norms iterate it."""
+        :class:`CellClass`, read by every stage; raises
+        :class:`StructuralDefect` naming the first invalid cell polygon."""
         return _cell_classes(self.vertices, self.cell_vertices,
                              self.cell_start)
 
@@ -502,7 +527,8 @@ def validate_mesh(mesh: PolygonalMesh, kappa_min: float = 0.0) -> MeshQuality:
     twice with the same orientation, non-CCW or invalid cell polygons, or
     cells that overlap, so that their interior angles at some vertex sum
     to more than a full turn. Bad vertex counts and indices are refused
-    when the mesh is built.
+    when the mesh is built. ``mesh.cell_classes`` validates the polygons
+    once per class; the per-cell ratios are class values.
     """
     n = mesh.n_vertices
     edges = mesh.edges
@@ -518,13 +544,7 @@ def validate_mesh(mesh: PolygonalMesh, kappa_min: float = 0.0) -> MeshQuality:
             f"edge {(int(edges.tail[k]), int(edges.head[k]))} already used "
             f"with the same orientation by cell {int(cell_of[j])}",
             cell=int(cell_of[k]))
-    polygons = []
-    for ci, cell in enumerate(mesh.cells):
-        try:
-            polygons.append(build_polygon(mesh.vertices[cell],
-                                          normalize_orientation=False))
-        except (NotSimple, NotStarShaped, ClockwiseOrientation) as exc:
-            raise StructuralDefect(str(exc), cell=ci) from exc
+    classes = mesh.cell_classes
     # each cell's interior angle at every edge's head, from the next edge
     # round to this one reversed; CCW simple cells give angles in (0, 2 pi)
     d = mesh.vertices[edges.head] - mesh.vertices[edges.tail]
@@ -539,9 +559,12 @@ def validate_mesh(mesh: PolygonalMesh, kappa_min: float = 0.0) -> MeshQuality:
             f"cells overlap at vertex {v}: their interior angles there sum "
             f"to {float(turn[v])!r}, more than 2 pi",
             cell=int(cell_of[edges.head == v].max()))
-    total_area = sum(p.area for p in polygons)
-    kernel_ratios = np.array([p.kernel_inradius / p.diameter for p in polygons])
-    edge_ratios = np.array([p.edge_lengths.min() / p.diameter for p in polygons])
+    kernel_ratios, edge_ratios = np.empty((2, mesh.n_cells))
+    for cls in classes:
+        poly = cls.polygon
+        kernel_ratios[cls.members] = poly.kernel_inradius / poly.diameter
+        edge_ratios[cls.members] = poly.edge_lengths.min() / poly.diameter
+    total_area = sum(c.polygon.area * len(c.members) for c in classes)
     kappa = float(min(kernel_ratios.min(), edge_ratios.min()))
     return MeshQuality(
         kappa=kappa,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, RejectionBudgetExceeded
+from .errors import ParseError, RejectionBudgetExceeded, StructuralDefect
 from .geometry import Polygon, PolygonalMesh, build_polygon
 
 _MASK64 = (1 << 64) - 1
@@ -460,26 +460,18 @@ def load_mesh(path) -> PolygonalMesh:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: 'vertices' entries must be [x, y] "
                          f"numbers: {exc}") from exc
-    if vertices.ndim != 2 or vertices.shape[1] != 2:
-        raise ParseError(f"{path}: 'vertices' entries must be [x, y] pairs")
     cells = data["cells"]
     if not isinstance(cells, list) or not cells:
         raise ParseError(f"{path}: 'cells' must be a non-empty array")
-    nv = len(vertices)
-    checked = []
     for ci, cell in enumerate(cells):
-        if not isinstance(cell, list) or len(cell) < 3:
-            raise ParseError(f"{path}: cell {ci} must list at least "
-                             f"3 vertex indices")
-        for v in cell:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"{path}: cell {ci}: vertex index {v!r} "
-                                 f"is not an integer")
-            if not 0 <= v < nv:
-                raise ParseError(f"{path}: cell {ci}: vertex index {v} "
-                                 f"out of range [0, {nv})")
-        checked.append(list(cell))
+        if not isinstance(cell, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in cell):
+            raise ParseError(f"{path}: cell {ci} must be an array of "
+                             f"integer vertex indices")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(f"{path}: 'name' must be a string")
-    return PolygonalMesh(vertices, checked, name=name)
+    try:
+        return PolygonalMesh(vertices, cells, name=name)
+    except (StructuralDefect, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

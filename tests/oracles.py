@@ -219,3 +219,28 @@ def boundary_flags_by_edge_walk(n_vertices, cells):
         if count == 1:
             flags[a] = flags[b] = True
     return flags
+
+
+def per_cell_quality(mesh):
+    """Shape numbers from one polygon built per cell, in cell order.
+
+    Returns ``(kernel_ratios, edge_ratios, total_area, first_invalid)``:
+    rho / h_E and min |e| / h_E of each valid cell, the summed cell areas,
+    and the index of the first cell whose polygon is invalid (None when
+    all are valid; the lists then cover every cell). The reference for
+    ``validate_mesh``, which builds one polygon per cell class.
+    """
+    from e2vem.errors import ClockwiseOrientation, NotSimple, NotStarShaped
+    from e2vem.geometry import build_polygon
+
+    kernel, edge, area = [], [], 0.0
+    for ci, cell in enumerate(mesh.cells):
+        try:
+            poly = build_polygon(mesh.vertices[cell],
+                                 normalize_orientation=False)
+        except (NotSimple, NotStarShaped, ClockwiseOrientation):
+            return np.array(kernel), np.array(edge), area, ci
+        kernel.append(poly.kernel_inradius / poly.diameter)
+        edge.append(poly.edge_lengths.min() / poly.diameter)
+        area += poly.area
+    return np.array(kernel), np.array(edge), area, None

@@ -233,6 +233,17 @@ def test_cg_matches_cholesky_on_honeycomb():
     assert np.max(np.abs(x_cg - x_chol)) < 1e-10
 
 
+def test_patch_test_far_from_origin():
+    # cell shapes are computed from offsets to their first vertex, so a
+    # honeycomb translated by 1e6 is solved like the original
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
+    moved = PolygonalMesh(mesh.vertices + 1e6, mesh.cells)
+    prob = linear_problem(0.25, -1.5, 0.75, "poisson")
+    exact = prob.exact_solution(moved.vertices[:, 0], moved.vertices[:, 1])
+    res = solve_problem(moved, "minimal", prob)
+    assert np.abs(res.vertex_values - exact).max() <= 1e-8 * np.abs(exact).max()
+
+
 def test_patch_test_load_modes():
     mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
     prob = linear_problem(0.1, -0.8, 0.5, "poisson")

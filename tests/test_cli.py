@@ -178,6 +178,23 @@ def test_reruns_identical_modulo_timestamp(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_invalid_cell_named_by_validate_and_solve(tmp_path, capsys):
+    from e2vem.geometry import PolygonalMesh
+    from e2vem.meshgen import save_mesh
+
+    # a 2 x 2 square grid with cell 2 in clockwise order
+    vertices = [(x, y) for y in range(3) for x in range(3)]
+    cells = [[0, 1, 4, 3], [1, 2, 5, 4], [6, 7, 4, 3], [4, 5, 8, 7]]
+    mesh_path = tmp_path / "clockwise.json"
+    save_mesh(PolygonalMesh(vertices, cells), mesh_path)
+    capsys.readouterr()
+    for argv in (("validate", "--mesh", str(mesh_path)),
+                 ("solve", "--mesh", str(mesh_path),
+                  "--out", str(tmp_path / "x.json"))):
+        assert run_cli(*argv) == 2
+        assert "cell 2" in capsys.readouterr().err
+
+
 def test_missing_mesh_file(tmp_path):
     assert run_cli("solve", "--mesh", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "x.json")) == 2

@@ -23,8 +23,11 @@ from e2vem.meshgen import (
     regular_polygon,
 )
 
+from e2vem.assembly import sin_sin_problem, solve_problem
+from e2vem.degree import assign_degrees
+
 from oracles import (boundary_flags_by_edge_walk, exact_polygon_integral,
-                     kernel_contains, monte_carlo_integral)
+                     kernel_contains, monte_carlo_integral, per_cell_quality)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 UNIT_RIGHT_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -134,24 +137,145 @@ def test_validate_duplicated_cell():
         validate_mesh(broken)
 
 
-@pytest.mark.parametrize("cells, cell", [
+#: the grid with cell 2 reversed to clockwise order
+CLOCKWISE_CELLS = GRID_CELLS[:2] + [GRID_CELLS[2][::-1]] + GRID_CELLS[3:]
+#: (cells, defective cell) on the grid lattice
+DEFECTIVE_GRIDS = pytest.mark.parametrize("cells, cell", [
     (GRID_CELLS[:2] + [[3, 4, 7, 4]] + GRID_CELLS[3:], 2),  # repeated vertex
     (GRID_CELLS + [GRID_CELLS[0]], 4),                       # duplicated cell
-    (GRID_CELLS[:2] + [GRID_CELLS[2][::-1]] + GRID_CELLS[3:], 2),  # clockwise
+    (CLOCKWISE_CELLS, 2),                                    # clockwise
     (GRID_CELLS + [[0, 2, 4]], 4),  # overlaps cells 0 and 1 around vertex 4
 ], ids=["repeated_vertex", "duplicated_cell", "clockwise_cell",
         "overlapping_cell"])
+
+
+@DEFECTIVE_GRIDS
 def test_validate_names_defective_cell(cells, cell):
     with pytest.raises(StructuralDefect) as exc:
         validate_mesh(PolygonalMesh(GRID_VERTICES, cells))
     assert exc.value.cell == cell
 
 
-@pytest.mark.parametrize("shift", [1e3, 1e4])
+@DEFECTIVE_GRIDS
+def test_validate_names_oracle_invalid_cell(cells, cell):
+    # the cell named above is the oracle's first invalid polygon, unless
+    # every polygon is valid and the structural or overlap checks name it
+    first_invalid = per_cell_quality(PolygonalMesh(GRID_VERTICES, cells))[3]
+    assert first_invalid in (cell, None)
+
+
+@pytest.mark.parametrize("family", ["square_grid", "honeycomb",
+                                    "concave_star"])
+@pytest.mark.parametrize("move", [(1.2, 1.2), (-1.2, 0.3), (0.0, -1.5),
+                                  (0.9, 0.0)])
+def test_validate_names_lowest_invalid_cell(family, move):
+    # moving one interior vertex by about a cell size leaves the edge
+    # table intact but breaks the polygons of one or two cells
+    mesh = make_mesh(MeshFamilySpec(family, level=0))
+    interior = np.flatnonzero(~mesh.boundary_vertex_flags)
+    verts = mesh.vertices.copy()
+    verts[interior[len(interior) // 2]] += np.array(move) * mesh.h
+    moved = PolygonalMesh(verts, mesh.cells)
+    first_invalid = per_cell_quality(moved)[3]
+    assert first_invalid is not None
+    with pytest.raises(StructuralDefect) as exc:
+        validate_mesh(moved)
+    assert exc.value.cell == first_invalid
+
+
+def _jittered(mesh, seed):
+    verts = mesh.vertices.copy()
+    interior = ~mesh.boundary_vertex_flags
+    rng = np.random.default_rng(seed)
+    verts[interior] += rng.uniform(-0.05, 0.05, (interior.sum(), 2)) * mesh.h
+    return PolygonalMesh(verts, mesh.cells)
+
+
+def _oracle_meshes():
+    for family in MESH_FAMILIES:
+        for level in range(3):
+            yield f"{family}-L{level}", make_mesh(MeshFamilySpec(family,
+                                                                 level=level))
+    jittered = _jittered(make_mesh(MeshFamilySpec("honeycomb", level=1)), 7)
+    assert len(jittered.cell_classes) == jittered.n_cells
+    yield "jittered honeycomb-L1", jittered
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
+    order = np.random.default_rng(3).permutation(mesh.n_cells)
+    yield "shuffled concave_star-L2", PolygonalMesh(
+        mesh.vertices, [mesh.cells[i] for i in order])
+
+
+def test_validate_matches_per_cell_oracle():
+    for label, mesh in _oracle_meshes():
+        q = validate_mesh(mesh)
+        kernel, edge, area, first_invalid = per_cell_quality(mesh)
+        assert first_invalid is None, label
+        np.testing.assert_allclose(q.cell_kernel_ratios, kernel, rtol=1e-12,
+                                   atol=0.0, err_msg=label)
+        np.testing.assert_allclose(q.cell_edge_ratios, edge, rtol=1e-12,
+                                   atol=0.0, err_msg=label)
+        assert q.kappa == pytest.approx(min(kernel.min(), edge.min()),
+                                        rel=1e-12), label
+        assert abs(q.total_area - area) <= 1e-13, label
+
+
+def test_validate_builds_no_polygon_per_cell(monkeypatch):
+    built = []
+
+    def counting_build(points, **kwargs):
+        built.append(len(points))
+        return build(points, **kwargs)
+
+    build = geometry.build_polygon
+    monkeypatch.setattr(geometry, "build_polygon", counting_build)
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
+    assert validate_mesh(mesh).passed
+    assert len(built) == len(mesh.cell_classes) == 10
+
+
+def test_class_rule_splits_low_kappa_representatives():
+    # a valid thin rectangle (kappa = 0.005 / 1.00005) and a unit square,
+    # each copied four times by exact translations
+    thin = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
+    square = np.array(UNIT_SQUARE)
+    for shape, classes in ((thin, [[0], [1], [2], [3]]),
+                           (square, [[0, 1, 2, 3]])):
+        verts = np.vstack([shape + (2.0 * k, 0.0) for k in range(4)])
+        mesh = PolygonalMesh(verts, [range(4 * k, 4 * k + 4)
+                                     for k in range(4)])
+        assert [c.members.tolist() for c in mesh.cell_classes] == classes
+        q = validate_mesh(mesh)
+        assert q.total_area == pytest.approx(4.0 * shape[2, 1], rel=1e-14)
+        assert np.ptp(q.cell_kernel_ratios) == 0.0
+    assert q.kappa == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_representative_diameter_is_class_diameter(family):
+    mesh = make_mesh(MeshFamilySpec(family, level=2))
+    for cls in mesh.cell_classes:
+        assert cls.polygon.diameter == cls.diameters[0]
+        poly = build_polygon(mesh.vertices[mesh.cells[cls.members[-1]]],
+                             normalize_orientation=False)
+        assert poly.diameter == cls.diameters[-1]
+
+
+def test_invalid_cell_named_on_every_path():
+    for path in (lambda m: solve_problem(m, "minimal", sin_sin_problem()),
+                 lambda m: assign_degrees(m), lambda m: m.h,
+                 validate_mesh):
+        with pytest.raises(StructuralDefect) as exc:
+            path(PolygonalMesh(GRID_VERTICES, CLOCKWISE_CELLS))
+        assert exc.value.cell == 2
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e4, 1e6])
 def test_validate_translated_mesh(shift):
     mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
     moved = validate_mesh(PolygonalMesh(mesh.vertices + shift, mesh.cells))
     assert moved.passed and moved.n_cells == mesh.n_cells
+    assert moved.total_area == pytest.approx(validate_mesh(mesh).total_area,
+                                             rel=1e-12)
 
 
 @pytest.mark.parametrize("cells, cell", [
@@ -261,3 +385,15 @@ def test_load_mesh_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_mesh(oob)
     assert "cell 0" in str(err.value)
+    short = tmp_path / "short.json"
+    short.write_text('{"vertices": [[0,0],[1,0],[0,1]], '
+                     '"cells": [[0,1,2],[1,2]]}')
+    with pytest.raises(ParseError) as err:
+        load_mesh(short)
+    assert str(short) in str(err.value) and "cell 1" in str(err.value)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"vertices": [[0,0],[1,0],[0,1]], '
+                    '"cells": [[0,1,18446744073709551616]]}')
+    with pytest.raises(ParseError) as err:
+        load_mesh(huge)
+    assert str(huge) in str(err.value)

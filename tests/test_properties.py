@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from e2vem.cli import parse_n_range
 from e2vem.analysis import eoc_rates
 from e2vem.degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
-from e2vem.geometry import build_polygon, sub_triangulate
+from e2vem import geometry
+from e2vem.geometry import PolygonalMesh, build_polygon, sub_triangulate
 from e2vem.meshgen import PolygonFamilySpec, SplitMix64, make_polygon
 from e2vem.polyspace import build_moment_table
 
@@ -51,6 +52,36 @@ def test_shape_ratio_similarity_invariant(alpha, angle, scale, dx, dy):
     ratio = poly.kernel_inradius / poly.diameter
     moved_ratio = moved.kernel_inradius / moved.diameter
     assert abs(moved_ratio - ratio) <= 1e-9 * ratio
+
+
+def kappa(poly):
+    return min(poly.kernel_inradius, poly.edge_lengths.min()) / poly.diameter
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes, seeds, alphas, st.floats(min_value=1.0, max_value=200.0),
+       seeds)
+def test_class_members_valid_like_representative(n, seed, alpha, stretch,
+                                                 noise_seed):
+    # stretching moves kappa across the class rule's 1e-2 threshold
+    rng = np.random.default_rng(noise_seed)
+    for poly in (convex(n, seed),
+                 make_polygon(PolygonFamilySpec("concave_octagon", n=8,
+                                                alpha=alpha))):
+        shape = poly.vertices * (stretch, 1.0)
+        tol = geometry._CLASS_TOLERANCE * poly.diameter * stretch
+        copies = [shape + (3.0 * stretch * k, -2.0 * k)
+                  + rng.uniform(-0.5, 0.5, shape.shape) * tol
+                  for k in range(6)]
+        m = len(shape)
+        mesh = PolygonalMesh(np.vstack(copies),
+                             [range(m * k, m * (k + 1)) for k in range(6)])
+        for cls in mesh.cell_classes:
+            for member in cls.members[1:]:
+                own = build_polygon(mesh.vertices[mesh.cells[member]],
+                                    normalize_orientation=False)
+                assert abs(kappa(own) - kappa(cls.polygon)) \
+                    <= 1e-9 * kappa(cls.polygon)
 
 
 @settings(max_examples=25, deadline=None)
