@@ -23,9 +23,6 @@ from .projectors import compute_pinabla
 
 _ERROR_QUADRATURE_DEGREE = 8
 
-#: Most cells of one class whose fields are evaluated at once (bounds memory).
-_ERROR_CHUNK_CELLS = 4096
-
 
 def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
                        exact_gradient):
@@ -33,7 +30,8 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     projection of the vertex data and the exact solution and gradient,
     summed over cells; a sum whose exact field is None stays 0. The
     projector and quadrature are computed once per cell class, the exact
-    fields on at most ``_ERROR_CHUNK_CELLS`` members at a time."""
+    fields on the chunks of members that ``CellClass.member_points``
+    yields."""
     u = np.asarray(vertex_values, dtype=float)
     l2_sq = h1_sq = 0.0
     for cls in mesh.cell_classes:
@@ -42,11 +40,8 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
         qpts, qw = polygon_quadrature(poly, _ERROR_QUADRATURE_DEGREE)
         basis = ScaledMonomialBasis.from_polygon(poly, 1)
         qbasis = basis.evaluate(qpts).T                         # (3, P)
-        for start in range(0, len(cls.members), _ERROR_CHUNK_CELLS):
-            chunk = slice(start, start + _ERROR_CHUNK_CELLS)
-            coeffs = u[cls.indices[chunk]] @ pinabla.T          # (m, 3)
-            pts = (qpts[None, :, :] + cls.offsets[chunk, None, :]).reshape(-1, 2)
-            x, y = pts[:, 0], pts[:, 1]
+        for rows, x, y in cls.member_points(qpts):
+            coeffs = u[cls.indices[rows]] @ pinabla.T           # (m, 3)
             shape = (len(coeffs), len(qw))
             if exact is not None:
                 err = coeffs @ qbasis                           # (m, P)

@@ -3,8 +3,8 @@ Dirichlet elimination, and the SPD solve.
 
 Assembly iterates the mesh's one cell-class index, ``mesh.cell_classes``:
 the stiffness, reaction, projector and quadrature data are computed once
-on each class representative, per projection degree found among its
-members, and scattered to every member shifted by its anchor offset.
+on each class representative, at the class's certified degree, and
+scattered to every member shifted by its anchor offset.
 Members are verified translates of the representative, so reuse changes
 no value beyond the index's relative tolerance.
 """
@@ -170,18 +170,22 @@ class LinearSystem:
 
 
 def _check_admissible(mesh: PolygonalMesh, degrees: DegreeAssignment):
-    if len(degrees) != mesh.n_cells:
+    classes = mesh.cell_classes
+    if len(degrees) != mesh.n_cells or len(degrees.evidence) != len(classes):
         raise InadmissibleDegrees(
-            f"degree assignment covers {len(degrees)} cells, "
-            f"mesh has {mesh.n_cells}")
-    for ci, ev in enumerate(degrees.evidence):
-        if ev.l != int(degrees.levels[ci]):
+            f"degree assignment covers {len(degrees)} cells in "
+            f"{len(degrees.evidence)} classes, mesh has {mesh.n_cells} "
+            f"cells in {len(classes)}")
+    for cls, ev in zip(classes, degrees.evidence):
+        off = np.flatnonzero(degrees.levels[cls.members] != ev.l)
+        if len(off):
+            ci = int(cls.members[off[0]])
             raise InadmissibleDegrees(
                 f"cell {ci}: degree {int(degrees.levels[ci])} has no rank "
-                f"certificate (evidence is for l={ev.l})")
+                f"certificate (its class's evidence is for l={ev.l})")
         if not ev.admissible:
             raise InadmissibleDegrees(
-                f"cell {ci}: stiffness rank {ev.rank} < "
+                f"cell {int(cls.members[0])}: stiffness rank {ev.rank} < "
                 f"{ev.n_vertices - 1} at l={ev.l}")
 
 
@@ -189,7 +193,9 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
                   problem: ProblemSpec, load_mode: str = "mean"):
     """Assemble the global matrix and load over all vertices, before any
     boundary treatment. Returns ``(A, F)`` with A sparse CSR symmetric,
-    constants in its kernel."""
+    constants in its kernel. Each cell class is scattered once, at its
+    certified degree; a member's load is its source values at the class
+    quadrature points times the class's (P, n) load weights."""
     _check_admissible(mesh, degrees)
     if load_mode not in ("mean", "p1"):
         raise ValueError(f"unknown load mode {load_mode!r}")
@@ -197,39 +203,28 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
     n = mesh.n_vertices
     load = np.zeros(n)
     row_parts, col_parts, val_parts = [], [], []
-    for cls in mesh.cell_classes:
-        poly = cls.polygon
-        member_levels = degrees.levels[cls.members]
-        for l in np.unique(member_levels).tolist():
-            sel = member_levels == l
-            idx, offsets = cls.indices[sel], cls.offsets[sel]   # (m, nv)
-            projs = build_projectors(poly, l)
-            local = projs.stiffness.copy()
-            if reaction:
-                local += poly.area * np.outer(projs.pizero, projs.pizero)
-            qpts, qw = polygon_quadrature(poly, 2 * (l + 1) + 2)
-            m, nv = idx.shape
-            row_parts.append(np.repeat(idx, nv, axis=1).ravel())
-            col_parts.append(np.tile(idx, (1, nv)).ravel())
-            val_parts.append(np.tile(local.ravel(), m))
-            pts = (qpts[None, :, :] + offsets[:, None, :]).reshape(-1, 2)
-            fv = np.asarray(problem.f(pts[:, 0], pts[:, 1]),
-                            dtype=float).reshape(m, len(qw))
-            if load_mode == "mean":
-                cell_loads = (fv @ qw)[:, None] * projs.pizero[None, :]
-            else:
-                qbasis = ScaledMonomialBasis.from_polygon(poly, 1).evaluate(qpts)
-                moments = np.einsum("mp,p,pa->ma", fv, qw, qbasis)
-                cell_loads = moments @ projs.pione
-            np.add.at(load, idx, cell_loads)
-    rows = np.concatenate(row_parts)
-    cols = np.concatenate(col_parts)
-    vals = np.concatenate(val_parts)
-    # sum duplicates in sorted-key order so the result does not depend on
-    # cell ordering
-    order = np.lexsort((cols, rows))
-    matrix = sp.coo_matrix((vals[order], (rows[order], cols[order])),
-                           shape=(n, n)).tocsr()
+    for cls, ev in zip(mesh.cell_classes, degrees.evidence):
+        poly, idx = cls.polygon, cls.indices                # idx (m, nv)
+        projs = build_projectors(poly, ev.l)
+        local = projs.stiffness.copy()
+        if reaction:
+            local += poly.area * np.outer(projs.pizero, projs.pizero)
+        m, nv = idx.shape
+        row_parts.append(np.repeat(idx, nv, axis=1).ravel())
+        col_parts.append(np.tile(idx, (1, nv)).ravel())
+        val_parts.append(np.tile(local.ravel(), m))
+        qpts, qw = polygon_quadrature(poly, 2 * (ev.l + 1) + 2)
+        if load_mode == "mean":
+            weights = np.outer(qw, projs.pizero)
+        else:
+            qbasis = ScaledMonomialBasis.from_polygon(poly, 1).evaluate(qpts)
+            weights = (qw[:, None] * qbasis) @ projs.pione
+        for rows, x, y in cls.member_points(qpts):
+            fv = np.asarray(problem.f(x, y), dtype=float)
+            np.add.at(load, idx[rows], fv.reshape(-1, len(qw)) @ weights)
+    matrix = sp.csr_matrix((np.concatenate(val_parts),
+                            (np.concatenate(row_parts),
+                             np.concatenate(col_parts))), shape=(n, n))
     return matrix, load
 
 
@@ -271,6 +266,8 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     n = system.n_free
     if method == "auto":
         method = "cholesky" if n <= 1200 else "cg"
+    if method not in ("cholesky", "cg"):
+        raise ValueError(f"unknown solver {method!r}")
     if n == 0:
         return np.zeros(0), SolveStats(method, 0, 0.0)
     bnorm = float(np.linalg.norm(b))
@@ -282,8 +279,6 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
         x = cho_solve(factor, b)
         res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
         return x, SolveStats("cholesky", 0, res)
-    if method != "cg":
-        raise ValueError(f"unknown solver {method!r}")
     diag = a.diagonal()
     if (diag <= 0.0).any():
         raise NotSPD("non-positive diagonal entry in the reduced matrix")
@@ -338,12 +333,10 @@ def export_solution(result: "SolutionResult") -> dict:
 
 def solve_problem(mesh: PolygonalMesh, strategy, problem: ProblemSpec,
                   load_mode: str = "mean", solver: str = "auto",
-                  tol: float = 1e-12,
-                  degrees: DegreeAssignment = None) -> SolutionResult:
+                  tol: float = 1e-12) -> SolutionResult:
     """assign_degrees + assemble + solve, returning vertex values."""
     problem.residual_check()
-    if degrees is None:
-        degrees = assign_degrees(mesh, strategy)
+    degrees = assign_degrees(mesh, strategy)
     system = assemble(mesh, degrees, problem, load_mode)
     x, stats = solve(system, solver, tol=tol)
     return SolutionResult(mesh, problem, degrees, system.expand(x), stats)

@@ -13,7 +13,6 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
 
 from . import analysis
 from .assembly import export_solution, sin_sin_problem, solve_problem
@@ -38,25 +37,14 @@ _DEFAULT_N_RANGE = {"regular": "3..20", "random_convex": "4..20",
 _DEFAULT_BANDS = {"rate_band_l2": (1.9, 2.1), "rate_band_h1": (0.9, 1.1)}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one CLI run; what gets embedded in outputs."""
-
-    command: str
-    options: tuple  # sorted (key, value) pairs
-
-    @classmethod
-    def resolve(cls, command: str, args, keys):
-        opts = []
-        for key in sorted(keys):
-            value = getattr(args, key)
-            if isinstance(value, tuple):
-                value = list(value)
-            opts.append((key, value))
-        return cls(command, tuple(opts))
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, **dict(self.options)}
+def resolve_config(command: str, args, keys) -> dict:
+    """Resolved settings of one CLI run, what gets embedded in outputs:
+    the command, then ``keys`` in sorted order with their values."""
+    config = {"command": command}
+    for key in sorted(keys):
+        value = getattr(args, key)
+        config[key] = list(value) if isinstance(value, tuple) else value
+    return config
 
 
 def parse_n_range(text: str):
@@ -106,11 +94,11 @@ _COERCIVITY_KEYS = ("family", "n_range", "seed", "out")
 def cmd_coercivity(args) -> int:
     n_range = parse_n_range(args.n_range
                             or _DEFAULT_N_RANGE[args.family])
-    config = RunConfig.resolve("coercivity", args, _COERCIVITY_KEYS)
+    config = resolve_config("coercivity", args, _COERCIVITY_KEYS)
     rows = analysis.coercivity_scan(args.family, n_range,
                                     seeds=(args.seed,))
     if args.out:
-        analysis.scan_to_csv(rows, args.out, config.to_dict())
+        analysis.scan_to_csv(rows, args.out, config)
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         print("\n".join(analysis.scan_csv_lines(rows)))
@@ -123,12 +111,12 @@ _CONVERGENCE_KEYS = ("family", "levels", "problem", "strategy",
 
 
 def cmd_convergence(args) -> int:
-    config = RunConfig.resolve("convergence", args, _CONVERGENCE_KEYS)
+    config = resolve_config("convergence", args, _CONVERGENCE_KEYS)
     problem = _problem(args.problem)
     report = analysis.run_convergence_study(
         args.family, args.levels, problem, strategy=args.strategy,
         load_mode=args.load_mode, solver=args.solver, tol=args.tol,
-        config=config.to_dict())
+        config=config)
     if args.out:
         report.to_csv(args.out)
         print(f"wrote {args.out} ({len(report.rows)} levels)")
@@ -156,7 +144,7 @@ _SOLVE_KEYS = ("mesh", "problem", "strategy", "load_mode", "solver",
 
 
 def cmd_solve(args) -> int:
-    config = RunConfig.resolve("solve", args, _SOLVE_KEYS)
+    config = resolve_config("solve", args, _SOLVE_KEYS)
     mesh = load_mesh(args.mesh)
     problem = _problem(args.problem)
     result = solve_problem(mesh, args.strategy, problem,
@@ -165,7 +153,7 @@ def cmd_solve(args) -> int:
     stats = result.stats
     print(f"solved: {result.n_dofs} dofs, method={stats.method}, "
           f"iterations={stats.iterations}, residual={stats.residual:.3e}")
-    payload = {"config": config.to_dict(), "generated": _timestamp()}
+    payload = {"config": config, "generated": _timestamp()}
     payload.update(export_solution(result))
     _emit_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
                args.out)
@@ -176,9 +164,9 @@ _MESHGEN_KEYS = ("family", "levels", "out")
 
 
 def cmd_meshgen(args) -> int:
-    config = RunConfig.resolve("meshgen", args, _MESHGEN_KEYS)
+    config = resolve_config("meshgen", args, _MESHGEN_KEYS)
     mesh = make_mesh(MeshFamilySpec(args.family, level=args.levels))
-    save_mesh(mesh, args.out, extra={"config": config.to_dict(),
+    save_mesh(mesh, args.out, extra={"config": config,
                                      "generated": _timestamp()})
     print(f"wrote {args.out}: {mesh.n_cells} cells, "
           f"{mesh.n_vertices} vertices")

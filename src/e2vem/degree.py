@@ -51,13 +51,6 @@ def _svd_rank(s: np.ndarray, shape_dim: int) -> int:
     return int((s > shape_dim * float(s[0]) * _EPS * _RANK_SAFETY).sum())
 
 
-def numerical_rank(matrix: np.ndarray, context_dim: int = 0) -> int:
-    """Rank with singular values below
-    ``max(shape, context_dim) * sigma_max * eps * 64`` counted as zero."""
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return _svd_rank(s, max(max(matrix.shape), context_dim))
-
-
 @dataclass(frozen=True, eq=False)
 class BadPolySpace:
     """Vector polynomials in [P_l]^2 whose normal trace is orthogonal to
@@ -100,9 +93,11 @@ class AdmissibilityEvidence:
 
 
 def stiffness_rank(poly: Polygon, l: int) -> int:
-    """Numerical rank of the local stiffness at degree ``l``."""
+    """Numerical rank of the local stiffness at degree ``l``, by
+    :func:`_svd_rank` at shape dimension ``max(n, 2 dim P_l)``."""
     k = build_projectors(poly, l).stiffness
-    return numerical_rank(k, context_dim=2 * space_dimension(l))
+    s = np.linalg.svd(k, compute_uv=False)
+    return _svd_rank(s, max(len(k), 2 * space_dimension(l)))
 
 
 def min_admissible_l(poly: Polygon) -> AdmissibilityEvidence:
@@ -125,7 +120,9 @@ def min_admissible_l(poly: Polygon) -> AdmissibilityEvidence:
 
 @dataclass(frozen=True, eq=False)
 class DegreeAssignment:
-    """Per-cell projection degrees with their rank evidence."""
+    """Per-cell projection degrees ``levels`` and their rank ``evidence``:
+    one :class:`AdmissibilityEvidence` per cell class, in
+    ``mesh.cell_classes`` order, certifying every member's degree."""
 
     levels: np.ndarray
     evidence: tuple
@@ -161,7 +158,7 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
     """
     kind, fixed_l = parse_strategy(strategy)
     levels = np.empty(mesh.n_cells, dtype=int)
-    evidence = [None] * mesh.n_cells
+    evidence = []
     for cls in mesh.cell_classes:
         poly, ci = cls.polygon, int(cls.members[0])
         n = poly.n_vertices
@@ -187,7 +184,6 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
                     f"{ev.rank} < {n - 1}", cell=ci, n_vertices=n,
                     searched=(l, l))
         levels[cls.members] = ev.l
-        for member in cls.members.tolist():
-            evidence[member] = ev
+        evidence.append(ev)
     strategy_str = f"fixed:{fixed_l}" if kind == "fixed" else kind
     return DegreeAssignment(levels, tuple(evidence), strategy_str)

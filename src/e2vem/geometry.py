@@ -132,7 +132,7 @@ def _check_simple(pts, d, lens, diameter):
     nxt = cyclic_next(d)
     cross = d[:, 0] * nxt[:, 1] - d[:, 1] * nxt[:, 0]
     dot = (d * nxt).sum(axis=1)
-    tol = 1e-12 * diameter ** 2
+    tol = 1e-12 * diameter ** 2  # an area, like the orientations below
     if np.any((np.abs(cross) <= tol) & (dot < 0.0)):
         raise NotSimple("boundary folds back on itself")
     pairs = _nonadjacent_pairs(n)  # none for a triangle
@@ -149,8 +149,9 @@ def _check_simple(pts, d, lens, diameter):
         raise NotSimple("non-adjacent edges intersect")
     # touching or collinear-overlap: some orientation ~0 with overlapping boxes
     near = (np.abs(o1) <= tol) | (np.abs(o2) <= tol) | (np.abs(o3) <= tol) | (np.abs(o4) <= tol)
-    lo_ab, hi_ab = np.minimum(a, b) - tol, np.maximum(a, b) + tol
-    lo_ce, hi_ce = np.minimum(c, e) - tol, np.maximum(c, e) + tol
+    slack = 1e-12 * diameter  # a length, so the box test does not depend on scale
+    lo_ab, hi_ab = np.minimum(a, b) - slack, np.maximum(a, b) + slack
+    lo_ce, hi_ce = np.minimum(c, e) - slack, np.maximum(c, e) + slack
     boxes_overlap = (hi_ab >= lo_ce).all(1) & (hi_ce >= lo_ab).all(1)
     crossing = (o1 * o2 <= tol * tol) & (o3 * o4 <= tol * tol)
     if np.any(near & boxes_overlap & crossing):
@@ -299,6 +300,8 @@ _CLASS_TOLERANCE = 1e-12
 #: ``build_polygon``. The tightest is the 1e-12 h^2 orientation tolerance
 #: divided by an edge of at least kappa h.
 _CLASS_KAPPA = 1e-2
+#: Most class members whose points are moved at once (bounds memory).
+_CHUNK_MEMBERS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,6 +313,15 @@ class CellClass:
     indices: np.ndarray     # (m, n) vertex indices of each member
     offsets: np.ndarray     # (m, 2) member vertex 0 - representative vertex 0
     diameters: np.ndarray   # (m,) largest vertex-to-vertex distance
+
+    def member_points(self, points):
+        """The representative's ``points`` (P, 2) moved onto the members,
+        ``_CHUNK_MEMBERS`` at a time: yields ``(rows, x, y)``, the slice of
+        members and their points' (k P,) coordinates, member by member."""
+        for start in range(0, len(self.members), _CHUNK_MEMBERS):
+            rows = slice(start, start + _CHUNK_MEMBERS)
+            pts = (points[None, :, :] + self.offsets[rows, None, :]).reshape(-1, 2)
+            yield rows, pts[:, 0], pts[:, 1]
 
 
 def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
@@ -332,9 +344,9 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
         idx = cell_vertices[cell_start[ids, None] + np.arange(n)]
         pts = vertices[idx]
         rel = pts - pts[:, :1]
-        # 4,096 cells at a time keep the pair differences' memory small
-        diam = np.concatenate([_diameters(rel[k:k + 4096])
-                               for k in range(0, len(ids), 4096)])
+        # chunks keep the pair differences' memory small
+        diam = np.concatenate([_diameters(rel[k:k + _CHUNK_MEMBERS])
+                               for k in range(0, len(ids), _CHUNK_MEMBERS)])
         # degenerate or non-finite cells get garbage keys, fail the check
         # below and are rejected when their polygon is built
         with np.errstate(divide="ignore", invalid="ignore"):

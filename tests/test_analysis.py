@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from e2vem import analysis
+from e2vem import geometry
 from e2vem.analysis import (
     StudyRow,
     build_report,
@@ -13,7 +13,8 @@ from e2vem.analysis import (
     scan_to_csv,
     solution_errors,
 )
-from e2vem.assembly import linear_problem, sin_sin_problem, solve_problem
+from e2vem.assembly import (assemble_full, linear_problem, sin_sin_problem,
+                            solve_problem)
 from e2vem.errors import DegenerateData, MissingExactSolution
 from e2vem.geometry import PolygonalMesh
 from e2vem.meshgen import MeshFamilySpec, make_mesh
@@ -64,12 +65,16 @@ def test_errors_chunked_over_class_members(monkeypatch):
     mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
     prob = sin_sin_problem("poisson")
     res = solve_problem(mesh, "minimal", prob)
-    monkeypatch.setattr(analysis, "_ERROR_CHUNK_CELLS", 10 ** 9)
+    monkeypatch.setattr(geometry, "_CHUNK_MEMBERS", 10 ** 9)
     whole = solution_errors(res)
+    matrix, load = assemble_full(mesh, res.degrees, prob)
     assert max(len(cls.members) for cls in mesh.cell_classes) > 7
-    monkeypatch.setattr(analysis, "_ERROR_CHUNK_CELLS", 7)
+    monkeypatch.setattr(geometry, "_CHUNK_MEMBERS", 7)
     chunked = solution_errors(res)
     np.testing.assert_allclose(chunked, whole, rtol=1e-13, atol=0.0)
+    matrix_c, load_c = assemble_full(mesh, res.degrees, prob)
+    assert abs(matrix_c - matrix).max() <= 1e-13 * abs(matrix).max()
+    assert np.abs(load_c - load).max() <= 1e-13 * np.abs(load).max()
 
 
 def test_eoc_rates_exact_power_laws():

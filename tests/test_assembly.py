@@ -16,9 +16,10 @@ from e2vem.assembly import (
     solve,
     solve_problem,
 )
+from e2vem import geometry
 from e2vem.degree import assign_degrees
 from e2vem.errors import NotSPD
-from e2vem.geometry import PolygonalMesh
+from e2vem.geometry import PolygonalMesh, polygon_quadrature
 from e2vem.meshgen import MeshFamilySpec, make_mesh
 
 from oracles import fem_p1_stiffness
@@ -118,6 +119,28 @@ def test_assembly_order_independent():
     assert np.max(np.abs(F - F2)) < 1e-13
 
 
+def test_load_evaluates_source_in_member_chunks(monkeypatch):
+    # the load calls f on at most 7 members' quadrature points at a time
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
+    degs = assign_degrees(mesh, "minimal")
+    sizes = []
+
+    def counting_f(x, y):
+        sizes.append(len(x))
+        return np.cos(x) * y
+
+    monkeypatch.setattr(geometry, "_CHUNK_MEMBERS", 7)
+    assemble_full(mesh, degs, ProblemSpec("poisson", counting_f))
+    expected = []
+    for cls in mesh.cell_classes:
+        l = int(degs.levels[cls.members[0]])
+        points = len(polygon_quadrature(cls.polygon, 2 * (l + 1) + 2)[1])
+        expected += [min(7, len(cls.members) - k) * points
+                     for k in range(0, len(cls.members), 7)]
+    assert max(len(cls.members) for cls in mesh.cell_classes) > 7
+    assert sizes == expected
+
+
 def jittered_square_grid(scale=1.0):
     mesh = make_mesh(MeshFamilySpec("square_grid", level=2))
     verts = mesh.vertices.copy()
@@ -209,6 +232,19 @@ def test_solve_default_picks_method_by_size(n, expected):
     x, stats = solve(system)
     assert stats.method == expected
     assert np.abs(A @ x - b).max() < 1e-10
+
+
+def test_unknown_solver_rejected_on_empty_system():
+    # one cell, four boundary vertices: no free DOF
+    mesh = PolygonalMesh([(0, 0), (1, 0), (1, 1), (0, 1)], [[0, 1, 2, 3]])
+    prob = linear_problem(0.3, 0.7, -0.4, "poisson")
+    with pytest.raises(ValueError, match="unknown solver"):
+        solve_problem(mesh, "minimal", prob, solver="bogus")
+    exact = prob.exact_solution(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    for method in ("cg", "cholesky"):
+        res = solve_problem(mesh, "minimal", prob, solver=method)
+        assert res.stats.method == method
+        np.testing.assert_array_equal(res.vertex_values, exact)
 
 
 def test_solve_not_spd():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from e2vem.assembly import assemble_full, sin_sin_problem
 from e2vem.degree import (
     assign_degrees,
     dim_badpoly,
@@ -9,7 +12,7 @@ from e2vem.degree import (
     min_admissible_l,
     parse_strategy,
 )
-from e2vem.errors import AdmissibilityNotReached
+from e2vem.errors import AdmissibilityNotReached, InadmissibleDegrees
 from e2vem.geometry import build_polygon
 from e2vem.meshgen import (
     MeshFamilySpec,
@@ -181,3 +184,23 @@ def test_assign_degrees_certifies_every_scattered_kernel(monkeypatch):
         uncertified = [(poly.n_vertices, l) for poly, l in scattered
                        if checked.get((poly, l)) != poly.n_vertices - 1]
         assert not uncertified, family
+
+
+def test_assign_degrees_one_certificate_per_class():
+    mesh = make_mesh(MeshFamilySpec("cut_corner_octagon", level=1))
+    for strat in ("minimal", "ell_hat", "ell_check", "fixed:3"):
+        degrees = assign_degrees(mesh, strat)
+        assert len(degrees.evidence) == len(mesh.cell_classes)
+        for cls, ev in zip(mesh.cell_classes, degrees.evidence):
+            assert ev.n_vertices == cls.polygon.n_vertices
+            assert np.all(degrees.levels[cls.members] == ev.l)
+    # a member below its class certificate is refused, by its own index
+    degrees = assign_degrees(mesh, "minimal")
+    cls = next(c for c, ev in zip(mesh.cell_classes, degrees.evidence)
+               if len(c.members) > 1 and ev.l > 0)
+    cell = int(cls.members[-1])
+    lowered = degrees.levels.copy()
+    lowered[cell] -= 1
+    with pytest.raises(InadmissibleDegrees, match=f"^cell {cell}:"):
+        assemble_full(mesh, dataclasses.replace(degrees, levels=lowered),
+                      sin_sin_problem())

@@ -68,6 +68,18 @@ def test_degenerate_polygons_rejected():
                        (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)])
 
 
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-6, 10)])
+def test_near_touch_check_independent_of_scale(scale):
+    # a unit square with a V-notch whose collinear bottom edges end 2e-6
+    # apart: a valid polygon at every scale
+    notch = [(0.0, 0.0), (0.5 - 1e-6, 0.0), (0.5, 0.1), (0.5 + 1e-6, 0.0),
+             (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    base = build_polygon(notch)
+    poly = build_polygon(scale * np.array(notch))
+    assert (poly.kernel_inradius / poly.diameter
+            == pytest.approx(base.kernel_inradius / base.diameter, rel=1e-6))
+
+
 def test_concave_octagon_star_center_in_kernel():
     poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.6))
     assert kernel_contains(poly.vertices, poly.star_center)
