@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
 from .degree import DegreeAssignment, assign_degrees
@@ -248,53 +247,176 @@ def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
 
 @dataclass(frozen=True)
 class SolveStats:
+    """``levels`` holds the rows of every level the solve used, finest
+    first, ending with the one factored densely; ``()`` when there were
+    no unknowns."""
+
     method: str
     iterations: int
     residual: float
+    levels: tuple
+
+
+# Largest matrix factored densely: ``auto`` picks Cholesky up to this many
+# rows, and the CG preconditioner's hierarchy coarsens down to it.
+_DENSE_ROWS = 1200
+
+
+def _dense_factor(a):
+    try:
+        return cho_factor(a.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD(f"Cholesky breakdown: {exc}") from exc
+
+
+def _priorities(n: int) -> np.ndarray:
+    """A fixed permutation of ``range(n)`` as int32: the ranks of a
+    SplitMix64 hash of the row index, so aggregation uses no random
+    state and repeats bitwise."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    ranks = np.empty(n, dtype=np.int32)
+    ranks[np.argsort(z ^ (z >> 31))] = np.arange(n, dtype=np.int32)
+    return ranks
+
+
+def _aggregates(a: sp.csr_matrix, prio: np.ndarray) -> np.ndarray:
+    """Aggregate index of every row, from the sparsity graph of ``a``.
+
+    The roots are a distance-2 maximal independent set, found by Luby
+    rounds on ``prio``: a live row whose priority is the largest within
+    distance 2 becomes a root, and every row within distance 2 of it
+    leaves. A row joins the one root within distance 1, or else the
+    aggregate of a neighbour. Rows without neighbours share one
+    aggregate, so every level at least halves."""
+    n = len(prio)
+
+    def neighbour_max(v, rows):
+        return np.maximum.reduceat(np.take(v, rows.indices), rows.indptr[:-1])
+
+    key = prio.copy()                   # -1 once a row has left
+    near = np.empty(n, dtype=np.int32)  # distance-1 max, kept next to live rows
+    owner = np.full(n, -1)              # root of the aggregate
+    live, rows, hood, hood_rows = np.arange(n), a, slice(None), a
+    while len(live):
+        near[hood] = neighbour_max(key, hood_rows)
+        roots = live[neighbour_max(near, rows) == key[live]]
+        first = a[roots]
+        owner[first.indices] = np.repeat(roots, np.diff(first.indptr))
+        key[a[first.indices].indices] = -1
+        live = live[key[live] >= 0]
+        rows = a[live]                  # later rounds see live rows only
+        hood = np.zeros(n, dtype=bool)
+        hood[rows.indices] = True
+        hood_rows = a[hood]
+    rest = np.flatnonzero(owner < 0)
+    owner[rest] = neighbour_max(owner, a[rest])
+    lone = np.diff(a.indptr) == 1
+    owner[lone] = owner[lone].max(initial=-1)
+    used = np.zeros(n, dtype=bool)
+    used[owner] = True
+    return (np.cumsum(used) - 1)[owner]
+
+
+def _hierarchy(a: sp.csr_matrix):
+    """Smoothed-aggregation levels ``(a, w, pt, pta)`` from ``a`` down
+    to at most ``_DENSE_ROWS`` rows, and the coarsest matrix.
+
+    The prolongator P, kept as its transpose ``pt``, is the
+    piecewise-constant one smoothed by one Jacobi step of weight
+    4/(3 rho), rho the spectral radius of D^-1 A from ten power steps;
+    ``w`` = 1/(rho D) is the smoother's weight and ``pta`` = P^T A."""
+    levels = []
+    while True:
+        diag = a.diagonal()
+        if not (diag > 0.0).all():
+            raise NotSPD("non-positive diagonal entry in the reduced matrix")
+        n = a.shape[0]
+        if n <= _DENSE_ROWS:
+            return levels, a
+        prio = _priorities(n)
+        v = prio - 0.5 * n
+        for _ in range(10):
+            v = a @ v / diag
+            v /= np.linalg.norm(v)
+        rho = float(np.linalg.norm(a @ v / diag))
+        agg = _aggregates(a, prio)
+        t = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)),
+                          shape=(n, int(agg.max()) + 1))
+        p = (t - sp.diags(4.0 / (3.0 * rho) / diag) @ (a @ t)).tocsr()
+        pt = p.T.tocsr()
+        pta = pt @ a
+        levels.append((a, 1.0 / (rho * diag), pt, pta))
+        a = (pta @ p).tocsr()
+
+
+def _vcycle(levels, coarse, r):
+    """One symmetric V-cycle on ``r``: a damped-Jacobi sweep before and
+    after each coarse correction, the coarsest level solved exactly."""
+    if not levels:
+        return cho_solve(coarse, r)
+    (a, w, pt, pta), rest = levels[0], levels[1:]
+    x = w * r
+    r = r - a @ x
+    e = _vcycle(rest, coarse, pt @ r)
+    # A P e through (P^T A)^T: A is symmetric, and this product is cheaper
+    return x + pt.T @ e + w * (r - pta.T @ e)
 
 
 def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     """Solve the reduced system; returns ``(x, SolveStats)``.
 
-    ``cholesky`` factors the densified matrix (breakdown raises
-    :class:`NotSPD`); ``cg`` runs Jacobi-preconditioned conjugate
-    gradients to relative residual ``tol``; ``auto`` picks ``cholesky``
-    up to 1200 free DOFs, where the dense factor stays small, and ``cg``
-    above.
+    ``cholesky`` factors the densified matrix. ``cg`` runs conjugate
+    gradients until ``|b - A x| <= tol |b|``, preconditioned by one
+    smoothed-aggregation multigrid V-cycle whose coarsest level is
+    factored densely; the cycle has no options. ``auto`` picks
+    ``cholesky`` up to ``_DENSE_ROWS`` (1200) free DOFs and ``cg`` above.
+    A failed Cholesky factor, a non-positive diagonal or CG curvature,
+    or CG not converging in ``max(500, 4 n)`` iterations raise
+    :class:`NotSPD`; ``tol`` must be finite and positive.
     """
     a, b = system.matrix, system.rhs
     n = system.n_free
     if method == "auto":
-        method = "cholesky" if n <= 1200 else "cg"
+        method = "cholesky" if n <= _DENSE_ROWS else "cg"
     if method not in ("cholesky", "cg"):
         raise ValueError(f"unknown solver {method!r}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"solver tol must be finite and positive, got {tol}")
     if n == 0:
-        return np.zeros(0), SolveStats(method, 0, 0.0)
+        return np.zeros(0), SolveStats(method, 0, 0.0, ())
     bnorm = float(np.linalg.norm(b))
     if method == "cholesky":
-        try:
-            factor = cho_factor(a.toarray())
-        except np.linalg.LinAlgError as exc:
-            raise NotSPD(f"Cholesky breakdown: {exc}") from exc
-        x = cho_solve(factor, b)
+        x = cho_solve(_dense_factor(a), b)
         res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
-        return x, SolveStats("cholesky", 0, res)
-    diag = a.diagonal()
-    if (diag <= 0.0).any():
-        raise NotSPD("non-positive diagonal entry in the reduced matrix")
-    precond = sp.diags(1.0 / diag)
-    count = [0]
-
-    def tick(_):
-        count[0] += 1
-
-    x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=max(500, 4 * n),
-                      M=precond, callback=tick)
-    if info != 0:
-        raise NotSPD(f"CG failed to converge (info={info}) after "
-                     f"{count[0]} iterations")
+        return x, SolveStats("cholesky", 0, res, (n,))
+    levels, coarse = _hierarchy(a)
+    factor = _dense_factor(coarse)
+    limit = max(500, 4 * n)
+    x, r = np.zeros(n), b.copy()
+    z = _vcycle(levels, factor, r)
+    d, rz = z, r @ z
+    count = 0
+    while not np.linalg.norm(r) <= tol * bnorm:
+        if count == limit:
+            raise NotSPD(f"CG failed to converge (info={limit}) after "
+                         f"{count} iterations")
+        ad = a @ d
+        curvature = d @ ad
+        if not curvature > 0.0:
+            raise NotSPD(f"CG direction with curvature {curvature:.3e}: "
+                         f"the matrix is not positive definite")
+        alpha = rz / curvature
+        x += alpha * d
+        r -= alpha * ad
+        z = _vcycle(levels, factor, r)
+        rz, rz_old = r @ z, rz
+        d = z + (rz / rz_old) * d
+        count += 1
     res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
-    return x, SolveStats("cg", count[0], res)
+    sizes = tuple(level[0].shape[0] for level in levels) + coarse.shape[:1]
+    return x, SolveStats("cg", count, res, sizes)
 
 
 @dataclass(eq=False)

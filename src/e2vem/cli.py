@@ -152,7 +152,8 @@ def cmd_solve(args) -> int:
                            tol=args.tol)
     stats = result.stats
     print(f"solved: {result.n_dofs} dofs, method={stats.method}, "
-          f"iterations={stats.iterations}, residual={stats.residual:.3e}")
+          f"iterations={stats.iterations}, residual={stats.residual:.3e}, "
+          f"levels={'/'.join(map(str, stats.levels))}")
     payload = {"config": config, "generated": _timestamp()}
     payload.update(export_solution(result))
     _emit_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",

@@ -257,6 +257,104 @@ def test_solve_not_spd():
         solve(sys2, method="cg")
 
 
+def _system(matrix, rhs):
+    n = len(rhs)
+    return LinearSystem(sps.csr_matrix(matrix), np.asarray(rhs, dtype=float),
+                        np.arange(n), np.array([], dtype=int), np.array([]), n)
+
+
+def test_cg_refuses_indefinite_systems():
+    # Jacobi-CG returned a solution for the first two; the 2x2 goes
+    # straight to the coarse direct solve, the tridiagonal one (diagonal
+    # 1, off-diagonals 2: eigenvalues in (-3, 5)) through the hierarchy
+    small = _system(np.array([[1.0, 2.0], [2.0, 1.0]]), [1.0, 0.0])
+    n = 2000
+    tri = sps.diags([2.0 * np.ones(n - 1), np.ones(n), 2.0 * np.ones(n - 1)],
+                    [-1, 0, 1], format="csr")
+    large = _system(tri, np.linspace(-1.0, 1.0, n))
+    # an SPD Laplacian beside the 2x2 block: the hierarchy builds, and the
+    # load excites the negative mode, so CG meets negative curvature
+    lap = sps.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                    [-1, 0, 1])
+    hidden = _system(sps.block_diag([lap, small.matrix]),
+                     np.r_[np.ones(n), 1.0, 0.0])
+    for system, match in ((small, "Cholesky"), (large, "diagonal"),
+                          (hidden, "curvature")):
+        with pytest.raises(NotSPD, match=match):
+            solve(system, method="cg")
+
+
+def test_cg_solves_a_diagonal_system():
+    # no edges in the sparsity graph: every row is its own root, so the
+    # isolated rows must share an aggregate for the hierarchy to coarsen
+    d = np.linspace(1.0, 3.0, 3000)
+    x, stats = solve(_system(sps.diags(d), np.ones(3000)), method="cg")
+    np.testing.assert_allclose(x, 1.0 / d, rtol=1e-12)
+    assert stats.levels[0] == 3000 and stats.levels[-1] <= 1200
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_solve_rejects_invalid_tol(tol):
+    # these ran CG into its iteration limit and raised NotSPD
+    system = _system(np.array([[4.0, 1.0], [1.0, 3.0]]), [1.0, 2.0])
+    empty = _system(np.zeros((0, 0)), [])
+    for s in (system, empty):
+        for method in ("auto", "cg", "cholesky"):
+            with pytest.raises(ValueError, match="tol"):
+                solve(s, method=method, tol=tol)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_cg_iterations_bounded_on_concave_star(level):
+    # Jacobi-CG needed 128, 229 and 385 iterations here, growing as 1/h
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=level))
+    res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"),
+                        solver="cg")
+    assert res.stats.iterations <= 80
+    assert res.stats.residual <= 1e-12
+    assert res.stats.levels[0] == res.n_dofs and len(res.stats.levels) >= 2
+
+
+@pytest.mark.parametrize("kind", ["poisson", "diffusion_reaction"])
+def test_cg_matches_cholesky_through_the_hierarchy(kind):
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
+    system = assemble(mesh, assign_degrees(mesh, "minimal"),
+                      sin_sin_problem(kind))
+    assert system.n_free > 1200  # at least one smoothed level runs
+    x_chol, chol = solve(system, method="cholesky")
+    x_cg, stats = solve(system, method="cg")
+    assert chol.levels == (system.n_free,)
+    assert len(stats.levels) >= 2 and stats.levels[-1] <= 1200
+    assert np.max(np.abs(x_cg - x_chol)) < 1e-10
+
+
+def test_vcycle_is_symmetric_positive_definite():
+    # plain CG is valid only with an SPD preconditioner
+    from e2vem.assembly import _dense_factor, _hierarchy, _vcycle
+
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
+    system = assemble(mesh, assign_degrees(mesh, "minimal"),
+                      sin_sin_problem("poisson"))
+    levels, coarse = _hierarchy(system.matrix)
+    factor = _dense_factor(coarse)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, system.n_free))
+        mx, my = _vcycle(levels, factor, x), _vcycle(levels, factor, y)
+        assert x @ mx > 0 and y @ my > 0
+        assert abs(y @ mx - x @ my) <= 1e-12 * np.sqrt((x @ mx) * (y @ my))
+
+
+def test_cg_is_bitwise_repeatable():
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
+    system = assemble(mesh, assign_degrees(mesh, "minimal"),
+                      sin_sin_problem("poisson"))
+    x1, s1 = solve(system, method="cg")
+    x2, s2 = solve(system, method="cg")
+    np.testing.assert_array_equal(x1, x2)
+    assert s1 == s2
+
+
 def test_cg_matches_cholesky_on_honeycomb():
     mesh = make_mesh(MeshFamilySpec("honeycomb", level=0))
     prob = sin_sin_problem("poisson")

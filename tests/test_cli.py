@@ -77,6 +77,23 @@ def test_solve_zero_source_zero_solution(tmp_path, monkeypatch):
     assert not any(sol["vertex_values"])
 
 
+def test_solve_reports_hierarchy_and_rejects_bad_tol(tmp_path, capsys):
+    mesh_path = tmp_path / "grid.json"
+    run_cli("meshgen", "--family", "square_grid", "--levels", "4",
+            "--out", str(mesh_path))
+    capsys.readouterr()
+    assert run_cli("solve", "--mesh", str(mesh_path), "--solver", "cg",
+                   "--out", str(tmp_path / "x.json")) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("solved: 3969 dofs, method=cg, iterations=")
+    sizes = [int(v) for v in line.split("levels=")[1].split("/")]
+    assert sizes[0] == 3969 and len(sizes) >= 2 and sizes[-1] <= 1200
+    assert sizes == sorted(sizes, reverse=True)
+    # a bad tolerance is a bad argument (2), not a solver failure (4)
+    assert run_cli("solve", "--mesh", str(mesh_path), "--solver", "cg",
+                   "--tol", "0", "--out", str(tmp_path / "y.json")) == 2
+
+
 def test_exit_code_admissibility(tmp_path):
     mesh_path = tmp_path / "honey.json"
     run_cli("meshgen", "--family", "honeycomb", "--levels", "0",
