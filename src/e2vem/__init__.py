@@ -14,10 +14,9 @@ from .assembly import (LinearSystem, ProblemSpec, SolutionResult,
                        SolveStats, assemble, assemble_full,
                        export_solution, linear_problem, sin_sin_problem,
                        solve, solve_problem)
-from .degree import (AdmissibilityEvidence, BadPolySpace,
-                     DegreeAssignment, assign_degrees, dim_badpoly,
-                     ell_check, ell_hat, min_admissible_l,
-                     stiffness_rank)
+from .degree import (AdmissibilityEvidence, DegreeAssignment,
+                     assign_degrees, dim_badpoly, ell_check, ell_hat,
+                     min_admissible_l, stiffness_rank)
 from .errors import (AdmissibilityNotReached, DegenerateData, E2vemError,
                      InadmissibleDegrees, MissingExactSolution, NotSPD,
                      ParseError, RejectionBudgetExceeded,
@@ -25,8 +24,8 @@ from .errors import (AdmissibilityNotReached, DegenerateData, E2vemError,
 from .geometry import (MeshQuality, Polygon, PolygonalMesh,
                        build_polygon, polygon_integrate,
                        polygon_quadrature, validate_mesh)
-from .meshgen import (MeshFamilySpec, PolygonFamilySpec, cell_census,
-                      load_mesh, make_mesh, make_polygon, save_mesh)
+from .meshgen import (MeshFamilySpec, PolygonFamilySpec, load_mesh,
+                      make_mesh, make_polygon, save_mesh)
 from .polyspace import (ScaledMonomialBasis, build_moment_table,
                         monomial_exponents, space_dimension)
 from .projectors import ElementProjectors, build_projectors, compute_pinabla

@@ -123,10 +123,11 @@ class ScanRow:
     dim_badpoly_at_minimal: int
 
 
-_DEFAULT_ALPHAS = (0.0, 0.2, 0.4, 0.6)
+#: Concavities of the concave_octagon scan, which ignores vertex counts.
+_CONCAVE_ALPHAS = (0.0, 0.2, 0.4, 0.6)
 
 
-def _scan_specs(family: str, n_range, seeds, alphas):
+def _scan_specs(family: str, n_range, seeds):
     if family == "regular":
         return [PolygonFamilySpec("regular", n=n) for n in n_range]
     if family == "random_convex":
@@ -140,27 +141,26 @@ def _scan_specs(family: str, n_range, seeds, alphas):
                 for n in n_range]
     if family == "concave_octagon":
         return [PolygonFamilySpec("concave_octagon", alpha=a)
-                for a in alphas]
+                for a in _CONCAVE_ALPHAS]
     raise ValueError(f"unknown polygon family {family!r}")
 
 
 def scan_polygon(poly) -> ScanRow:
     n = poly.n_vertices
     evidence = min_admissible_l(poly)
-    bad = dim_badpoly(poly, evidence.l)
-    return ScanRow(n, ell_hat(n), ell_check(n), evidence.l, bad.dimension)
+    return ScanRow(n, ell_hat(n), ell_check(n), evidence.l,
+                   dim_badpoly(poly, evidence.l))
 
 
-def coercivity_scan(family: str, n_range=None, seeds=(0,),
-                    alphas=_DEFAULT_ALPHAS):
+def coercivity_scan(family: str, n_range=None, seeds=(0,)):
     """Per-polygon degree table over a named family.
 
     ``n_range`` holds vertex counts (ignored for concave_octagon, which
-    sweeps ``alphas``); ``seeds`` only matters for random_convex.
-    Deterministic given the arguments.
+    sweeps the concavities ``_CONCAVE_ALPHAS``); ``seeds`` only matters
+    for random_convex. Deterministic given the arguments.
     """
     rows = []
-    for spec in _scan_specs(family, n_range or (), seeds, alphas):
+    for spec in _scan_specs(family, n_range or (), seeds):
         rows.append(scan_polygon(make_polygon(spec)))
     return rows
 
@@ -196,7 +196,6 @@ class StudyRow:
     dofs: int
     err_l2: float
     err_h1: float
-    solve_iters: int
 
 
 _STUDY_HEADER = "h,ncells,dofs,err_l2,err_h1,rate_l2,rate_h1"
@@ -264,6 +263,5 @@ def run_convergence_study(mesh_family: str, levels, problem,
         result = solve_problem(mesh, strategy, problem,
                                load_mode=load_mode, solver=solver, tol=tol)
         el2, eh1 = solution_errors(result)
-        rows.append(StudyRow(mesh.h, mesh.n_cells, result.n_dofs,
-                             el2, eh1, result.stats.iterations))
+        rows.append(StudyRow(mesh.h, mesh.n_cells, result.n_dofs, el2, eh1))
     return build_report(rows, config)

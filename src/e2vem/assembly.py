@@ -24,6 +24,12 @@ from .polyspace import ScaledMonomialBasis
 from .projectors import build_projectors
 
 
+#: The exact-solution self-check: sample count, relative bound and stream seed.
+_RESIDUAL_POINTS = 20
+_RESIDUAL_TOL = 1e-6
+_RESIDUAL_SEED = 0x5EED
+
+
 def _as_field(value):
     if callable(value):
         return value
@@ -46,7 +52,6 @@ class ProblemSpec:
     dirichlet_data: object = 0.0
     exact_solution: object = None
     exact_gradient: object = None
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in ("poisson", "diffusion_reaction"):
@@ -55,19 +60,21 @@ class ProblemSpec:
         object.__setattr__(self, "dirichlet_data",
                             _as_field(self.dirichlet_data))
 
-    def residual_check(self, n_points: int = 20, tol: float = 1e-6,
-                       seed: int = 0x5EED) -> float:
-        """Max PDE residual of the declared exact solution at random
-        interior points (five-point finite-difference Laplacian),
-        relative to the largest sampled magnitude of ``f`` and ``U``.
+    def residual_check(self) -> float:
+        """Max PDE residual of the declared exact solution at
+        ``_RESIDUAL_POINTS`` random interior points (a Laplacian from the
+        fourth-order five-point difference along each axis), relative to
+        the largest sampled magnitude of ``f`` and ``U``.
 
-        Raises ``ValueError`` when the relative residual exceeds ``tol``;
-        returns it otherwise. No-op (0.0) without an exact solution.
+        Raises ``ValueError`` when the relative residual exceeds
+        ``_RESIDUAL_TOL``; returns it otherwise. No-op (0.0) without an
+        exact solution.
         """
         if self.exact_solution is None:
             return 0.0
-        rng = SplitMix64(seed)
-        pts = np.array([[rng.random(), rng.random()] for _ in range(n_points)])
+        rng = SplitMix64(_RESIDUAL_SEED)
+        pts = np.array([[rng.random(), rng.random()]
+                        for _ in range(_RESIDUAL_POINTS)])
         pts = 0.05 + 0.9 * pts
         x, y = pts[:, 0], pts[:, 1]
         # fourth-order stencil: truncation ~ d^4 |d6 U| / 90 and roundoff
@@ -90,11 +97,11 @@ class ProblemSpec:
         # both error terms scale with the data, so the bound must too
         scale = max(float(np.abs(f).max()), float(np.abs(u0).max())) or 1.0
         worst = float(np.abs(residual).max()) / scale
-        if worst > tol:
+        if worst > _RESIDUAL_TOL:
             raise ValueError(
                 f"declared exact solution violates the PDE: max residual "
                 f"{worst:.3e} relative to max |f|, |U| = {scale:.3e} at "
-                f"{n_points} interior points (tol {tol:.1e})")
+                f"{_RESIDUAL_POINTS} interior points (tol {_RESIDUAL_TOL:.1e})")
         return worst
 
 
@@ -118,7 +125,7 @@ def sin_sin_problem(kind: str = "poisson") -> ProblemSpec:
             return ((2.0 * two_pi ** 2 + 1.0)
                     * np.sin(two_pi * x) * np.sin(two_pi * y))
 
-    return ProblemSpec(kind, f, 0.0, exact, exact_grad, name=f"sin_sin_{kind}")
+    return ProblemSpec(kind, f, 0.0, exact, exact_grad)
 
 
 def linear_problem(a: float, b: float, c: float,
@@ -134,8 +141,7 @@ def linear_problem(a: float, b: float, c: float,
         return (np.full(shape, b), np.full(shape, c))
 
     f = 0.0 if kind == "poisson" else exact
-    return ProblemSpec(kind, f, exact, exact, exact_grad,
-                       name=f"linear_{kind}")
+    return ProblemSpec(kind, f, exact, exact, exact_grad)
 
 
 @dataclass(eq=False)
@@ -152,13 +158,6 @@ class LinearSystem:
     @property
     def n_free(self) -> int:
         return len(self.free)
-
-    @property
-    def dof_map(self) -> np.ndarray:
-        """Vertex index -> system index, -1 for Dirichlet vertices."""
-        table = np.full(self.n_vertices, -1, dtype=np.int64)
-        table[self.free] = np.arange(self.n_free)
-        return table
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Scatter a free-DOF vector back to all mesh vertices."""
@@ -368,9 +367,12 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     """Solve the reduced system; returns ``(x, SolveStats)``.
 
     ``cholesky`` factors the densified matrix. ``cg`` runs conjugate
-    gradients until ``|b - A x| <= tol |b|``, preconditioned by one
-    smoothed-aggregation multigrid V-cycle whose coarsest level is
-    factored densely; the cycle has no options. ``auto`` picks
+    gradients until the recursively updated residual r satisfies
+    ``|r| <= tol |b|``, preconditioned by one smoothed-aggregation
+    multigrid V-cycle whose coarsest level is factored densely; the
+    cycle has no options. ``SolveStats.residual`` is ``|A x - b| / |b|``
+    recomputed from the returned ``x``, so it can exceed ``tol`` by
+    rounding drift in r. ``auto`` picks
     ``cholesky`` up to ``_DENSE_ROWS`` (1200) free DOFs and ``cg`` above.
     A failed Cholesky factor, a non-positive diagonal or CG curvature,
     or CG not converging in ``max(500, 4 n)`` iterations raise
@@ -428,14 +430,6 @@ class SolutionResult:
     degrees: DegreeAssignment
     vertex_values: np.ndarray
     stats: SolveStats
-
-    @property
-    def h(self) -> float:
-        return self.mesh.h
-
-    @property
-    def n_cells(self) -> int:
-        return self.mesh.n_cells
 
     @property
     def n_dofs(self) -> int:

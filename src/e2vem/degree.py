@@ -51,29 +51,19 @@ def _svd_rank(s: np.ndarray, shape_dim: int) -> int:
     return int((s > shape_dim * float(s[0]) * _EPS * _RANK_SAFETY).sum())
 
 
-@dataclass(frozen=True, eq=False)
-class BadPolySpace:
-    """Vector polynomials in [P_l]^2 whose normal trace is orthogonal to
-    every zero-mean piecewise-linear boundary function."""
-
-    l: int
-    dimension: int
-    basis: np.ndarray  # (2 dim P_l, dimension), orthonormal columns
-
-
-def dim_badpoly(poly: Polygon, l: int) -> BadPolySpace:
-    """Dimension (and a basis) of the bad-polynomial space via the SVD of
-    the boundary pairing matrix."""
+def dim_badpoly(poly: Polygon, l: int) -> int:
+    """Dimension of the bad-polynomial space: the vector polynomials in
+    [P_l]^2 whose normal trace is orthogonal to every zero-mean
+    piecewise-linear boundary function, from the SVD of the boundary
+    pairing matrix."""
     moments = boundary_vector_moments(poly, l)
     p0 = boundary_mean_row(poly)
     pairing = moments - np.outer(moments.sum(axis=1), p0)
     # traces phi_i - P0(phi_i) sum to zero; any n - 1 of them span
     d = pairing[:, :poly.n_vertices - 1].T
-    u, s, vt = np.linalg.svd(d)
+    s = np.linalg.svd(d, compute_uv=False)
     dim_vec = 2 * space_dimension(l)
-    rank = _svd_rank(s, max(max(d.shape), poly.n_vertices, dim_vec))
-    basis = vt[rank:].T.copy()
-    return BadPolySpace(l, dim_vec - rank, basis)
+    return dim_vec - _svd_rank(s, max(max(d.shape), poly.n_vertices, dim_vec))
 
 
 @dataclass(frozen=True)
@@ -100,22 +90,25 @@ def stiffness_rank(poly: Polygon, l: int) -> int:
     return _svd_rank(s, max(len(k), 2 * space_dimension(l)))
 
 
-def min_admissible_l(poly: Polygon) -> AdmissibilityEvidence:
-    """Smallest degree in ``[ell_check(n), ell_hat(n)]`` whose stiffness
-    rank reaches ``n - 1``; raises :class:`AdmissibilityNotReached` when
-    the whole range is deficient."""
+def _certify(poly: Polygon, lo: int, hi: int) -> AdmissibilityEvidence:
+    """Evidence for the smallest degree in ``[lo, hi]`` whose stiffness
+    rank reaches ``n - 1``: the one search behind every strategy."""
     n = poly.n_vertices
-    lo, hi = ell_check(n), ell_hat(n)
-    last_rank = -1
     for l in range(lo, hi + 1):
         rank = stiffness_rank(poly, l)
         if rank == n - 1:
-            return AdmissibilityEvidence(l, n, rank, hi, lo)
-        last_rank = rank
+            return AdmissibilityEvidence(l, n, rank, ell_hat(n), ell_check(n))
     raise AdmissibilityNotReached(
         f"no degree in [{lo}, {hi}] reaches stiffness rank {n - 1} "
-        f"(best rank {last_rank} at l={hi})",
-        n_vertices=n, searched=(lo, hi))
+        f"(best rank {rank} at l={hi})", n_vertices=n, searched=(lo, hi))
+
+
+def min_admissible_l(poly: Polygon) -> AdmissibilityEvidence:
+    """Evidence for the smallest degree in ``[ell_check(n), ell_hat(n)]``
+    with stiffness rank ``n - 1``; raises :class:`AdmissibilityNotReached`
+    when the whole range is deficient."""
+    n = poly.n_vertices
+    return _certify(poly, ell_check(n), ell_hat(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +119,6 @@ class DegreeAssignment:
 
     levels: np.ndarray
     evidence: tuple
-    strategy: str
 
     def __len__(self):
         return len(self.levels)
@@ -148,42 +140,30 @@ def parse_strategy(strategy):
 def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
     """Assign a certified projection degree to every cell.
 
-    All strategies are backed by rank evidence: the formula strategies
-    compute the degree from the vertex count and then certify the
-    stiffness rank, raising :class:`AdmissibilityNotReached` (with the
-    cell index) when the certificate fails. Each of the mesh's cell
-    classes is certified on its own representative, whose kernel
-    (memoised per polygon and degree) is the one assembly scatters to
-    the class members.
+    Every strategy certifies each of the mesh's cell classes on its own
+    representative: ``minimal`` searches ``[ell_check(n), ell_hat(n)]``,
+    the formula strategies certify the one degree they give. Assembly
+    scatters that representative's kernel (memoised per polygon and
+    degree) to the class members. A class with no certified degree
+    raises :class:`AdmissibilityNotReached` naming its first cell.
     """
     kind, fixed_l = parse_strategy(strategy)
+    formula = {"ell_hat": ell_hat, "ell_check": ell_check,
+               "fixed": lambda n: fixed_l}.get(kind)
     levels = np.empty(mesh.n_cells, dtype=int)
     evidence = []
     for cls in mesh.cell_classes:
-        poly, ci = cls.polygon, int(cls.members[0])
-        n = poly.n_vertices
-        if kind == "minimal":
-            try:
+        poly = cls.polygon
+        try:
+            if formula is None:
                 ev = min_admissible_l(poly)
-            except AdmissibilityNotReached as exc:
-                raise AdmissibilityNotReached(
-                    str(exc), cell=ci, n_vertices=n,
-                    searched=exc.searched) from exc
-        else:
-            if kind == "ell_hat":
-                l = ell_hat(n)
-            elif kind == "ell_check":
-                l = ell_check(n)
             else:
-                l = fixed_l
-            rank = stiffness_rank(poly, l)
-            ev = AdmissibilityEvidence(l, n, rank, ell_hat(n), ell_check(n))
-            if not ev.admissible:
-                raise AdmissibilityNotReached(
-                    f"strategy {strategy!r} gives l={l} but stiffness rank is "
-                    f"{ev.rank} < {n - 1}", cell=ci, n_vertices=n,
-                    searched=(l, l))
+                l = formula(poly.n_vertices)
+                ev = _certify(poly, l, l)
+        except AdmissibilityNotReached as exc:
+            raise AdmissibilityNotReached(
+                str(exc), cell=int(cls.members[0]),
+                n_vertices=exc.n_vertices, searched=exc.searched) from exc
         levels[cls.members] = ev.l
         evidence.append(ev)
-    strategy_str = f"fixed:{fixed_l}" if kind == "fixed" else kind
-    return DegreeAssignment(levels, tuple(evidence), strategy_str)
+    return DegreeAssignment(levels, tuple(evidence))

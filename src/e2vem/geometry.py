@@ -1,4 +1,4 @@
-"""Polygons, polygonal meshes, quadrature over cells and edges, and
+"""Polygons, polygonal meshes, quadrature over cells, and
 validation of the mesh assumptions (star-shapedness, edge lengths,
 conforming tessellation).
 
@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 
 from .errors import (ClockwiseOrientation, NotSimple, NotStarShaped,
                      StructuralDefect)
-from .quadrature import segment_rule, triangle_rule
+from .quadrature import triangle_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,17 +270,6 @@ def polygon_integrate(poly: Polygon, f, degree: int) -> float:
     return float(w @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
 
 
-def edge_integrate(edge, f, degree: int) -> float:
-    """Integrate ``f(x, y)`` along a segment ``edge = (p0, p1)``."""
-    p0 = np.asarray(edge[0], dtype=float)
-    p1 = np.asarray(edge[1], dtype=float)
-    rule = segment_rule(degree)
-    pts = p0[None, :] + rule.nodes[:, None] * (p1 - p0)[None, :]
-    length = float(np.hypot(*(p1 - p0)))
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    return float((rule.weights * length) @ vals)
-
-
 #: Key resolution of the cell-class index, relative to each cell's diameter.
 _CLASS_QUANTUM = 1e-10
 #: Largest vertex-offset deviation from the representative, relative to its
@@ -511,8 +500,6 @@ class MeshQuality:
     max_vertices: int
     cell_kernel_ratios: np.ndarray  # rho / h_E per cell
     cell_edge_ratios: np.ndarray    # min |e| / h_E per cell
-    kappa_min: float
-    passed: bool
     n_cells: int
     total_area: float
 
@@ -531,7 +518,7 @@ def _first_repeat(keys):
     return (repeats[0], earlier[repeats[0]]) if len(repeats) else None
 
 
-def validate_mesh(mesh: PolygonalMesh, kappa_min: float = 0.0) -> MeshQuality:
+def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
     """Check structural validity and report shape-regularity numbers.
 
     Raises :class:`StructuralDefect` (naming the offending cell) when the
@@ -583,8 +570,6 @@ def validate_mesh(mesh: PolygonalMesh, kappa_min: float = 0.0) -> MeshQuality:
         max_vertices=int(np.diff(mesh.cell_start).max()),
         cell_kernel_ratios=kernel_ratios,
         cell_edge_ratios=edge_ratios,
-        kappa_min=kappa_min,
-        passed=bool(kappa >= kappa_min),
         n_cells=mesh.n_cells,
         total_area=float(total_area),
     )

@@ -62,7 +62,6 @@ class PolygonFamilySpec:
     kind: str
     n: int = 0
     seed: int = 0
-    min_edge_ratio: float = 0.15
     step: int = 0
     alpha: float = 0.0
 
@@ -74,14 +73,15 @@ def regular_polygon(n: int) -> Polygon:
 
 
 _REJECTION_BUDGET = 100_000
+#: Shortest edge of a random convex polygon, relative to the circle diameter.
+_MIN_EDGE_RATIO = 0.15
 
 
-def random_convex_polygon(n: int, seed: int,
-                          min_edge_ratio: float = 0.15) -> Polygon:
+def random_convex_polygon(n: int, seed: int) -> Polygon:
     """Convex polygon with n vertices on the unit circle, every edge at
-    least ``min_edge_ratio`` times the circle diameter.
+    least ``_MIN_EDGE_RATIO`` times the circle diameter.
 
-    Angular gaps below ``2 asin(min_edge_ratio)`` give short edges, so
+    Angular gaps below ``2 asin(_MIN_EDGE_RATIO)`` give short edges, so
     each attempt draws the gaps from the uniform distribution
     conditioned on that minimum (minimum plus a scaled Dirichlet
     vector, via normalized exponentials); the law is the same as accept
@@ -90,11 +90,11 @@ def random_convex_polygon(n: int, seed: int,
     """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got {n}")
-    gap_min = 2.0 * math.asin(min_edge_ratio)
+    gap_min = 2.0 * math.asin(_MIN_EDGE_RATIO)
     slack = 2.0 * math.pi - n * gap_min
     if slack <= 0.0:
         raise RejectionBudgetExceeded(
-            f"edge/diameter >= {min_edge_ratio} is infeasible for n={n}: "
+            f"edge/diameter >= {_MIN_EDGE_RATIO} is infeasible for n={n}: "
             f"minimum gaps alone exceed the full circle")
     rng = SplitMix64(seed * 0x6A09E667F3BCC909 + n)
     for _ in range(_REJECTION_BUDGET):
@@ -104,7 +104,7 @@ def random_convex_polygon(n: int, seed: int,
         theta = start + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         edges = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        if edges.min() >= 2.0 * min_edge_ratio - 1e-12:
+        if edges.min() >= 2.0 * _MIN_EDGE_RATIO - 1e-12:
             return build_polygon(pts)
     raise RejectionBudgetExceeded(
         f"no admissible polygon after {_REJECTION_BUDGET} attempts "
@@ -173,7 +173,7 @@ def make_polygon(spec: PolygonFamilySpec) -> Polygon:
     if spec.kind == "regular":
         return regular_polygon(spec.n)
     if spec.kind == "random_convex":
-        return random_convex_polygon(spec.n, spec.seed, spec.min_edge_ratio)
+        return random_convex_polygon(spec.n, spec.seed)
     if spec.kind == "split_triangle":
         return split_triangle_polygon(spec.step)
     if spec.kind == "split_hexagon":
@@ -193,7 +193,6 @@ class MeshFamilySpec:
 
     kind: str
     level: int = 0
-    domain: str = "unit_square"
 
 
 _HONEYCOMB_COLUMNS = 18
@@ -402,16 +401,7 @@ def make_mesh(spec: MeshFamilySpec) -> PolygonalMesh:
                          f"expected one of {sorted(_MESH_BUILDERS)}")
     if spec.level < 0:
         raise ValueError(f"level must be >= 0, got {spec.level}")
-    if spec.domain != "unit_square":
-        raise ValueError(f"only the unit square domain is supported, "
-                         f"got {spec.domain!r}")
     return _MESH_BUILDERS[spec.kind](spec.level)
-
-
-def cell_census(mesh: PolygonalMesh) -> dict[int, int]:
-    """Histogram of cell vertex counts, e.g. {6: 288, 5: 40, 4: 12}."""
-    sizes, counts = np.unique(np.diff(mesh.cell_start), return_counts=True)
-    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------

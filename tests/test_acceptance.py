@@ -107,12 +107,12 @@ def test_criterion_02_split_family_degree_patterns():
 
 def test_criterion_03_bad_polynomial_dimensions():
     hexagon = make_polygon(PolygonFamilySpec("regular", n=6))
-    assert dim_badpoly(hexagon, 1).dimension == 2
+    assert dim_badpoly(hexagon, 1) == 2
     triangles = (regular_polygon(3),
                  build_polygon([(0.0, 0.0), (2.0, 0.0), (0.3, 1.1)]),
                  build_polygon([(1.0, 1.0), (4.0, 2.0), (2.0, 5.0)]))
     for tri in triangles:
-        assert dim_badpoly(tri, 0).dimension == 0
+        assert dim_badpoly(tri, 0) == 0
 
     corpus = [make_polygon(PolygonFamilySpec("regular", n=n))
               for n in range(3, 21)]
@@ -133,7 +133,7 @@ def test_criterion_03_bad_polynomial_dimensions():
         # alone, so each polygon is tested up to the degree its vertex
         # count supports (at most 6)
         for l in range(min(6, (nv - 3) // 2) + 1):
-            assert dim_badpoly(poly, l).dimension <= l * (l + 1)
+            assert dim_badpoly(poly, l) <= l * (l + 1)
             checked += 1
     report(3, f"hexagon dim 2, triangles dim 0, bound held on "
               f"{checked} (polygon, degree) pairs")

@@ -113,8 +113,8 @@ def test_coercivity_scan_rows_and_csv(tmp_path):
 
 
 def test_study_report_csv_layout(tmp_path):
-    rows = [StudyRow(0.2, 10, 5, 1e-2, 1e-1, 0),
-            StudyRow(0.1, 40, 20, 2.5e-3, 5e-2, 0)]
+    rows = [StudyRow(0.2, 10, 5, 1e-2, 1e-1),
+            StudyRow(0.1, 40, 20, 2.5e-3, 5e-2)]
     report = build_report(rows)
     assert report.rate_l2 == pytest.approx(2.0, abs=1e-12)
     assert report.rate_h1 == pytest.approx(1.0, abs=1e-12)
@@ -129,8 +129,8 @@ def test_study_report_csv_layout(tmp_path):
 
 
 def test_report_requires_decreasing_h():
-    rows = [StudyRow(0.1, 10, 5, 1e-2, 1e-1, 0),
-            StudyRow(0.2, 40, 20, 2.5e-3, 5e-2, 0)]
+    rows = [StudyRow(0.1, 10, 5, 1e-2, 1e-1),
+            StudyRow(0.2, 40, 20, 2.5e-3, 5e-2)]
     with pytest.raises(DegenerateData):
         build_report(rows)
 

@@ -145,6 +145,27 @@ def test_convergence_csv_and_config_echo(tmp_path):
     assert lines[-1].startswith("# fitted: ")
 
 
+def test_embedded_config_lists_every_option(tmp_path):
+    mesh, sol, scan, conv = (tmp_path / name for name in
+                             ("m.json", "s.json", "c.csv", "v.csv"))
+    assert run_cli("meshgen", "--out", str(mesh)) == 0
+    assert run_cli("solve", "--mesh", str(mesh), "--out", str(sol)) == 0
+    assert run_cli("coercivity", "--n-range", "3..4", "--out", str(scan)) == 0
+    assert run_cli("convergence", "--family", "square_grid", "--levels", "2",
+                   "--rate-band-l2", "0,9", "--rate-band-h1", "0,9",
+                   "--out", str(conv)) == 0
+    configs = [json.loads(p.read_text())["config"] for p in (mesh, sol)]
+    configs += [json.loads(p.read_text().splitlines()[0]
+                           .removeprefix("# config: ")) for p in (scan, conv)]
+    assert [list(c) for c in configs] == [
+        ["command", "family", "levels", "out"],
+        ["command", "load_mode", "mesh", "out", "problem", "solver",
+         "strategy", "tol"],
+        ["command", "family", "n_range", "out", "seed"],
+        ["command", "family", "levels", "load_mode", "out", "problem",
+         "rate_band_h1", "rate_band_l2", "solver", "strategy", "tol"]]
+
+
 def test_convergence_insufficient_levels(tmp_path):
     assert run_cli("convergence", "--family", "square_grid", "--levels", "1",
                    "--out", str(tmp_path / "c.csv")) == 2

@@ -43,13 +43,13 @@ def test_ell_formulas_match_definitions(n):
 
 
 def test_dim_badpoly_known_polygons():
-    assert dim_badpoly(regular_polygon(6), 1).dimension == 2
+    assert dim_badpoly(regular_polygon(6), 1) == 2
     for tri in ([(0, 0), (1, 0), (0, 1)], [(0.3, 0.1), (2.1, 0.4), (0.9, 1.8)]):
-        assert dim_badpoly(build_polygon(tri), 0).dimension == 0
+        assert dim_badpoly(build_polygon(tri), 0) == 0
 
 
 def test_dim_badpoly_unit_square_symbolic_oracle():
-    got = dim_badpoly(build_polygon(UNIT_SQUARE), 1).dimension
+    got = dim_badpoly(build_polygon(UNIT_SQUARE), 1)
     assert got == badpoly_dim_symbolic(UNIT_SQUARE, 1) == 3
 
 
@@ -77,7 +77,7 @@ def test_evidence_consistency():
         nv = poly.n_vertices
         assert ell_check(nv) <= ev.l <= ell_hat(nv)
         assert ev.admissible and ev.rank == nv - 1
-        bp = dim_badpoly(poly, ev.l).dimension
+        bp = dim_badpoly(poly, ev.l)
         assert (ev.l + 1) * (ev.l + 2) - bp == ev.rank
 
 
@@ -142,6 +142,31 @@ def test_assign_degrees_fixed_below_minimal_raises():
         assign_degrees(honey, "fixed:1")
     with pytest.raises(AdmissibilityNotReached):
         assign_degrees(honey, "ell_check")
+
+
+@pytest.mark.parametrize("family, strategy", [("honeycomb", "ell_check"),
+                                              ("concave_star", "fixed:0")])
+def test_refusal_names_first_deficient_cell(family, strategy):
+    mesh = make_mesh(MeshFamilySpec(family, level=0))
+    with pytest.raises(AdmissibilityNotReached) as exc:
+        assign_degrees(mesh, strategy)
+    # oracle: the lowest-index cell whose own polygon, built alone, has
+    # stiffness rank below n - 1 at the strategy's degree
+    from e2vem.projectors import build_projectors
+
+    for ci, cell in enumerate(mesh.cells):
+        n = len(cell)
+        l = ell_check(n) if strategy == "ell_check" else 0
+        evals = np.linalg.eigvalsh(
+            build_projectors(build_polygon(mesh.vertices[cell]), l).stiffness)
+        if int(np.sum(evals > 1e-10 * evals[-1])) < n - 1:
+            break
+    else:
+        pytest.fail("the oracle finds no deficient cell")
+    assert exc.value.cell == ci
+    assert exc.value.n_vertices == n
+    assert exc.value.searched == (l, l)
+    assert str(exc.value).startswith(f"cell {ci}: ")
 
 
 def test_assign_degrees_certifies_every_scattered_kernel(monkeypatch):

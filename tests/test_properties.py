@@ -114,7 +114,7 @@ def test_admissibility_evidence_identity(n, seed):
     assert ev.admissible
     assert ell_check(n) <= ev.l <= ell_hat(n)
     assert ev.rank == n - 1
-    bad = dim_badpoly(poly, ev.l).dimension
+    bad = dim_badpoly(poly, ev.l)
     assert (ev.l + 1) * (ev.l + 2) - bad == ev.rank
 
 
