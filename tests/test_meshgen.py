@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -161,3 +162,61 @@ def test_save_mesh_embeds_extra_and_roundtrips(tmp_path):
 def test_mesh_names():
     mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
     assert mesh.name == "honeycomb-level1"
+
+
+# SHA-256 of vertices, cell_vertices and cell_start bytes, recorded from
+# the dict-keyed builder that preceded the lattice-key construction: any
+# change to vertex order, cell order or coordinate bits moves a digest
+# and with it every stored mesh file and benchmark reference.
+_MESH_DIGESTS = [
+    ("honeycomb", 0, "90558d979d9ea4289e831bfcc98a04dc"
+     "bf05c8ad67b75d26fdc229eb73067f76"),
+    ("honeycomb", 1, "b717a90ae7c7b7733ac6bcad53aa54e1"
+     "6b92408adf075c94f12ffa4b038cdc69"),
+    ("honeycomb", 2, "b20fb600dad83592e3375eb29661ba60"
+     "2a2b57c947ab61ae3eebf9353e333922"),
+    ("honeycomb", 3, "faea5c07d9313ad22e045d9251494da7"
+     "3cc1b9e22a3b53efa0ad9a1199d20270"),
+    ("cut_corner_octagon", 0, "f832a2ec79d14b48cefe90816c703741"
+     "fd35ffb200e06f02875b35cc64f40e2f"),
+    ("cut_corner_octagon", 1, "a2837fd9bbe1c1aa1040d970af4f5f5c"
+     "414a7bd29a66ae682e9fccb936151f8c"),
+    ("cut_corner_octagon", 2, "90c12aa53ff4da230e403c9bf3174207"
+     "e249be21cd33ba46bd81948931f86ff8"),
+    ("cut_corner_octagon", 3, "566337e146d8e71a71df5c46be0effb5"
+     "573c8b55d3872ace65bd028132d1b412"),
+    ("concave_star", 0, "2e8affb0e5bfb113fdbe5350bc9256a9"
+     "fd2dcf317a1f7a1dfa74fc42b621544f"),
+    ("concave_star", 1, "beedd9478f1618a5a8d8df605eece103"
+     "e67cc43a895f0b5ae9cb52883648437c"),
+    ("concave_star", 2, "499a75454082151812687f9085d6d6a9"
+     "c129791430d1b4d976a7a854740ff66b"),
+    ("concave_star", 3, "2a6ffed871d624f491d8aad792f7d5cd"
+     "4956b655690033a9073f2188d7db9f32"),
+    ("triangulation", 0, "bc6d426b2d8063058550348d8f101e3c"
+     "bc94bf761863dd89d922225545ec490e"),
+    ("triangulation", 1, "d7b8aa5f0170d76400787719e82e0e91"
+     "4808964a05932e2f1e646bcad55a8128"),
+    ("triangulation", 2, "82ce6dc7acbbce14feaf8c99e9f63f74"
+     "7f540cb1d0003beeb6f6e0069a61a4a5"),
+    ("triangulation", 3, "0568afcd33c1cd805d20480fe27bbe17"
+     "8e3015ddd13821cd20dcb704de8face3"),
+    ("square_grid", 0, "22c29d7123c59672a7e9b6350afa9915"
+     "b2a6e1e0df18d0964ac90a1752314f44"),
+    ("square_grid", 1, "a36d3af9a416b8de3022a8acd79cd5b5"
+     "1c6c3dce46c0abc1b929271c47e93bf3"),
+    ("square_grid", 2, "e547ec1d754570a12b7cd9833330bc15"
+     "267121b2d0470adc41ea085ccae6a715"),
+    ("square_grid", 3, "bc7b585a496b26b41f9a51391dc2cc50"
+     "1de3eb4af720616b4155a02a200347b0"),
+]
+
+
+@pytest.mark.parametrize("fam,level,digest", _MESH_DIGESTS)
+def test_mesh_families_bitwise(fam, level, digest):
+    mesh = make_mesh(MeshFamilySpec(fam, level=level))
+    h = hashlib.sha256()
+    for arr in (mesh.vertices, mesh.cell_vertices, mesh.cell_start):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
+    assert mesh.name == f"{fam}-level{level}"
