@@ -127,22 +127,35 @@ class ScanRow:
 _CONCAVE_ALPHAS = (0.0, 0.2, 0.4, 0.6)
 
 
+#: Each polygon family of the coercivity scan: its specs from the vertex
+#: counts and seeds, and the vertex counts it scans by default.
+_SCAN_FAMILIES = {
+    "regular": (
+        lambda ns, seeds: [PolygonFamilySpec("regular", n=n) for n in ns],
+        range(3, 21)),
+    "random_convex": (
+        lambda ns, seeds: [PolygonFamilySpec("random_convex", n=n, seed=s)
+                           for n in ns for s in seeds],
+        range(4, 21)),
+    "split_triangle": (
+        lambda ns, seeds: [PolygonFamilySpec("split_triangle", step=n - 3)
+                           for n in ns],
+        range(3, 13)),
+    "split_hexagon": (
+        lambda ns, seeds: [PolygonFamilySpec("split_hexagon", step=n - 6)
+                           for n in ns],
+        range(7, 25)),
+    "concave_octagon": (
+        lambda ns, seeds: [PolygonFamilySpec("concave_octagon", alpha=a)
+                           for a in _CONCAVE_ALPHAS],
+        range(8, 9)),
+}
+
+
 def _scan_specs(family: str, n_range, seeds):
-    if family == "regular":
-        return [PolygonFamilySpec("regular", n=n) for n in n_range]
-    if family == "random_convex":
-        return [PolygonFamilySpec("random_convex", n=n, seed=s)
-                for n in n_range for s in seeds]
-    if family == "split_triangle":
-        return [PolygonFamilySpec("split_triangle", step=n - 3)
-                for n in n_range]
-    if family == "split_hexagon":
-        return [PolygonFamilySpec("split_hexagon", step=n - 6)
-                for n in n_range]
-    if family == "concave_octagon":
-        return [PolygonFamilySpec("concave_octagon", alpha=a)
-                for a in _CONCAVE_ALPHAS]
-    raise ValueError(f"unknown polygon family {family!r}")
+    if family not in _SCAN_FAMILIES:
+        raise ValueError(f"unknown polygon family {family!r}")
+    return _SCAN_FAMILIES[family][0](n_range, seeds)
 
 
 def scan_polygon(poly) -> ScanRow:

@@ -21,7 +21,7 @@ from .errors import InadmissibleDegrees, NotSPD
 from .geometry import PolygonalMesh, polygon_quadrature
 from .meshgen import SplitMix64
 from .polyspace import ScaledMonomialBasis
-from .projectors import build_projectors
+from .projectors import build_projectors, compute_pinabla
 
 
 #: The exact-solution self-check: sample count, relative bound and stream seed.
@@ -216,7 +216,7 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
             weights = np.outer(qw, projs.pizero)
         else:
             qbasis = ScaledMonomialBasis.from_polygon(poly, 1).evaluate(qpts)
-            weights = (qw[:, None] * qbasis) @ projs.pione
+            weights = (qw[:, None] * qbasis) @ compute_pinabla(poly)
         for rows, x, y in cls.member_points(qpts):
             fv = np.asarray(problem.f(x, y), dtype=float)
             np.add.at(load, idx[rows], fv.reshape(-1, len(qw)) @ weights)

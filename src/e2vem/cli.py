@@ -28,11 +28,6 @@ EXIT_ADMISSIBILITY = 3
 EXIT_SOLVER = 4
 EXIT_RATE_BAND = 5
 
-_POLYGON_FAMILIES = ("regular", "random_convex", "split_triangle",
-                     "split_hexagon", "concave_octagon")
-_DEFAULT_N_RANGE = {"regular": "3..20", "random_convex": "4..20",
-                    "split_triangle": "3..12", "split_hexagon": "7..24",
-                    "concave_octagon": "8..8"}
 _DEFAULT_BANDS = {"rate_band_l2": (1.9, 2.1), "rate_band_h1": (0.9, 1.1)}
 
 
@@ -89,8 +84,8 @@ def _emit_text(text: str, out):
 # -- subcommand implementations ----------------------------------------
 
 def cmd_coercivity(args) -> int:
-    n_range = parse_n_range(args.n_range
-                            or _DEFAULT_N_RANGE[args.family])
+    n_range = (parse_n_range(args.n_range) if args.n_range
+               else analysis._SCAN_FAMILIES[args.family][1])
     config = resolve_config(args)
     rows = analysis.coercivity_scan(args.family, n_range,
                                     seeds=(args.seed,))
@@ -204,7 +199,7 @@ def build_parser():
     sub = subs.add_parser("coercivity",
                           help="per-polygon projection-degree table")
     sub.add_argument("--family", default="regular",
-                     choices=_POLYGON_FAMILIES)
+                     choices=tuple(analysis._SCAN_FAMILIES))
     sub.add_argument("--n-range", dest="n_range", default=None,
                      help="vertex counts, e.g. 3..20 or 4,6,8")
     sub.add_argument("--seed", type=int, default=0)

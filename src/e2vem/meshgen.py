@@ -202,33 +202,25 @@ _TRIANGULATION_CELLS = 8
 _SQUARE_GRID_CELLS = 4
 
 
-class _MeshBuilder:
-    """Accumulates cells whose vertices carry hashable canonical keys, so
-    shared vertices dedupe to bit-identical coordinates."""
+def _lattice_mesh(name, keys, xy, sizes) -> PolygonalMesh:
+    """Mesh from its cells' vertices, listed cell after cell.
 
-    def __init__(self, name):
-        self.name = name
-        self.index = {}
-        self.coords = []
-        self.cells = []
-
-    def vertex(self, key, xy):
-        i = self.index.get(key)
-        if i is None:
-            i = len(self.coords)
-            self.index[key] = i
-            self.coords.append(xy)
-        return i
-
-    def cell(self, keyed_vertices):
-        self.cells.append([self.vertex(k, xy) for k, xy in keyed_vertices])
-
-    def finish(self) -> PolygonalMesh:
-        return PolygonalMesh(np.asarray(self.coords, dtype=float),
-                             self.cells, name=self.name)
+    ``keys`` packs each listed vertex's integer lattice position, so
+    equal keys are one shared vertex and its coordinates ``xy`` are
+    bit-identical wherever it is listed. Vertices are numbered in order
+    of first appearance.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    flat = number[inverse].tolist()
+    bounds = np.cumsum(sizes).tolist()
+    cells = [flat[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
+    return PolygonalMesh(xy[first[order]], cells, name=name)
 
 
-_HEX_OFFSETS = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
+_HEX_OFFSETS = np.array(((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)))
 
 
 def _honeycomb_mesh(level: int) -> PolygonalMesh:
@@ -245,71 +237,90 @@ def _honeycomb_mesh(level: int) -> PolygonalMesh:
     """
     k = _HONEYCOMB_COLUMNS * 2 ** level
     m = round(math.sqrt(3.0) * k)
-
-    def keyed(mx, my):
-        return ((mx, my), (mx / (3.0 * k), my / m))
-
-    builder = _MeshBuilder(f"honeycomb-level{level}")
-    for i in range(k + 1):
-        cmx = 3 * i
-        for c in range(i & 1, m + 1, 2):
-            keys = [(cmx + dx, c + dy) for dx, dy in _HEX_OFFSETS]
-            # y = 0 and y = 1 pass through the lateral vertices of the
-            # straddling hexagons, so the cut is a pure vertex filter
-            keys = [(mx, my) for mx, my in keys if 0 <= my <= m]
-            if i == 0 or i == k:
-                clipped = []
-                for j, (bx, by) in enumerate(keys):
-                    ax, ay = keys[j - 1]
-                    if (ax < 0) != (bx < 0) or (ax > 3 * k) != (bx > 3 * k):
-                        # only horizontal edges reach across a column line
-                        assert ay == by
-                        clipped.append((0 if min(ax, bx) < 0 else 3 * k, by))
-                    if 0 <= bx <= 3 * k:
-                        clipped.append((bx, by))
-                keys = clipped
-            builder.cell([keyed(mx, my) for mx, my in keys])
-    return builder.finish()
+    # hexagon centers (3i, c), c of the parity of i, column after column
+    i, c = np.divmod(np.arange((k + 1) * (m + 1)), m + 1)
+    center = (i - c) % 2 == 0
+    c = c[center]
+    mx = 3 * i[center, None] + _HEX_OFFSETS[:, 0]
+    my = c[:, None] + _HEX_OFFSETS[:, 1]
+    # y = 0 and y = 1 pass through the lateral vertices of the straddling
+    # hexagons, so the cut drops slots 4, 5 at c = 0 or 1, 2 at c = M,
+    # and that fixes each kept slot's previous kept slot
+    inside = (0 <= my) & (my <= m)
+    prev = np.tile(np.arange(-1, 5) % 6, (len(c), 1))
+    prev[c == 0, 0] = 3
+    prev[c == m, 3] = 0
+    # only horizontal edges reach across a column line; their clip point
+    # goes before the slot that ends the edge
+    px = np.take_along_axis(mx, prev, axis=1)
+    clip = inside & (((px < 0) != (mx < 0)) | ((px > 3 * k) != (mx > 3 * k)))
+    assert (np.take_along_axis(my, prev, axis=1) == my)[clip].all()
+    keep = np.stack([clip, inside & (0 <= mx) & (mx <= 3 * k)], axis=2)
+    clip_x = np.where(np.minimum(px, mx) < 0, 0, 3 * k)
+    mx = np.stack([clip_x, mx], axis=2)[keep]
+    my = np.stack([my, my], axis=2)[keep]
+    return _lattice_mesh(f"honeycomb-level{level}", mx * (m + 1) + my,
+                         np.column_stack([mx / (3.0 * k), my / m]),
+                         keep.sum(axis=(1, 2)))
 
 
 _CUT_T = 0.3  # corner cut fraction; equal-edge octagons would need
               # 1/(2 + sqrt(2)), kept away from that rank-deficient shape
 
 
+def _stencil(verts):
+    """Integer vertex tuples as rows, loop index major: each tuple entry
+    is a scalar or an array over one loop (at least one row per vertex,
+    hence the broadcast against a length-1 array)."""
+    cols = np.broadcast_arrays(np.zeros(1, int),
+                               *(x for v in verts for x in v))
+    return np.stack(cols[1:], axis=1).reshape(-1, len(verts[0]))
+
+
 def _cut_corner_mesh(level: int) -> PolygonalMesh:
     """Square grid with corners cut at each grid node: regular octagons,
-    diamond squares at interior nodes, boundary and corner triangles."""
+    diamond squares at interior nodes, boundary and corner triangles.
+    A vertex is (grid node, cut direction), on the lattice
+    (3 i + dx, 3 j + dy)."""
     n = _CUT_CORNER_CELLS * 2 ** level
     s = 1.0 / n
+    i, j = np.divmod(np.arange(n * n), n)
+    a, b = (x + 1 for x in np.divmod(np.arange((n - 1) ** 2), n - 1))
+    e = np.arange(1, n)
+    blocks = (
+        (8, [(i, j, 1, 0), (i + 1, j, -1, 0), (i + 1, j, 0, 1),
+             (i + 1, j + 1, 0, -1), (i + 1, j + 1, -1, 0), (i, j + 1, 1, 0),
+             (i, j + 1, 0, -1), (i, j, 0, 1)]),
+        (4, [(a, b, -1, 0), (a, b, 0, -1), (a, b, 1, 0), (a, b, 0, 1)]),
+        (3, [(e, 0, -1, 0), (e, 0, 1, 0), (e, 0, 0, 1),
+             (e, n, 1, 0), (e, n, -1, 0), (e, n, 0, -1),
+             (0, e, 0, -1), (0, e, 1, 0), (0, e, 0, 1),
+             (n, e, 0, 1), (n, e, -1, 0), (n, e, 0, -1)]),
+        (3, [(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (n, 0, 0, 0), (n, 0, 0, 1), (n, 0, -1, 0),
+             (n, n, 0, 0), (n, n, -1, 0), (n, n, 0, -1),
+             (0, n, 0, 0), (0, n, 0, -1), (0, n, 1, 0)]),
+    )
+    rows = [_stencil(verts) for _, verts in blocks]
+    sizes = np.concatenate([np.full(len(r) // size, size)
+                            for (size, _), r in zip(blocks, rows)])
+    ni, nj, dx, dy = np.concatenate(rows).T
+    return _lattice_mesh(f"cut_corner_octagon-level{level}",
+                         (3 * ni + dx) * (3 * n + 1) + 3 * nj + dy,
+                         np.column_stack([ni * s + dx * (_CUT_T * s),
+                                          nj * s + dy * (_CUT_T * s)]),
+                         sizes)
 
-    def vert(i, j, dx, dy):
-        return ((i, j, dx, dy), (i * s + dx * (_CUT_T * s),
-                                 j * s + dy * (_CUT_T * s)))
 
-    b = _MeshBuilder(f"cut_corner_octagon-level{level}")
-    for i in range(n):
-        for j in range(n):
-            b.cell([vert(i, j, 1, 0), vert(i + 1, j, -1, 0),
-                    vert(i + 1, j, 0, 1), vert(i + 1, j + 1, 0, -1),
-                    vert(i + 1, j + 1, -1, 0), vert(i, j + 1, 1, 0),
-                    vert(i, j + 1, 0, -1), vert(i, j, 0, 1)])
-    for i in range(1, n):
-        for j in range(1, n):
-            b.cell([vert(i, j, -1, 0), vert(i, j, 0, -1),
-                    vert(i, j, 1, 0), vert(i, j, 0, 1)])
-    for i in range(1, n):
-        b.cell([vert(i, 0, -1, 0), vert(i, 0, 1, 0), vert(i, 0, 0, 1)])
-        b.cell([vert(i, n, 1, 0), vert(i, n, -1, 0), vert(i, n, 0, -1)])
-        b.cell([vert(0, i, 0, -1), vert(0, i, 1, 0), vert(0, i, 0, 1)])
-        b.cell([vert(n, i, 0, 1), vert(n, i, -1, 0), vert(n, i, 0, -1)])
-    b.cell([vert(0, 0, 0, 0), vert(0, 0, 1, 0), vert(0, 0, 0, 1)])
-    b.cell([vert(n, 0, 0, 0), vert(n, 0, 0, 1), vert(n, 0, -1, 0)])
-    b.cell([vert(n, n, 0, 0), vert(n, n, -1, 0), vert(n, n, 0, -1)])
-    b.cell([vert(0, n, 0, 0), vert(0, n, 0, -1), vert(0, n, 1, 0)])
-    return b.finish()
+_STAR_DENT = 0.3  # midpoint pull over the half cell width; one value only,
+                  # since stored meshes and benchmark references depend on it
+# cell (i, j) on the doubled lattice: corners at (2i, 2j), horizontal
+# edge midpoints at (2i + 1, 2j), vertical ones at (2i, 2j + 1)
+_STAR_SLOTS = np.array(((0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2),
+                        (0, 1)))
 
 
-def _concave_star_mesh(level: int, alpha: float = 0.3) -> PolygonalMesh:
+def _concave_star_mesh(level: int) -> PolygonalMesh:
     """Pinwheel tessellation: each interior edge midpoint is pulled toward
     the center of one adjacent cell (horizontal edges feed the cell
     below, vertical edges the cell to the left, with the flips noted
@@ -318,72 +329,48 @@ def _concave_star_mesh(level: int, alpha: float = 0.3) -> PolygonalMesh:
     """
     n = _STAR_CELLS * 2 ** level
     s = 1.0 / n
-    d = alpha * 0.5 * s
+    d = _STAR_DENT * 0.5 * s
+    i, j = np.divmod(np.arange(n * n)[:, None], n)
+    x = 2 * i + _STAR_SLOTS[:, 0]
+    y = 2 * j + _STAR_SLOTS[:, 1]
+    hmid, vmid = x % 2 == 1, y % 2 == 1
+    # midpoints of the square's sides are not vertices
+    keep = ~(hmid & (y % (2 * n) == 0) | vmid & (x % (2 * n) == 0))
+    x, y, hmid, vmid = x[keep], y[keep], hmid[keep], vmid[keep]
+    # a horizontal midpoint dents the cell below except in the last
+    # column, where it dents the cell above so the right-edge cells stay
+    # non-convex; a vertical one dents the cell on the left except the
+    # single edge touching the bottom-right cell, which would otherwise
+    # be convex
+    dy = np.where(hmid, np.where(x == 2 * n - 1, d, -d), 0.0)
+    dx = np.where(vmid, np.where((x == 2 * n - 2) & (y == 1), d, -d), 0.0)
+    return _lattice_mesh(f"concave_star-level{level}", x * (2 * n + 1) + y,
+                         np.column_stack([(x / 2) * s + dx, (y / 2) * s + dy]),
+                         keep.sum(axis=1))
 
-    def corner(i, j):
-        return (("c", i, j), (i * s, j * s))
 
-    def hmid(i, j):
-        # midpoint of the horizontal edge (i, j)-(i+1, j); dents the cell
-        # below except in the last column, where it dents the cell above
-        # so the right-edge cells stay non-convex
-        sign = 1.0 if i == n - 1 else -1.0
-        return (("h", i, j), ((i + 0.5) * s, j * s + sign * d))
-
-    def vmid(i, j):
-        # midpoint of the vertical edge (i, j)-(i, j+1); dents the cell on
-        # the left except the single edge touching the bottom-right cell,
-        # which would otherwise be convex
-        sign = 1.0 if (i, j) == (n - 1, 0) else -1.0
-        return (("v", i, j), (i * s + sign * d, (j + 0.5) * s))
-
-    b = _MeshBuilder(f"concave_star-level{level}")
-    for i in range(n):
-        for j in range(n):
-            cell = [corner(i, j)]
-            if j > 0:
-                cell.append(hmid(i, j))
-            cell.append(corner(i + 1, j))
-            if i + 1 < n:
-                cell.append(vmid(i + 1, j))
-            cell.append(corner(i + 1, j + 1))
-            if j + 1 < n:
-                cell.append(hmid(i, j + 1))
-            cell.append(corner(i, j + 1))
-            if i > 0:
-                cell.append(vmid(i, j))
-            b.cell(cell)
-    return b.finish()
+def _node_mesh(name, n, size, offsets) -> PolygonalMesh:
+    """Cells of ``size`` grid nodes, ``offsets`` listing each grid
+    square's cells in turn."""
+    i, j = np.divmod(np.arange(n * n)[:, None], n)
+    x = (i + np.asarray(offsets)[:, 0]).ravel()
+    y = (j + np.asarray(offsets)[:, 1]).ravel()
+    s = 1.0 / n
+    return _lattice_mesh(name, x * (n + 1) + y,
+                         np.column_stack([x * s, y * s]),
+                         np.full(len(x) // size, size))
 
 
 def _triangulation_mesh(level: int) -> PolygonalMesh:
-    n = _TRIANGULATION_CELLS * 2 ** level
-    s = 1.0 / n
-
-    def corner(i, j):
-        return ((i, j), (i * s, j * s))
-
-    b = _MeshBuilder(f"triangulation-level{level}")
-    for i in range(n):
-        for j in range(n):
-            b.cell([corner(i, j), corner(i + 1, j), corner(i + 1, j + 1)])
-            b.cell([corner(i, j), corner(i + 1, j + 1), corner(i, j + 1)])
-    return b.finish()
+    return _node_mesh(f"triangulation-level{level}",
+                      _TRIANGULATION_CELLS * 2 ** level, 3,
+                      ((0, 0), (1, 0), (1, 1), (0, 0), (1, 1), (0, 1)))
 
 
 def _square_grid_mesh(level: int) -> PolygonalMesh:
-    n = _SQUARE_GRID_CELLS * 2 ** level
-    s = 1.0 / n
-
-    def corner(i, j):
-        return ((i, j), (i * s, j * s))
-
-    b = _MeshBuilder(f"square_grid-level{level}")
-    for i in range(n):
-        for j in range(n):
-            b.cell([corner(i, j), corner(i + 1, j),
-                    corner(i + 1, j + 1), corner(i, j + 1)])
-    return b.finish()
+    return _node_mesh(f"square_grid-level{level}",
+                      _SQUARE_GRID_CELLS * 2 ** level, 4,
+                      ((0, 0), (1, 0), (1, 1), (0, 1)))
 
 
 _MESH_BUILDERS = {

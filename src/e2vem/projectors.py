@@ -12,8 +12,10 @@ computable from the ``n`` vertex DOFs alone:
 * ``pigrad``   (2*dim P_l, n): L2 projection of the gradient onto [P_l]^2
   via the divergence identity, with the interior term evaluated on the
   elliptic projection;
-* ``pizero``   (n,): scalar cell means;
-* ``pione``    (3, n): L2 projection onto linears from slaved moments.
+* ``pizero``   (n,): scalar cell means.
+
+The slaved linear moments make the L2 projection onto linears equal to
+``pinabla``.
 
 The local stiffness ``K = pigrad^T G pigrad`` (G the [P_l]^2 Gram) is the
 stabilization-free bilinear form; its rank certifies coercivity.
@@ -145,7 +147,6 @@ class ElementProjectors:
 
     pigrad: np.ndarray
     pizero: np.ndarray
-    pione: np.ndarray
     stiffness: np.ndarray
     gram_condition: float
 
@@ -175,10 +176,9 @@ def _build_projectors(poly: Polygon, l: int) -> ElementProjectors:
     stiffness = rhs.T @ pigrad
     stiffness = 0.5 * (stiffness + stiffness.T)
     pizero = (h[0, :3] @ pinabla) / poly.area
-    pione = np.linalg.solve(h[:3, :3], h[:3, :3] @ pinabla)
-    for arr in (pigrad, pizero, pione, stiffness):
+    for arr in (pigrad, pizero, stiffness):
         arr.setflags(write=False)
-    return ElementProjectors(pigrad, pizero, pione, stiffness, cond)
+    return ElementProjectors(pigrad, pizero, stiffness, cond)
 
 
 def project_gradient_from_data(poly: Polygon, l: int, boundary_values,

@@ -164,10 +164,9 @@ def test_mesh_names():
     assert mesh.name == "honeycomb-level1"
 
 
-# SHA-256 of vertices, cell_vertices and cell_start bytes, recorded from
-# the dict-keyed builder that preceded the lattice-key construction: any
-# change to vertex order, cell order or coordinate bits moves a digest
-# and with it every stored mesh file and benchmark reference.
+# SHA-256 of the vertices, cell_vertices and cell_start bytes: a change
+# to vertex order, cell order or coordinate bits moves a digest, and with
+# it every saved mesh file and benchmark reference.
 _MESH_DIGESTS = [
     ("honeycomb", 0, "90558d979d9ea4289e831bfcc98a04dc"
      "bf05c8ad67b75d26fdc229eb73067f76"),
