@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from e2vem.degree import (
     ell_hat,
     min_admissible_l,
     parse_strategy,
+    stiffness_rank,
 )
 from e2vem.errors import AdmissibilityNotReached, InadmissibleDegrees
-from e2vem.geometry import build_polygon
+from e2vem.geometry import PolygonalMesh, build_polygon
 from e2vem.meshgen import (
     MeshFamilySpec,
     PolygonFamilySpec,
@@ -229,3 +231,98 @@ def test_assign_degrees_one_certificate_per_class():
     with pytest.raises(InadmissibleDegrees, match=f"^cell {cell}:"):
         assemble_full(mesh, dataclasses.replace(degrees, levels=lowered),
                       sin_sin_problem())
+
+
+def _jittered_honeycomb(level, seed):
+    base = make_mesh(MeshFamilySpec("honeycomb", level=level))
+    verts = base.vertices.copy()
+    interior = ~base.boundary_vertex_flags
+    shift = np.random.default_rng(seed).uniform(-0.05, 0.05,
+                                                (interior.sum(), 2))
+    verts[interior] += shift * base.h
+    return PolygonalMesh(verts, base.cells)
+
+
+def _random_convex_table():
+    # the coercivity table's polygons as the disjoint cells of one mesh
+    polys = [make_polygon(PolygonFamilySpec("random_convex", n=n, seed=s))
+             for n in range(4, 21) for s in range(5)]
+    start = np.cumsum([0] + [p.n_vertices for p in polys])
+    return PolygonalMesh(np.concatenate([p.vertices for p in polys]),
+                         [range(a, b) for a, b in zip(start[:-1], start[1:])])
+
+
+#: SHA-256 prefixes of ``assign_degrees(mesh, "minimal").levels`` and of
+#: the class representatives' ``stiffness_rank`` at ``ell_check(n)``
+_DEGREE_DIGESTS = [
+    ("honeycomb", 0, "7c58f0746dfdae0e303d6718b03e9724",
+     "383646d147661547a342099ed7313e10"),
+    ("honeycomb", 1, "89c6cd23a9878687e4704f7aa2956692",
+     "6dca5149ec0a91ca833f5800d7e2796d"),
+    ("honeycomb", 2, "f1268c073b972b645f907a34f2c65ebf",
+     "383646d147661547a342099ed7313e10"),
+    ("honeycomb", 3, "ebb99def11a47ee5ad5c516f01a64f0a",
+     "383646d147661547a342099ed7313e10"),
+    ("cut_corner_octagon", 0, "a05dd6854ad545883d0687b5640bf51e",
+     "c96c8c7e2f61a1291456cf71cb7aaf28"),
+    ("cut_corner_octagon", 1, "28d3cecc1312b5dcf503d5cf65a085db",
+     "c96c8c7e2f61a1291456cf71cb7aaf28"),
+    ("cut_corner_octagon", 2, "4b3a95bf1cde3b0373e0fa716667ad21",
+     "c96c8c7e2f61a1291456cf71cb7aaf28"),
+    ("cut_corner_octagon", 3, "774287dc3370a1c4d855e905bdf6ddd6",
+     "c96c8c7e2f61a1291456cf71cb7aaf28"),
+    ("concave_star", 0, "8758be121dc31f3c901b52cf7a68c0eb",
+     "62a25418396b05fdcb855a4c3321a2dd"),
+    ("concave_star", 1, "4efa000a90c2c7ff7eee0b6bc3c9821c",
+     "62a25418396b05fdcb855a4c3321a2dd"),
+    ("concave_star", 2, "6558881cc7c372b07aba79eb0488426d",
+     "62a25418396b05fdcb855a4c3321a2dd"),
+    ("concave_star", 3, "1483854eb0d9550699bded17c70dfd50",
+     "62a25418396b05fdcb855a4c3321a2dd"),
+    ("triangulation", 0, "5f70bf18a086007016e948b04aed3b82",
+     "fa7c63f601691b958793c6d5ebe2ec44"),
+    ("triangulation", 1, "ad7facb2586fc6e966c004d7d1d16b02",
+     "fa7c63f601691b958793c6d5ebe2ec44"),
+    ("triangulation", 2, "4fe7b59af6de3b665b67788cc2f99892",
+     "fa7c63f601691b958793c6d5ebe2ec44"),
+    ("triangulation", 3, "de2f256064a0af797747c2b97505dc0b",
+     "fa7c63f601691b958793c6d5ebe2ec44"),
+    ("square_grid", 0, "cb9cb8229f3a322017b0d7644744ea14",
+     "35be322d094f9d154a8aba4733b8497f"),
+    ("square_grid", 1, "ae1fd128caf85aaf5af91075ffc018dc",
+     "35be322d094f9d154a8aba4733b8497f"),
+    ("square_grid", 2, "924ae03b6111734d8ab1d2d4c88ec6a7",
+     "35be322d094f9d154a8aba4733b8497f"),
+    ("square_grid", 3, "bbddeafcfd3170bd6f6ce9e912a0dae0",
+     "35be322d094f9d154a8aba4733b8497f"),
+    ("jittered honeycomb seed 1", 1, "aeb6ef436cd7d360a3d5056cbe8769f9",
+     "d85c13a2178725e2232faba82e33f4c8"),
+    ("jittered honeycomb seed 2", 1, "aeb6ef436cd7d360a3d5056cbe8769f9",
+     "d85c13a2178725e2232faba82e33f4c8"),
+    ("jittered honeycomb seed 1", 2, "071e39d48330d13de0f1d360fe5a1dbd",
+     "e918afa5a210f12d1c1c3955c1749a16"),
+    ("jittered honeycomb seed 2", 2, "071e39d48330d13de0f1d360fe5a1dbd",
+     "e918afa5a210f12d1c1c3955c1749a16"),
+    ("random_convex n=4..20 seeds 0..4", 0, "5076299472abec87a450d8d5acd95530",
+     "c50948934968261fc0d5a7375fab85c9"),
+]
+
+
+@pytest.mark.parametrize("case,level,levels_digest,ranks_digest",
+                         _DEGREE_DIGESTS)
+def test_degrees_and_ranks_pinned(case, level, levels_digest, ranks_digest):
+    # random convex polygons reach lambda_2 / lambda_max = 4.7e-13 at the
+    # minimal degree, near the rank threshold: arithmetic that rounds
+    # differently shows here first
+    if case.startswith("jittered"):
+        mesh = _jittered_honeycomb(level, int(case.split()[-1]))
+    elif case.startswith("random_convex"):
+        mesh = _random_convex_table()
+    else:
+        mesh = make_mesh(MeshFamilySpec(case, level=level))
+    levels = assign_degrees(mesh, "minimal").levels
+    ranks = np.array([stiffness_rank(c.polygon, ell_check(c.polygon.n_vertices))
+                      for c in mesh.cell_classes], dtype=np.int64)
+    for values, digest in ((np.asarray(levels, dtype=np.int64), levels_digest),
+                           (ranks, ranks_digest)):
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:32] == digest
