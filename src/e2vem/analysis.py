@@ -15,10 +15,10 @@ import numpy as np
 
 from .degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from .errors import DegenerateData, MissingExactSolution
-from .geometry import PolygonalMesh, polygon_quadrature
+from .geometry import (PolygonalMesh, class_groups, member_points,
+                       stack_polygons, stack_quadrature)
 from .meshgen import (PolygonFamilySpec, MeshFamilySpec, make_mesh,
                       make_polygon)
-from .polyspace import ScaledMonomialBasis
 from .projectors import compute_pinabla
 
 _ERROR_QUADRATURE_DEGREE = 8
@@ -29,33 +29,52 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     """Squared L2 and H1-seminorm distances between the per-cell linear
     projection of the vertex data and the exact solution and gradient,
     summed over cells; a sum whose exact field is None stays 0. The
-    projector and quadrature are computed once per cell class, the exact
-    fields on the chunks of members that ``CellClass.member_points``
-    yields."""
+    projectors and quadrature are computed once per cell class, as one
+    stack per vertex count, the exact fields on the chunks of members
+    that ``geometry.member_points`` yields across each stack's classes."""
     u = np.asarray(vertex_values, dtype=float)
     l2_sq = h1_sq = 0.0
-    for cls in mesh.cell_classes:
-        poly = cls.polygon
-        pinabla = compute_pinabla(poly)
-        qpts, qw = polygon_quadrature(poly, _ERROR_QUADRATURE_DEGREE)
-        basis = ScaledMonomialBasis.from_polygon(poly, 1)
-        qbasis = basis.evaluate(qpts).T                         # (3, P)
-        for rows, x, y in cls.member_points(qpts):
-            coeffs = u[cls.indices[rows]] @ pinabla.T           # (m, 3)
-            shape = (len(coeffs), len(qw))
+    classes = mesh.cell_classes
+    for *_, rows in class_groups(classes):
+        group = [classes[k] for k in rows]
+        polys = [c.polygon for c in group]
+        s = stack_polygons(polys)
+        pinabla = compute_pinabla(polys)                        # (c, 3, n)
+        qpts, qw = stack_quadrature(s, _ERROR_QUADRATURE_DEGREE)
+        # the points' scaled coordinates, the non-constant linear monomials
+        local = ((qpts - s.star_center[:, None, :])
+                 / s.diameter[:, None, None])                   # (c, P, 2)
+        idx = np.concatenate([c.indices for c in group])
+        for rows, c, x, y in member_points(group, qpts):
+            coeffs = np.einsum("mn,man->ma", u[idx[rows]], pinabla[c])
+            shape = (len(c), qw.shape[1])
+            # in-place updates: one norm's temporaries at a time bound
+            # the peak memory
             if exact is not None:
-                err = coeffs @ qbasis                           # (m, P)
+                err = local[c, :, 0]
+                err *= coeffs[:, 1:2]
+                err += coeffs[:, :1]
+                eta = local[c, :, 1]
+                eta *= coeffs[:, 2:3]
+                err += eta
+                del eta
                 err -= np.asarray(exact(x, y), dtype=float).reshape(shape)
-                l2_sq += float(((err * err) @ qw).sum())
-                del err  # one norm's temporaries at a time bound the peak memory
+                err *= err
+                l2_sq += float(np.einsum("mp,mp->m", err, qw[c]).sum())
+                del err
             if exact_gradient is not None:
                 gx, gy = exact_gradient(x, y)
                 # the projected gradient is constant per cell
-                dx = (coeffs[:, 1] / basis.scale)[:, None] \
-                    - np.asarray(gx, dtype=float).reshape(shape)
-                dy = (coeffs[:, 2] / basis.scale)[:, None] \
-                    - np.asarray(gy, dtype=float).reshape(shape)
-                h1_sq += float(((dx * dx + dy * dy) @ qw).sum())
+                scale = s.diameter[c, None]
+                dx = coeffs[:, 1:2] / scale - np.asarray(gx, dtype=float).reshape(shape)
+                del gx
+                dy = coeffs[:, 2:3] / scale - np.asarray(gy, dtype=float).reshape(shape)
+                del gy
+                dx *= dx
+                dy *= dy
+                dx += dy
+                del dy
+                h1_sq += float(np.einsum("mp,mp->m", dx, qw[c]).sum())
     return l2_sq, h1_sq
 
 

@@ -1,12 +1,13 @@
 """Global assembly of the discrete Poisson / diffusion-reaction systems,
 Dirichlet elimination, and the SPD solve.
 
-Assembly iterates the mesh's one cell-class index, ``mesh.cell_classes``:
-the stiffness, reaction, projector and quadrature data are computed once
-on each class representative, at the class's certified degree, and
-scattered to every member shifted by its anchor offset.
-Members are verified translates of the representative, so reuse changes
-no value beyond the index's relative tolerance.
+Assembly iterates the mesh's one cell-class index, ``mesh.cell_classes``,
+grouped by (vertex count, certified degree): the stiffness, reaction,
+projector and quadrature data are computed once on each class
+representative, as one stack per group, and scattered to every member
+shifted by its anchor offset. Members are verified translates of the
+representative, so reuse changes no value beyond the index's relative
+tolerance.
 """
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .degree import DegreeAssignment, assign_degrees
 from .errors import InadmissibleDegrees, NotSPD
-from .geometry import PolygonalMesh, polygon_quadrature
+from .geometry import (PolygonalMesh, class_groups, member_points,
+                       stack_polygons, stack_quadrature)
 from .meshgen import SplitMix64
-from .polyspace import ScaledMonomialBasis
+from .polyspace import stack_monomials
 from .projectors import build_projectors, compute_pinabla
 
 
@@ -168,62 +170,84 @@ class LinearSystem:
 
 
 def _check_admissible(mesh: PolygonalMesh, degrees: DegreeAssignment):
+    """Refuse degrees that their class's certificate does not cover,
+    naming the lowest-index offending cell."""
     classes = mesh.cell_classes
     if len(degrees) != mesh.n_cells or len(degrees.evidence) != len(classes):
         raise InadmissibleDegrees(
             f"degree assignment covers {len(degrees)} cells in "
             f"{len(degrees.evidence)} classes, mesh has {mesh.n_cells} "
             f"cells in {len(classes)}")
-    for cls, ev in zip(classes, degrees.evidence):
-        off = np.flatnonzero(degrees.levels[cls.members] != ev.l)
-        if len(off):
-            ci = int(cls.members[off[0]])
-            raise InadmissibleDegrees(
-                f"cell {ci}: degree {int(degrees.levels[ci])} has no rank "
-                f"certificate (its class's evidence is for l={ev.l})")
-        if not ev.admissible:
-            raise InadmissibleDegrees(
-                f"cell {int(cls.members[0])}: stiffness rank {ev.rank} < "
-                f"{ev.n_vertices - 1} at l={ev.l}")
+    evidence = degrees.evidence
+    certified = np.array([ev.l for ev in evidence], dtype=int)
+    off = np.flatnonzero(degrees.levels != certified[mesh.cell_class])
+    short = [k for k, ev in enumerate(evidence) if not ev.admissible]
+    cell = int(classes[short[0]].members[0]) if short else mesh.n_cells
+    if len(off) and off[0] <= cell:
+        ci = int(off[0])
+        raise InadmissibleDegrees(
+            f"cell {ci}: degree {int(degrees.levels[ci])} has no rank "
+            f"certificate (its class's evidence is for "
+            f"l={int(certified[mesh.cell_class[ci]])})")
+    if short:
+        ev = evidence[short[0]]
+        raise InadmissibleDegrees(
+            f"cell {cell}: stiffness rank {ev.rank} < "
+            f"{ev.n_vertices - 1} at l={ev.l}")
 
 
 def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
                   problem: ProblemSpec, load_mode: str = "mean"):
     """Assemble the global matrix and load over all vertices, before any
     boundary treatment. Returns ``(A, F)`` with A sparse CSR symmetric,
-    constants in its kernel. Each cell class is scattered once, at its
-    certified degree; a member's load is its source values at the class
-    quadrature points times the class's (P, n) load weights."""
+    constants in its kernel. The classes of each (vertex count, degree)
+    are scattered together, from one stack of their kernels; a member's
+    load is its source values at its class's quadrature points, moved
+    onto the member, against the class's load weights."""
     _check_admissible(mesh, degrees)
     if load_mode not in ("mean", "p1"):
         raise ValueError(f"unknown load mode {load_mode!r}")
-    reaction = problem.kind == "diffusion_reaction"
     n = mesh.n_vertices
     load = np.zeros(n)
-    row_parts, col_parts, val_parts = [], [], []
-    for cls, ev in zip(mesh.cell_classes, degrees.evidence):
-        poly, idx = cls.polygon, cls.indices                # idx (m, nv)
-        projs = build_projectors(poly, ev.l)
-        local = projs.stiffness.copy()
-        if reaction:
-            local += poly.area * np.outer(projs.pizero, projs.pizero)
-        m, nv = idx.shape
-        row_parts.append(np.repeat(idx, nv, axis=1).ravel())
-        col_parts.append(np.tile(idx, (1, nv)).ravel())
-        val_parts.append(np.tile(local.ravel(), m))
-        qpts, qw = polygon_quadrature(poly, 2 * (ev.l + 1) + 2)
-        if load_mode == "mean":
-            weights = np.outer(qw, projs.pizero)
-        else:
-            qbasis = ScaledMonomialBasis.from_polygon(poly, 1).evaluate(qpts)
-            weights = (qw[:, None] * qbasis) @ compute_pinabla(poly)
-        for rows, x, y in cls.member_points(qpts):
-            fv = np.asarray(problem.f(x, y), dtype=float)
-            np.add.at(load, idx[rows], fv.reshape(-1, len(qw)) @ weights)
-    matrix = sp.csr_matrix((np.concatenate(val_parts),
-                            (np.concatenate(row_parts),
-                             np.concatenate(col_parts))), shape=(n, n))
-    return matrix, load
+    classes = mesh.cell_classes
+    parts = [_assemble_group([classes[k] for k in rows], l, problem,
+                             load_mode, load)
+             for _, l, rows in class_groups(
+                 classes, [ev.l for ev in degrees.evidence])]
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    del parts
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), load
+
+
+def _assemble_group(group, l, problem, load_mode, load):
+    """The matrix triplets of the classes ``group`` of one vertex count at
+    degree ``l``, from one stack of their kernels; adds their load to
+    ``load``."""
+    polys = [c.polygon for c in group]
+    projs = build_projectors(polys, l)
+    pizero, local = projs.pizero, projs.stiffness              # (c, nv), (c, nv, nv)
+    s = stack_polygons(polys)
+    if problem.kind == "diffusion_reaction":
+        local = local + s.area[:, None, None] * (pizero[:, :, None]
+                                                 * pizero[:, None, :])
+    idx = np.concatenate([c.indices for c in group])           # (m, nv)
+    qpts, qw = stack_quadrature(s, 2 * (l + 1) + 2)            # (c, P, 2), (c, P)
+    if load_mode == "mean":
+        # the load of a member of class c is (f, 1)_E pizero[c]
+        moments, project = qw[:, :, None], pizero[:, None, :]
+    else:
+        # and here pinabla[c]^T (f, m_a)_E over the linear monomials m_a
+        moments = qw[:, :, None] * stack_monomials(s, qpts, 1)
+        project = compute_pinabla(polys)
+    for rows, c, x, y in member_points(group, qpts):
+        fv = np.asarray(problem.f(x, y), dtype=float).reshape(len(c), -1)
+        f_moments = np.stack([np.einsum("mp,mp->m", fv, moments[c, :, a])
+                              for a in range(moments.shape[2])], axis=1)
+        np.add.at(load, idx[rows], np.einsum("ma,man->mn", f_moments, project[c]))
+    nv = idx.shape[1]
+    cls = np.repeat(np.arange(len(group)), [len(c.members) for c in group])
+    return (np.repeat(idx, nv, axis=1).ravel(), np.tile(idx, (1, nv)).ravel(),
+            local[cls].ravel())
 
 
 def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,

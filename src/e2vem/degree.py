@@ -9,13 +9,15 @@ with mesh-wide assignment strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AdmissibilityNotReached
-from .geometry import Polygon, PolygonalMesh
+from .geometry import (Polygon, PolygonalMesh, as_stack, class_groups,
+                       memoised, stack_polygons)
 from .polyspace import space_dimension
-from .projectors import (boundary_mean_row, boundary_vector_moments,
+from .projectors import (boundary_mean_rows, boundary_vector_moments,
                          build_projectors)
 
 _EPS = 2.0 ** -52
@@ -43,12 +45,10 @@ def ell_check(n: int) -> int:
     return l
 
 
-def _svd_rank(s: np.ndarray, shape_dim: int) -> int:
-    """Count of the descending singular values ``s`` above
-    ``shape_dim * s[0] * eps * 64``; 0 when ``s`` is empty or zero."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int((s > shape_dim * float(s[0]) * _EPS * _RANK_SAFETY).sum())
+def _svd_ranks(s: np.ndarray, shape_dim: int) -> np.ndarray:
+    """Count of each row's descending singular values ``s`` (m, k) above
+    ``shape_dim * s[0] * eps * 64``; 0 for a zero row."""
+    return (s > shape_dim * s[:, :1] * _EPS * _RANK_SAFETY).sum(axis=1)
 
 
 def dim_badpoly(poly: Polygon, l: int) -> int:
@@ -56,14 +56,16 @@ def dim_badpoly(poly: Polygon, l: int) -> int:
     [P_l]^2 whose normal trace is orthogonal to every zero-mean
     piecewise-linear boundary function, from the SVD of the boundary
     pairing matrix."""
-    moments = boundary_vector_moments(poly, l)
-    p0 = boundary_mean_row(poly)
+    s = stack_polygons((poly,))
+    moments = boundary_vector_moments(s, l)[0]
+    p0 = boundary_mean_rows(s)[0]
     pairing = moments - np.outer(moments.sum(axis=1), p0)
     # traces phi_i - P0(phi_i) sum to zero; any n - 1 of them span
     d = pairing[:, :poly.n_vertices - 1].T
-    s = np.linalg.svd(d, compute_uv=False)
+    sv = np.linalg.svd(d, compute_uv=False)
     dim_vec = 2 * space_dimension(l)
-    return dim_vec - _svd_rank(s, max(max(d.shape), poly.n_vertices, dim_vec))
+    rank = _svd_ranks(sv[None], max(max(d.shape), poly.n_vertices, dim_vec))
+    return dim_vec - int(rank[0])
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,27 @@ class AdmissibilityEvidence:
         return self.rank == self.n_vertices - 1
 
 
-def stiffness_rank(poly: Polygon, l: int) -> int:
+def stiffness_rank(polys, l: int):
     """Numerical rank of the local stiffness at degree ``l``, by
-    :func:`_svd_rank` at shape dimension ``max(n, 2 dim P_l)``."""
-    k = build_projectors(poly, l).stiffness
-    s = np.linalg.svd(k, compute_uv=False)
-    return _svd_rank(s, max(len(k), 2 * space_dimension(l)))
+    :func:`_svd_ranks` at shape dimension ``max(n, 2 dim P_l)``: an int
+    for one polygon, a tuple for a sequence of same-n polygons, whose
+    stiffnesses go through one stacked SVD. Memoised per polygon and
+    degree next to the kernel."""
+    stack, single = as_stack(polys)
+    ranks = memoised(stack, ("rank", l), _stiffness_ranks, l)
+    return ranks[0] if single else ranks
+
+
+def _stiffness_ranks(polys, l: int):
+    k = build_projectors(polys, l).stiffness
+    sv = np.linalg.svd(k, compute_uv=False)
+    return _svd_ranks(sv, max(k.shape[-1], 2 * space_dimension(l))).tolist()
+
+
+@lru_cache(maxsize=None)
+def _evidence(l: int, n: int, rank: int) -> AdmissibilityEvidence:
+    """One shared, immutable certificate per distinct value."""
+    return AdmissibilityEvidence(l, n, rank, ell_hat(n), ell_check(n))
 
 
 def _certify(poly: Polygon, lo: int, hi: int) -> AdmissibilityEvidence:
@@ -97,7 +114,7 @@ def _certify(poly: Polygon, lo: int, hi: int) -> AdmissibilityEvidence:
     for l in range(lo, hi + 1):
         rank = stiffness_rank(poly, l)
         if rank == n - 1:
-            return AdmissibilityEvidence(l, n, rank, ell_hat(n), ell_check(n))
+            return _evidence(l, n, rank)
     raise AdmissibilityNotReached(
         f"no degree in [{lo}, {hi}] reaches stiffness rank {n - 1} "
         f"(best rank {rank} at l={hi})", n_vertices=n, searched=(lo, hi))
@@ -150,10 +167,22 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
     kind, fixed_l = parse_strategy(strategy)
     formula = {"ell_hat": ell_hat, "ell_check": ell_check,
                "fixed": lambda n: fixed_l}.get(kind)
-    levels = np.empty(mesh.n_cells, dtype=int)
+    classes = mesh.cell_classes
+    polys = [cls.polygon for cls in classes]
+    # rank the representatives of each vertex count as one stack per
+    # degree, from the bottom of the range; only rows still deficient go
+    # on to the next degree
+    for n, _, rows in class_groups(classes):
+        lo, hi = ((ell_check(n), ell_hat(n)) if formula is None
+                  else (formula(n),) * 2)
+        for l in range(lo, hi + 1):
+            ranks = np.array(stiffness_rank([polys[k] for k in rows], l))
+            rows = rows[ranks != n - 1]
+            if not len(rows):
+                break
+    # the certificates, one per class, read the memoised ranks
     evidence = []
-    for cls in mesh.cell_classes:
-        poly = cls.polygon
+    for cls, poly in zip(classes, polys):
         try:
             if formula is None:
                 ev = min_admissible_l(poly)
@@ -164,6 +193,6 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
             raise AdmissibilityNotReached(
                 str(exc), cell=int(cls.members[0]),
                 n_vertices=exc.n_vertices, searched=exc.searched) from exc
-        levels[cls.members] = ev.l
         evidence.append(ev)
+    levels = np.array([ev.l for ev in evidence], dtype=int)[mesh.cell_class]
     return DegreeAssignment(levels, tuple(evidence))

@@ -9,11 +9,11 @@ intersection linear program.
 """
 from __future__ import annotations
 
-import heapq
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -78,25 +78,43 @@ class SubTriangulation:
 _PER_POLYGON = weakref.WeakKeyDictionary()
 
 
-def memoised(poly: Polygon, key, compute, *args):
-    """``compute(poly, *args)``, computed once per polygon and ``key``."""
-    table = _PER_POLYGON.setdefault(poly, {})
-    if key not in table:
-        table[key] = compute(poly, *args)
-    return table[key]
+def as_stack(polys):
+    """``(stack, single)``: ``polys`` as a tuple of polygons, and whether it
+    was one :class:`Polygon`, a stack of one."""
+    if isinstance(polys, Polygon):
+        return (polys,), True
+    return tuple(polys), False
 
 
-def cyclic_next(x):
-    """``np.roll(x, -1, axis=0)``: row ``i`` holds row ``i + 1`` of ``x``,
-    the last row row 0. The same values without ``np.roll``'s per-call
-    cost, which dominates on per-cell arrays."""
-    return np.concatenate((x[1:], x[:1]))
+def memoised(polys, key, compute, *args):
+    """Each polygon's ``compute(stack, *args)`` row, computed once per
+    polygon and ``key``: the polygons of the sequence ``polys`` without an
+    entry are computed as one stack, whose result has a row per polygon.
+    Returns the tuple of every polygon's entry."""
+    tables = [_PER_POLYGON.setdefault(p, {}) for p in polys]
+    missing = [k for k, table in enumerate(tables) if key not in table]
+    if missing:
+        rows = compute([polys[k] for k in missing], *args)
+        for k, row in zip(missing, rows):
+            tables[k][key] = row
+    return tuple(t[key] for t in tables)
 
 
-def cyclic_prev(x):
-    """``np.roll(x, 1, axis=0)``: row ``i`` holds row ``i - 1`` of ``x``,
-    row 0 the last row."""
-    return np.concatenate((x[-1:], x[:-1]))
+class PolygonStack(NamedTuple):
+    """The arrays of same-n polygons, one row per polygon."""
+
+    vertices: np.ndarray     # (m, n, 2)
+    area: np.ndarray         # (m,)
+    diameter: np.ndarray     # (m,)
+    star_center: np.ndarray  # (m, 2)
+    edge_lengths: np.ndarray  # (m, n)
+    edge_normals: np.ndarray  # (m, n, 2)
+
+
+def stack_polygons(polys) -> PolygonStack:
+    """The :class:`PolygonStack` of a sequence of same-n polygons."""
+    return PolygonStack(*(np.array([getattr(p, name) for p in polys])
+                          for name in PolygonStack._fields))
 
 
 _vertex_pairs = lru_cache(maxsize=None)(np.triu_indices)
@@ -118,149 +136,201 @@ def _nonadjacent_pairs(n):
 
 
 def _orient(a, b, c):
-    return ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-            - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
 
-def _check_simple(pts, d, lens, diameter):
-    """Raise :class:`NotSimple` unless the chain ``pts`` with edge vectors
-    ``d`` and lengths ``lens`` bounds a simple polygon."""
-    n = len(pts)
-    if lens.min() <= 1e-14 * diameter:
-        raise NotSimple("zero-length edge (repeated consecutive vertices)")
+#: What ``build_polygon`` refuses, in the order it tests each row.
+_DEFECTS = (
+    (NotSimple, "non-finite vertex coordinates"),
+    (NotSimple, "all vertices coincide"),
+    (NotSimple, "degenerate polygon (zero area)"),
+    (ClockwiseOrientation, "vertices are ordered clockwise"),
+    (NotSimple, "zero-length edge (repeated consecutive vertices)"),
+    (NotSimple, "boundary folds back on itself"),
+    (NotSimple, "non-adjacent edges intersect"),
+    (NotSimple, "non-adjacent edges touch or overlap"),
+    (NotStarShaped, "kernel half-plane intersection is empty"),
+    (NotStarShaped, "kernel is empty or degenerate"),
+)
+_VALID = len(_DEFECTS)
+
+
+def _flag(defect, test, failed):
+    """Record test ``test`` (an index into ``_DEFECTS``) as the first
+    failure of the rows ``failed`` that passed every earlier test."""
+    defect[failed & (defect == _VALID)] = test
+
+
+def _check_simple(pts, d, lens, diameter, defect):
+    """Flag the chains ``pts`` (m, n, 2), with edge vectors ``d`` and
+    lengths ``lens``, that bound no simple polygon."""
+    n = pts.shape[1]
+    _flag(defect, 4, lens.min(axis=1) <= 1e-14 * diameter)
     # straight angles (collinear vertices) are allowed; folds back are not
-    nxt = cyclic_next(d)
-    cross = d[:, 0] * nxt[:, 1] - d[:, 1] * nxt[:, 0]
-    dot = (d * nxt).sum(axis=1)
-    tol = 1e-12 * diameter ** 2  # an area, like the orientations below
-    if np.any((np.abs(cross) <= tol) & (dot < 0.0)):
-        raise NotSimple("boundary folds back on itself")
+    nxt = np.roll(d, -1, axis=1)
+    cross = d[..., 0] * nxt[..., 1] - d[..., 1] * nxt[..., 0]
+    dot = (d * nxt).sum(axis=2)
+    tol = 1e-12 * diameter[:, None] ** 2  # an area, like the orientations
+    _flag(defect, 5, ((np.abs(cross) <= tol) & (dot < 0.0)).any(axis=1))
     pairs = _nonadjacent_pairs(n)  # none for a triangle
-    a = pts[pairs[:, 0]]
-    b = pts[pairs[:, 0] + 1]
-    c = pts[pairs[:, 1]]
-    e = pts[(pairs[:, 1] + 1) % n]
+    a = pts[:, pairs[:, 0]]
+    b = pts[:, pairs[:, 0] + 1]
+    c = pts[:, pairs[:, 1]]
+    e = pts[:, (pairs[:, 1] + 1) % n]
     o1 = _orient(a, b, c)
     o2 = _orient(a, b, e)
     o3 = _orient(c, e, a)
     o4 = _orient(c, e, b)
     proper = (o1 * o2 < -tol * tol) & (o3 * o4 < -tol * tol)
-    if proper.any():
-        raise NotSimple("non-adjacent edges intersect")
+    _flag(defect, 6, proper.any(axis=1))
     # touching or collinear-overlap: some orientation ~0 with overlapping boxes
     near = (np.abs(o1) <= tol) | (np.abs(o2) <= tol) | (np.abs(o3) <= tol) | (np.abs(o4) <= tol)
-    slack = 1e-12 * diameter  # a length, so the box test does not depend on scale
+    # a length, so the box test does not depend on scale
+    slack = 1e-12 * diameter[:, None, None]
     lo_ab, hi_ab = np.minimum(a, b) - slack, np.maximum(a, b) + slack
     lo_ce, hi_ce = np.minimum(c, e) - slack, np.maximum(c, e) + slack
-    boxes_overlap = (hi_ab >= lo_ce).all(1) & (hi_ce >= lo_ab).all(1)
+    boxes_overlap = (hi_ab >= lo_ce).all(2) & (hi_ce >= lo_ab).all(2)
     crossing = (o1 * o2 <= tol * tol) & (o3 * o4 <= tol * tol)
-    if np.any(near & boxes_overlap & crossing):
-        raise NotSimple("non-adjacent edges touch or overlap")
+    _flag(defect, 7, (near & boxes_overlap & crossing).any(axis=1))
 
 
 def _inward_clearance(pts, n_in, point):
-    """Smallest distance from ``point`` to the edge lines, signed along the
-    inward unit normals ``n_in``."""
-    return float((n_in * (point[None, :] - pts)).sum(axis=1).min())
+    """Smallest distance from each row's ``point`` to its edge lines, signed
+    along the inward unit normals ``n_in``."""
+    return (n_in * (point[:, None, :] - pts)).sum(axis=2).min(axis=1)
 
 
-def _chebyshev_kernel_point(pts, n_in):
-    a_ub = np.column_stack([-n_in, np.ones(len(pts))])
-    b_ub = -(n_in * pts).sum(axis=1)
-    res = linprog([0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None), (None, None), (0, None)],
-                  method="highs")
-    if not res.success:
-        raise NotStarShaped("kernel half-plane intersection is empty")
-    return np.array(res.x[:2]), float(res.x[2])
-
-
-def _star_center(pts, n_in, diameter, centroid):
+def _star_centers(pts, n_in, diameter, centroid, defect):
+    """Each row's star center and kernel inradius: the centroid when it
+    clears every edge line by more than ``1e-9`` diameters, otherwise the
+    Chebyshev center of the kernel, from a linear program on that row."""
     clearance = _inward_clearance(pts, n_in, centroid)
-    if clearance > 1e-9 * diameter:
-        return centroid, clearance
-    center, radius = _chebyshev_kernel_point(pts, n_in)
-    if not np.isfinite(radius) or radius <= 1e-12 * diameter:
-        raise NotStarShaped("kernel is empty or degenerate")
-    return center, _inward_clearance(pts, n_in, center)
+    center = centroid.copy()
+    for k in np.flatnonzero(~(clearance > 1e-9 * diameter) & (defect == _VALID)):
+        a_ub = np.column_stack([-n_in[k], np.ones(pts.shape[1])])
+        b_ub = -(n_in[k] * pts[k]).sum(axis=1)
+        res = linprog([0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
+                      bounds=[(None, None), (None, None), (0, None)],
+                      method="highs")
+        if not res.success:
+            defect[k] = 8
+        elif not np.isfinite(res.x[2]) or res.x[2] <= 1e-12 * diameter[k]:
+            defect[k] = 9
+        else:
+            center[k] = res.x[:2]
+            clearance[k] = _inward_clearance(pts[k:k + 1], n_in[k:k + 1],
+                                             center[k:k + 1])[0]
+    return center, clearance
 
 
-def build_polygon(points, *, normalize_orientation=True) -> Polygon:
-    """Build a validated :class:`Polygon` from an ordered vertex list.
+def build_polygon(points, *, normalize_orientation=True):
+    """Build a validated :class:`Polygon` from an ordered (n, 2) vertex
+    list, or a tuple of them, one per row, from an (m, n, 2) stack.
 
+    A single polygon is a stack of one: every row goes through the same
+    array code, so a row's bits do not depend on the rows beside it.
     Clockwise input is reversed when ``normalize_orientation`` is true
     (the default), otherwise it raises :class:`ClockwiseOrientation`.
     Raises :class:`NotSimple` for degenerate or self-intersecting chains
-    and :class:`NotStarShaped` when the kernel is empty. All but the
-    stored vertices comes from the offsets to vertex 0, those the
-    cell-class index compares, so nothing depends on where the polygon lies.
+    and :class:`NotStarShaped` when the kernel is empty; the error's
+    ``row`` attribute is the lowest invalid row, and its message is that
+    row's first failed test. All but the stored vertices comes from the
+    offsets to vertex 0, those the cell-class index compares, so nothing
+    depends on where the polygon lies.
     """
     pts = np.array(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+    single = pts.ndim == 2
+    if single:
+        pts = pts[None]
+    if pts.ndim != 3 or pts.shape[2] != 2 or pts.shape[1] < 3:
         raise NotSimple("a polygon needs at least 3 planar vertices")
-    if not np.all(np.isfinite(pts)):
-        raise NotSimple("non-finite vertex coordinates")
-    origin = pts[0]
-    rel = pts - origin
-    diameter = float(_diameters(rel))
-    if diameter == 0.0:
-        raise NotSimple("all vertices coincide")
-    nxt = cyclic_next(rel)
-    cross = rel[:, 0] * nxt[:, 1] - nxt[:, 0] * rel[:, 1]
-    area = 0.5 * float(cross.sum())
-    if abs(area) <= 1e-14 * diameter ** 2:
-        raise NotSimple("degenerate polygon (zero area)")
-    centroid = ((rel + nxt) * cross[:, None]).sum(axis=0) / (6.0 * area)
-    if area < 0.0:
+    if not len(pts):
+        return ()
+    defect = np.full(len(pts), _VALID)  # each row's first failed test
+    # failed rows run on as garbage; only valid rows are kept
+    with np.errstate(all="ignore"):
+        _flag(defect, 0, ~np.isfinite(pts).all(axis=(1, 2)))
+        origin = pts[:, 0].copy()  # vertex 0 before any reversal
+        rel = pts - origin[:, None]
+        diameter = _diameters(rel)
+        _flag(defect, 1, diameter == 0.0)
+        nxt = np.roll(rel, -1, axis=1)
+        cross = rel[..., 0] * nxt[..., 1] - nxt[..., 0] * rel[..., 1]
+        area = 0.5 * cross.sum(axis=1)
+        _flag(defect, 2, np.abs(area) <= 1e-14 * diameter ** 2)
+        centroid = (((rel + nxt) * cross[..., None]).sum(axis=1)
+                    / (6.0 * area)[:, None])
+        clockwise = area < 0.0
         if not normalize_orientation:
-            raise ClockwiseOrientation("vertices are ordered clockwise")
-        pts, rel = pts[::-1].copy(), rel[::-1]
-        area = -area
-    d = cyclic_next(rel) - rel
-    lens = np.hypot(d[:, 0], d[:, 1])
-    _check_simple(rel, d, lens, diameter)  # no zero-length edge past here
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lens[:, None]
-    center, inradius = _star_center(rel, -normals, diameter, centroid)
-    center = center + origin
+            _flag(defect, 3, clockwise)
+        pts[clockwise] = pts[clockwise, ::-1]
+        rel[clockwise] = rel[clockwise, ::-1]
+        area = np.abs(area)
+        d = np.roll(rel, -1, axis=1) - rel
+        lens = np.hypot(d[..., 0], d[..., 1])
+        _check_simple(rel, d, lens, diameter, defect)
+        normals = np.stack([d[..., 1], -d[..., 0]], axis=2) / lens[..., None]
+        center, inradius = _star_centers(rel, -normals, diameter, centroid,
+                                         defect)
+    invalid = np.flatnonzero(defect < _VALID)
+    if len(invalid):
+        kind, message = _DEFECTS[defect[invalid[0]]]
+        error = kind(message)
+        error.row = int(invalid[0])
+        raise error
+    center += origin
     for arr in (pts, center, lens, normals):
         arr.setflags(write=False)
-    return Polygon(pts, float(area), diameter, center, lens, normals,
-                   float(inradius))
+    polys = tuple(map(Polygon, pts, area.tolist(), diameter.tolist(), center,
+                      lens, normals, inradius.tolist()))
+    return polys[0] if single else polys
+
+
+def _fan(s: PolygonStack):
+    """The fan triangles (star_center, v_i, v_{i+1}) of each polygon of a
+    stack, as their edge vectors from the star center to ``v_i`` and to
+    ``v_{i+1}`` (m, n, 2) each, and their areas (m, n)."""
+    e1 = s.vertices - s.star_center[:, None, :]
+    e2 = np.roll(e1, -1, axis=1)
+    areas = 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    if areas.min() <= 0.0:
+        raise NotStarShaped("star center does not see the whole boundary")
+    return e1, e2, areas
 
 
 def sub_triangulate(poly: Polygon) -> SubTriangulation:
-    """Fan sub-triangulation of ``poly`` around its star center, computed
-    once per polygon and returned with read-only arrays."""
-    return memoised(poly, "fan", _sub_triangulate)
-
-
-def _sub_triangulate(poly: Polygon) -> SubTriangulation:
+    """Fan sub-triangulation of ``poly`` around its star center, with
+    read-only arrays."""
+    areas = _fan(stack_polygons((poly,)))[2][0]
     v = poly.vertices
-    w = cyclic_next(v)
-    c = np.broadcast_to(poly.star_center, v.shape)
-    tris = np.stack([c, v, w], axis=1)
-    rel_v = v - poly.star_center
-    rel_w = w - poly.star_center
-    areas = 0.5 * (rel_v[:, 0] * rel_w[:, 1] - rel_v[:, 1] * rel_w[:, 0])
-    if areas.min() <= 0.0:
-        raise NotStarShaped("star center does not see the whole boundary")
+    tris = np.stack([np.broadcast_to(poly.star_center, v.shape), v,
+                     np.roll(v, -1, axis=0)], axis=1)
     tris.setflags(write=False)
     areas.setflags(write=False)
     return SubTriangulation(tris, areas)
 
 
-def polygon_quadrature(poly: Polygon, degree: int):
-    """Quadrature points/weights over ``poly`` exact to ``degree``."""
+def stack_quadrature(s: PolygonStack, degree: int):
+    """Quadrature points (m, P, 2) and weights (m, P) over each polygon of
+    the stack, exact to ``degree``: the triangle rule on every fan
+    triangle."""
     rule = triangle_rule(degree)
-    sub = sub_triangulate(poly)
-    tris = sub.triangles
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    x = rule.nodes[None, :, 0, None]
-    y = rule.nodes[None, :, 1, None]
-    pts = tris[:, None, 0, :] + x * e1[:, None, :] + y * e2[:, None, :]
-    w = 2.0 * sub.areas[:, None] * rule.weights[None, :]
-    return pts.reshape(-1, 2), w.ravel()
+    e1, e2, areas = _fan(s)
+    x = rule.nodes[:, 0, None]
+    y = rule.nodes[:, 1, None]
+    pts = (s.star_center[:, None, None, :] + x * e1[:, :, None, :]
+           + y * e2[:, :, None, :])
+    w = 2.0 * areas[:, :, None] * rule.weights
+    m = len(areas)
+    return pts.reshape(m, -1, 2), w.reshape(m, -1)
+
+
+def polygon_quadrature(poly: Polygon, degree: int):
+    """Quadrature points (P, 2) and weights (P,) over ``poly``, exact to
+    ``degree``: :func:`stack_quadrature` on a stack of one."""
+    pts, w = stack_quadrature(stack_polygons((poly,)), degree)
+    return pts[0], w[0]
 
 
 def polygon_integrate(poly: Polygon, f, degree: int) -> float:
@@ -303,17 +373,51 @@ class CellClass:
     offsets: np.ndarray     # (m, 2) member vertex 0 - representative vertex 0
     diameters: np.ndarray   # (m,) largest vertex-to-vertex distance
 
-    def member_points(self, points):
-        """The representative's ``points`` (P, 2) moved onto the members,
-        ``_CHUNK_MEMBERS`` at a time: yields ``(rows, x, y)``, the slice of
-        members and their points' (k P,) coordinates, member by member."""
-        for start in range(0, len(self.members), _CHUNK_MEMBERS):
-            rows = slice(start, start + _CHUNK_MEMBERS)
-            pts = (points[None, :, :] + self.offsets[rows, None, :]).reshape(-1, 2)
-            yield rows, pts[:, 0], pts[:, 1]
+
+def member_points(classes, points):
+    """Each class's points, row ``k`` of ``points`` (c, P, 2) for
+    ``classes[k]``, moved onto its members, ``_CHUNK_MEMBERS`` members at
+    a time across the classes: yields ``(rows, cls, x, y)``, the slice of
+    the classes' concatenated members, their class rows and their points'
+    (k P,) coordinates, member by member."""
+    cls = np.repeat(np.arange(len(classes)), [len(c.members) for c in classes])
+    offsets = np.concatenate([c.offsets for c in classes])
+    for start in range(0, len(cls), _CHUNK_MEMBERS):
+        rows = slice(start, start + _CHUNK_MEMBERS)
+        pts = points[cls[rows]]
+        pts += offsets[rows, None, :]
+        pts = pts.reshape(-1, 2)
+        yield rows, cls[rows], pts[:, 0], pts[:, 1]
 
 
-def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
+def class_groups(classes, levels=0):
+    """The classes of each vertex count and level, ``levels`` giving each
+    class's (or one for all): yields ``(n, l, rows)``, the rows of
+    ``classes`` in the group, in ascending ``(n, l)`` order."""
+    sizes = [c.polygon.n_vertices for c in classes]
+    keys = np.column_stack(np.broadcast_arrays(sizes, levels)).astype(int)
+    pairs, inverse = np.unique(keys, axis=0, return_inverse=True)
+    for k, (n, l) in enumerate(pairs.tolist()):
+        yield n, l, np.flatnonzero(inverse.ravel() == k)
+
+
+class _ClassIndex(NamedTuple):
+    classes: tuple          # CellClass, ordered by representative
+    cell_class: np.ndarray  # (n_cells,) each cell's index into classes
+    diameters: np.ndarray   # (n_cells,) each cell's diameter
+
+
+def _valid_rows(pts, cells, failures):
+    """The polygons of the rows of ``pts`` before the first invalid one,
+    whose cell and error are appended to ``failures``."""
+    try:
+        return build_polygon(pts, normalize_orientation=False)
+    except (NotSimple, NotStarShaped, ClockwiseOrientation) as exc:
+        failures.append((int(cells[exc.row]), exc))
+        return build_polygon(pts[:exc.row], normalize_orientation=False)
+
+
+def _cell_classes(vertices, cell_vertices, cell_start) -> _ClassIndex:
     """Translation classes of the cells, ordered by representative.
 
     Cells are grouped by vertex count and keyed on their vertex offsets
@@ -322,12 +426,14 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
     class only when its offsets match the representative's within
     ``_CLASS_TOLERANCE`` times the diameter and the representative's
     kappa is at least ``_CLASS_KAPPA``; otherwise it forms a class of its
-    own. This is the only code that builds a mesh's polygons: each class
-    validates its representative, and an invalid one raises
-    :class:`StructuralDefect` naming the lowest-index invalid cell.
+    own. This is the only code that builds a mesh's polygons, one stack
+    per vertex count and one more for the members split off low-kappa
+    representatives; an invalid one raises :class:`StructuralDefect`
+    naming the lowest-index invalid cell.
     """
     sizes = np.diff(cell_start)
-    groups = []
+    diameters = np.empty(len(sizes))
+    failures, classes = [], []
     for n in np.unique(sizes):
         ids = np.flatnonzero(sizes == n)
         idx = cell_vertices[cell_start[ids, None] + np.arange(n)]
@@ -336,6 +442,7 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
         # chunks keep the pair differences' memory small
         diam = np.concatenate([_diameters(rel[k:k + _CHUNK_MEMBERS])
                                for k in range(0, len(ids), _CHUNK_MEMBERS)])
+        diameters[ids] = diam
         # degenerate or non-finite cells get garbage keys, fail the check
         # below and are rejected when their polygon is built
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -347,32 +454,42 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> tuple:
         rep = np.empty_like(order)
         rep[order] = order[first][np.cumsum(first) - 1]
         deviation = np.abs(rel - rel[rep]).reshape(len(ids), -1).max(1)
-        rep = np.where(deviation <= _CLASS_TOLERANCE * diam[rep], rep,
-                       np.arange(len(ids)))
+        own = np.arange(len(ids))
+        rep = np.where(deviation <= _CLASS_TOLERANCE * diam[rep], rep, own)
+        heads = np.flatnonzero(rep == own)
+        polys = dict(zip(heads.tolist(),
+                         _valid_rows(pts[heads], ids[heads], failures)))
+        # the members of a low-kappa representative become their own class
+        shared = np.bincount(rep, minlength=len(ids)) > 1
+        low = [k for k in heads[shared[heads]].tolist() if k in polys
+               and min(polys[k].kernel_inradius, polys[k].edge_lengths.min())
+               < _CLASS_KAPPA * polys[k].diameter]
+        loose = np.flatnonzero(np.isin(rep, low) & (rep != own))
+        if len(loose):
+            rep[loose] = loose
+            polys.update(zip(loose.tolist(),
+                             _valid_rows(pts[loose], ids[loose], failures)))
+        if failures:
+            continue
+        # class k is order[start[k]:stop[k]], its representative first
         order = np.argsort(rep, kind="stable")
-        bounds = np.flatnonzero(np.diff(rep[order])) + 1
-        groups += [(ids[g], idx[g], pts[g], diam[g])
-                   for g in np.split(order, bounds)]
-    # a heap on the representative, which split-off singletons join: the
-    # first polygon that fails is the lowest-index invalid cell
-    pending = sorted((int(g[0][0]), g) for g in groups)
-    classes = []
-    while pending:
-        _, group = heapq.heappop(pending)
-        members, idx, pts, diam = group
-        try:
-            poly = build_polygon(pts[0], normalize_orientation=False)
-        except (NotSimple, NotStarShaped, ClockwiseOrientation) as exc:
-            raise StructuralDefect(str(exc), cell=int(members[0])) from exc
-        shortest = min(poly.kernel_inradius, poly.edge_lengths.min())
-        if len(members) > 1 and shortest < _CLASS_KAPPA * poly.diameter:
-            for k in range(1, len(members)):
-                heapq.heappush(pending, (int(members[k]),
-                                         [a[k:k + 1] for a in group]))
-            members, idx, pts, diam = (a[:1] for a in group)
-        classes.append(CellClass(poly, members, idx, pts[:, 0] - pts[0, 0],
-                                 diam))
-    return tuple(classes)
+        start = np.flatnonzero(np.diff(rep[order], prepend=-1))
+        stop = np.append(start[1:], len(ids))
+        offsets = pts[order, 0] - pts[rep[order], 0]
+        cells, idx, diam = ids[order], idx[order], diam[order]
+        classes += [CellClass(polys[r], cells[a:b], idx[a:b], offsets[a:b],
+                              diam[a:b])
+                    for r, a, b in zip(order[start].tolist(), start.tolist(),
+                                       stop.tolist())]
+    if failures:
+        cell, exc = min(failures, key=lambda f: f[0])
+        raise StructuralDefect(str(exc), cell=cell) from exc
+    classes.sort(key=lambda c: int(c.members[0]))
+    members = [c.members for c in classes]
+    cell_class = np.empty(len(sizes), dtype=np.intp)
+    cell_class[np.concatenate([np.zeros(0, dtype=np.intp), *members])] = \
+        np.repeat(np.arange(len(classes)), list(map(len, members)))
+    return _ClassIndex(tuple(classes), cell_class, diameters)
 
 
 def _successors(cell_start):
@@ -479,17 +596,25 @@ class PolygonalMesh:
         return flags
 
     @cached_property
+    def _class_index(self) -> _ClassIndex:
+        return _cell_classes(self.vertices, self.cell_vertices,
+                             self.cell_start)
+
+    @property
     def cell_classes(self) -> tuple:
         """The one index of cells that share shape data, a tuple of
         :class:`CellClass`, read by every stage; raises
         :class:`StructuralDefect` naming the first invalid cell polygon."""
-        return _cell_classes(self.vertices, self.cell_vertices,
-                             self.cell_start)
+        return self._class_index.classes
+
+    @property
+    def cell_class(self) -> np.ndarray:
+        """Each cell's index into :attr:`cell_classes`."""
+        return self._class_index.cell_class
 
     @cached_property
     def h(self) -> float:
-        return max((float(c.diameters.max()) for c in self.cell_classes),
-                   default=0.0)
+        return float(self._class_index.diameters.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -558,12 +683,13 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
             f"cells overlap at vertex {v}: their interior angles there sum "
             f"to {float(turn[v])!r}, more than 2 pi",
             cell=int(cell_of[edges.head == v].max()))
-    kernel_ratios, edge_ratios = np.empty((2, mesh.n_cells))
-    for cls in classes:
-        poly = cls.polygon
-        kernel_ratios[cls.members] = poly.kernel_inradius / poly.diameter
-        edge_ratios[cls.members] = poly.edge_lengths.min() / poly.diameter
-    total_area = sum(c.polygon.area * len(c.members) for c in classes)
+    polys = [c.polygon for c in classes]
+    rho, shortest, diameter, area = (np.array(v) for v in zip(*(
+        (p.kernel_inradius, p.edge_lengths.min(), p.diameter, p.area)
+        for p in polys)))
+    kernel_ratios = (rho / diameter)[mesh.cell_class]
+    edge_ratios = (shortest / diameter)[mesh.cell_class]
+    total_area = area @ np.bincount(mesh.cell_class, minlength=len(classes))
     kappa = float(min(kernel_ratios.min(), edge_ratios.min()))
     return MeshQuality(
         kappa=kappa,

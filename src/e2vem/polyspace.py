@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Polygon, polygon_quadrature
+from .geometry import Polygon, PolygonStack, stack_polygons, stack_quadrature
 
 
 def space_dimension(k: int) -> int:
@@ -51,14 +51,30 @@ class ScaledMonomialBasis:
     def evaluate(self, points) -> np.ndarray:
         """Vandermonde matrix of shape (n_points, dim)."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        local = (pts - self.center) / self.scale
-        k = self.degree
-        xs = np.ones((len(pts), k + 1))
-        ys = np.ones((len(pts), k + 1))
-        for d in range(1, k + 1):
-            xs[:, d] = xs[:, d - 1] * local[:, 0]
-            ys[:, d] = ys[:, d - 1] * local[:, 1]
-        return xs[:, self.exponents[:, 0]] * ys[:, self.exponents[:, 1]]
+        return monomials((pts - self.center) / self.scale, self.degree)
+
+
+def monomials(local, degree: int) -> np.ndarray:
+    """The degree ``degree`` monomials of local coordinates ``local``
+    (..., 2), in basis order: shape (..., dim P_degree)."""
+    x, y = local[..., 0], local[..., 1]
+    xs, ys = [np.ones_like(x)], [np.ones_like(y)]
+    for _ in range(degree):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+    exps = monomial_exponents(degree)
+    out = np.empty(local.shape[:-1] + (len(exps),))
+    for a, (p, q) in enumerate(exps.tolist()):
+        out[..., a] = xs[p] * ys[q]
+    return out
+
+
+def stack_monomials(s: PolygonStack, points, degree: int) -> np.ndarray:
+    """Each polygon's scaled monomials at its points ``points`` (m, ..., 2):
+    shape (m, ..., dim P_degree)."""
+    shape = (len(s.diameter),) + (1,) * (points.ndim - 1)
+    center = s.star_center.reshape(shape[:-1] + (2,))
+    return monomials((points - center) / s.diameter.reshape(shape), degree)
 
 
 def gradient_coefficients(basis: ScaledMonomialBasis, a: int):
@@ -87,14 +103,28 @@ def divergence_matrix(basis: ScaledMonomialBasis) -> np.ndarray:
     return np.concatenate([grads[:, 0], grads[:, 1]])
 
 
+@lru_cache(maxsize=None)
+def unit_divergence_matrix(k: int) -> np.ndarray:
+    """:func:`divergence_matrix` of a degree ``k`` basis of unit scale;
+    divided by a polygon's diameter, that polygon's matrix."""
+    div = divergence_matrix(ScaledMonomialBasis((0.0, 0.0), 1.0, k))
+    div.setflags(write=False)
+    return div
+
+
+def moment_tables(s: PolygonStack, degree: int) -> np.ndarray:
+    """Gram matrices ``H[a, b] = (m_a, m_b)_E`` (m, dim, dim) of each
+    polygon's degree ``degree`` scaled monomials, via sub-triangulation
+    quadrature exact to ``2*degree``."""
+    pts, w = stack_quadrature(s, 2 * degree)
+    v = stack_monomials(s, pts, degree)
+    h = (v * w[..., None]).transpose(0, 2, 1) @ v
+    return 0.5 * (h + h.transpose(0, 2, 1))
+
+
 def build_moment_table(poly: Polygon, degree: int) -> np.ndarray:
-    """Read-only Gram matrix ``H[a, b] = (m_a, m_b)_E`` of the degree
-    ``degree`` scaled monomial basis, via sub-triangulation quadrature
-    exact to ``2*degree``."""
-    basis = ScaledMonomialBasis.from_polygon(poly, degree)
-    pts, w = polygon_quadrature(poly, 2 * degree)
-    v = basis.evaluate(pts)
-    h = (v * w[:, None]).T @ v
-    h = 0.5 * (h + h.T)
+    """Read-only Gram matrix of the degree ``degree`` scaled monomial basis
+    of ``poly``: :func:`moment_tables` on a stack of one."""
+    h = moment_tables(stack_polygons((poly,)), degree)[0]
     h.setflags(write=False)
     return h

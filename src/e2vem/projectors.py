@@ -1,5 +1,5 @@
 """The element kernel: projectors on the vertex DOF space and the local
-stiffness.
+stiffness, computed on stacks of same-n polygons.
 
 For a polygon ``E`` with ``n`` vertices the virtual functions are known
 through their vertex values: traces are piecewise linear on the boundary
@@ -9,16 +9,25 @@ computable from the ``n`` vertex DOFs alone:
 
 * ``pinabla``  (3, n): elliptic projection onto linears, fixed by the
   boundary integral mean;
-* ``pigrad``   (2*dim P_l, n): L2 projection of the gradient onto [P_l]^2
-  via the divergence identity, with the interior term evaluated on the
-  elliptic projection;
+* the L2 projection of the gradient onto [P_l]^2, (2 dim P_l, n), via the
+  divergence identity, with the interior term evaluated on the elliptic
+  projection;
 * ``pizero``   (n,): scalar cell means.
 
 The slaved linear moments make the L2 projection onto linears equal to
 ``pinabla``.
 
-The local stiffness ``K = pigrad^T G pigrad`` (G the [P_l]^2 Gram) is the
-stabilization-free bilinear form; its rank certifies coercivity.
+The local stiffness ``K = Pi^T G Pi`` (``Pi`` the gradient projection,
+``G`` the [P_l]^2 Gram) is the stabilization-free bilinear form; its rank
+certifies coercivity.
+
+Every array carries a leading stack axis: one row per polygon of a
+:class:`~e2vem.geometry.PolygonStack`, and (m, k, k) matrix stacks go
+through one stacked ``np.linalg`` call. A single polygon is a stack of
+one, so a row's bits do not depend on the rows beside it. Results are
+memoised per polygon (``geometry._PER_POLYGON``): degree certification
+computes each vertex count's kernels as one stack, and assembly and the
+error norms read the same rows.
 """
 from __future__ import annotations
 
@@ -26,159 +35,175 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import IllConditioned, SingularSystem
-from .geometry import Polygon, cyclic_next, cyclic_prev, memoised
-from .polyspace import (ScaledMonomialBasis, build_moment_table,
-                        divergence_matrix, space_dimension)
+from .geometry import (Polygon, PolygonStack, as_stack, memoised,
+                       stack_polygons)
+from .polyspace import (moment_tables, space_dimension, stack_monomials,
+                        unit_divergence_matrix)
 from .quadrature import segment_rule
 
 #: Gram condition number above which a warning is emitted (not fatal).
 GRAM_CONDITION_LIMIT = 1e12
 
 
-def boundary_mean_row(poly: Polygon) -> np.ndarray:
-    """Boundary integral means of the vertex hat traces,
+def boundary_mean_rows(s: PolygonStack) -> np.ndarray:
+    """Boundary integral means of the vertex hat traces (m, n),
     ``P0(phi_i) = (|e_{i-1}| + |e_i|) / (2 |dE|)``."""
-    lens = poly.edge_lengths
-    return (lens + cyclic_prev(lens)) / (2.0 * poly.perimeter)
+    lens = s.edge_lengths
+    return (lens + np.roll(lens, 1, axis=1)) / (2.0 * lens.sum(axis=1))[:, None]
 
 
-def compute_pinabla(poly: Polygon) -> np.ndarray:
-    """Elliptic projector onto linears, (3, n) coefficient matrix,
-    computed once per polygon and returned read-only.
+def compute_pinabla(polys) -> np.ndarray:
+    """Elliptic projector onto linears: the (3, n) coefficient matrix of a
+    polygon, or the (m, 3, n) stack of a sequence of same-n polygons;
+    computed once per polygon, and read-only for one polygon.
 
     Row system: the gradient orthogonality equations against the two
     linear monomials (pure boundary integrals, since linears are
     harmonic) plus the boundary-mean constraint fixing constants.
     """
-    return memoised(poly, "pinabla", _compute_pinabla)
+    stack, single = as_stack(polys)
+    rows = memoised(stack, "pinabla", _compute_pinabla)
+    return rows[0] if single else np.array(rows)
 
 
-def _compute_pinabla(poly: Polygon) -> np.ndarray:
-    v = poly.vertices
-    lens = poly.edge_lengths
-    normals = poly.edge_normals
-    h = poly.diameter
-    peri = poly.perimeter
-    mids = (0.5 * (v + cyclic_next(v)) - poly.star_center) / h
-    g = np.zeros((3, 3))
-    g[0, 0] = 1.0
-    g[0, 1] = float(lens @ mids[:, 0]) / peri
-    g[0, 2] = float(lens @ mids[:, 1]) / peri
-    g[1, 1] = g[2, 2] = poly.area / h ** 2
-    weighted = lens[:, None] * normals
-    b = np.empty((3, poly.n_vertices))
-    b[0] = boundary_mean_row(poly)
-    b[1:] = (weighted + cyclic_prev(weighted)).T / (2.0 * h)
+def _compute_pinabla(polys):
+    s = stack_polygons(polys)
+    v, lens, h = s.vertices, s.edge_lengths, s.diameter
+    mids = ((0.5 * (v + np.roll(v, -1, axis=1)) - s.star_center[:, None, :])
+            / h[:, None, None])
+    g = np.zeros((len(h), 3, 3))
+    g[:, 0, 0] = 1.0
+    g[:, 0, 1:] = (lens[:, None, :] @ mids)[:, 0] / lens.sum(axis=1)[:, None]
+    g[:, 1, 1] = g[:, 2, 2] = s.area / h ** 2
+    weighted = lens[..., None] * s.edge_normals
+    b = np.empty((len(h), 3, v.shape[1]))
+    b[:, 0] = boundary_mean_rows(s)
+    b[:, 1:] = ((weighted + np.roll(weighted, 1, axis=1)).transpose(0, 2, 1)
+                / (2.0 * h)[:, None, None])
     try:
         pinabla = np.linalg.solve(g, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"elliptic projector system: {exc}") from exc
     pinabla.setflags(write=False)
-    return pinabla
+    return list(pinabla)
 
 
-def _edge_moment_weights(poly: Polygon, l: int, edge_degree: int):
+def _edge_moment_weights(s: PolygonStack, l: int, edge_degree: int):
     """Edge quadrature of the gradient projection's boundary term: the
-    points (n_e, n_q, 2) of a Gauss rule exact to ``edge_degree`` on each
-    edge, their parameters ``t`` (n_q,) along it, and weights ``W``
-    (2 dim P_l, n_e, n_q) with ``int_dE g (p_a . n) ds = sum W g(x)``
+    points (m, n_e, n_q, 2) of a Gauss rule exact to ``edge_degree`` on
+    each edge, their parameters ``t`` (n_q,) along it, and weights ``W``
+    (m, 2 dim P_l, n_e, n_q) with ``int_dE g (p_a . n) ds = sum W g(x)``
     for the [P_l]^2 monomials ``p_a`` and traces ``g`` the rule
     integrates exactly."""
-    v = poly.vertices
-    nxt = cyclic_next(v)
+    v = s.vertices
     rule = segment_rule(edge_degree)
     t = rule.nodes
-    basis = ScaledMonomialBasis.from_polygon(poly, l)
-    pts = v[:, None, :] + t[None, :, None] * (nxt - v)[:, None, :]
-    vb = basis.evaluate(pts.reshape(-1, 2)).reshape(len(v), len(t), basis.dim)
-    vb *= (poly.edge_lengths[:, None] * rule.weights)[:, :, None]
-    weights = poly.edge_normals.T[:, None, :, None] * vb.transpose(2, 0, 1)
-    return pts, t, weights.reshape(2 * basis.dim, len(v), len(t))
+    pts = (v[:, :, None, :]
+           + t[:, None] * (np.roll(v, -1, axis=1) - v)[:, :, None, :])
+    vb = stack_monomials(s, pts, l)
+    vb *= (s.edge_lengths[..., None] * rule.weights)[..., None]
+    weights = (s.edge_normals.transpose(0, 2, 1)[:, :, None, :, None]
+               * vb.transpose(0, 3, 1, 2)[:, None])
+    m, n = v.shape[:2]
+    return pts, t, weights.reshape(m, -1, n, len(t))
 
 
-def boundary_vector_moments(poly: Polygon, l: int) -> np.ndarray:
-    """Matrix of ``int_dE phi_i (p_a . n) ds`` with shape (2 dim P_l, n).
+def boundary_vector_moments(s: PolygonStack, l: int) -> np.ndarray:
+    """Each polygon's ``int_dE phi_i (p_a . n) ds``, shape
+    (m, 2 dim P_l, n).
 
     The hat trace times a degree ``l`` monomial has degree ``l + 1``
     along each edge, so a Gauss rule of that exactness integrates it
     exactly.
     """
-    _, t, weights = _edge_moment_weights(poly, l, l + 1)
+    _, t, weights = _edge_moment_weights(s, l, l + 1)
     # phi_i is 1 - t on edge i and t on edge i - 1
-    return weights @ (1.0 - t) + cyclic_prev((weights @ t).T).T
+    return weights @ (1.0 - t) + np.roll(weights @ t, 1, axis=2)
 
 
-def _project_gradient(poly: Polygon, l: int, gram: np.ndarray,
+def _project_gradient(s: PolygonStack, l: int, gram: np.ndarray,
                       boundary: np.ndarray, volume_moments):
-    """L2 projection of a gradient onto [P_l]^2 by the divergence identity
-    ``(grad v, p) = int_dE v (p . n) - int_E v div p``.
+    """L2 projection of gradients onto [P_l]^2 by the divergence identity
+    ``(grad v, p) = int_dE v (p . n) - int_E v div p``, for a stack of
+    polygons and ``c`` functions ``v`` on each.
 
-    ``boundary`` holds the boundary term, ``volume_moments`` the moments
-    of ``v`` against the degree ``l - 1`` scalar basis and ``gram`` a
-    Gram matrix whose leading block is that of [P_l]. Returns the right
-    hand side, the projection coefficients and the [P_l] Gram condition
-    number, which warns above ``GRAM_CONDITION_LIMIT``.
+    ``boundary`` (m, 2 dim P_l, c) holds the boundary term,
+    ``volume_moments`` (m, dim P_{l-1}, c) the moments of ``v`` against
+    the degree ``l - 1`` scalar basis and ``gram`` (m, d, d) Gram
+    matrices whose leading block is that of [P_l]. Returns the right hand
+    side, the projection coefficients and the [P_l] Gram condition
+    numbers, which warn above ``GRAM_CONDITION_LIMIT``.
     """
     rhs = boundary
     if l > 0:
-        basis = ScaledMonomialBasis.from_polygon(poly, l)
-        rhs = rhs - divergence_matrix(basis) @ volume_moments
+        div = unit_divergence_matrix(l) / s.diameter[:, None, None]
+        rhs = rhs - div @ volume_moments
     nl = space_dimension(l)
+    g = gram[:, :nl, :nl]
     try:
-        factor = cho_factor(gram[:nl, :nl])
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"[P_{l}]^2 Gram is not positive definite: {exc}") from exc
-    cond = float(np.linalg.cond(gram[:nl, :nl]))
-    if cond > GRAM_CONDITION_LIMIT:
+    cond = np.linalg.cond(g)
+    for value in cond[cond > GRAM_CONDITION_LIMIT]:
         warnings.warn(
-            f"vector Gram condition {cond:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e} "
-            f"(n={poly.n_vertices}, l={l})", IllConditioned, stacklevel=3)
-    return rhs, np.concatenate([cho_solve(factor, rhs[:nl]),
-                                cho_solve(factor, rhs[nl:])]), cond
+            f"vector Gram condition {value:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e} "
+            f"(n={s.vertices.shape[1]}, l={l})", IllConditioned, stacklevel=3)
+    # both components in one solve: the columns of [rhs_x, rhs_y]
+    c = rhs.shape[2]
+    coeffs = np.linalg.solve(g, np.concatenate([rhs[:, :nl], rhs[:, nl:]], axis=2))
+    return rhs, np.concatenate([coeffs[..., :c], coeffs[..., c:]], axis=1), cond
 
 
 @dataclass(frozen=True, eq=False)
 class ElementProjectors:
-    """Projector bundle for one polygon at gradient-projection degree
-    ``l``; its arrays are read-only."""
+    """The element kernel at one gradient-projection degree: the cell-mean
+    row ``pizero`` (n,), the local ``stiffness`` (n, n) and the [P_l] Gram
+    condition number, for one polygon; a leading stack axis for a
+    sequence of polygons. One polygon's arrays are read-only."""
 
-    pigrad: np.ndarray
     pizero: np.ndarray
     stiffness: np.ndarray
     gram_condition: float
 
 
-def build_projectors(poly: Polygon, l: int) -> ElementProjectors:
-    """The element kernel at gradient-projection degree ``l``: the
-    projectors of the vertex hats and the stabilization-free local
-    stiffness (symmetric PSD, constants in its kernel).
+def build_projectors(polys, l: int) -> ElementProjectors:
+    """The element kernel at gradient-projection degree ``l`` of a polygon,
+    or of each of a sequence of same-n polygons as one stack: the cell
+    means of the vertex hats and the stabilization-free local stiffness
+    (symmetric PSD, constants in its kernel).
 
-    Computed once per polygon and degree and returned with read-only
-    arrays: degree certification and assembly share it (and its
-    :func:`compute_pinabla` with the error norms), and an
+    Computed once per polygon and degree: degree certification, assembly
+    and the error norms (through :func:`compute_pinabla`) share it, and an
     :class:`IllConditioned` warning fires once per (polygon, degree)."""
     if l < 0:
         raise ValueError(f"negative projection degree {l}")
-    return memoised(poly, l, _build_projectors, l)
+    stack, single = as_stack(polys)
+    rows = memoised(stack, l, _build_projectors, l)
+    if single:
+        return rows[0]
+    return ElementProjectors(np.array([r.pizero for r in rows]),
+                             np.array([r.stiffness for r in rows]),
+                             np.array([r.gram_condition for r in rows]))
 
 
-def _build_projectors(poly: Polygon, l: int) -> ElementProjectors:
-    h = build_moment_table(poly, max(1, l))
-    pinabla = compute_pinabla(poly)
+def _build_projectors(polys, l: int):
+    s = stack_polygons(polys)
+    h = moment_tables(s, max(1, l))
+    pinabla = compute_pinabla(polys)
     # the enhancement slaves the hats' moments to their elliptic projection
     rhs, pigrad, cond = _project_gradient(
-        poly, l, h, boundary_vector_moments(poly, l),
-        h[:space_dimension(l - 1), :3] @ pinabla)
+        s, l, h, boundary_vector_moments(s, l),
+        h[:, :space_dimension(l - 1), :3] @ pinabla)
     # rhs = G pigrad, so this is pigrad^T G pigrad
-    stiffness = rhs.T @ pigrad
-    stiffness = 0.5 * (stiffness + stiffness.T)
-    pizero = (h[0, :3] @ pinabla) / poly.area
-    for arr in (pigrad, pizero, stiffness):
+    stiffness = rhs.transpose(0, 2, 1) @ pigrad
+    stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
+    pizero = (h[:, :1, :3] @ pinabla)[:, 0] / s.area[:, None]
+    for arr in (pizero, stiffness):
         arr.setflags(write=False)
-    return ElementProjectors(pigrad, pizero, stiffness, cond)
+    return list(map(ElementProjectors, pizero, stiffness, cond.tolist()))
 
 
 def project_gradient_from_data(poly: Polygon, l: int, boundary_values,
@@ -193,8 +218,11 @@ def project_gradient_from_data(poly: Polygon, l: int, boundary_values,
     """
     if l > 0 and volume_moments is None:
         raise ValueError("volume_moments required for l >= 1")
-    pts, _, weights = _edge_moment_weights(poly, l, 2 * l + 2)
+    s = stack_polygons((poly,))
+    pts, _, weights = _edge_moment_weights(s, l, 2 * l + 2)
     values = np.asarray(boundary_values(pts.reshape(-1, 2)), dtype=float)
-    boundary = weights.reshape(len(weights), -1) @ values
-    return _project_gradient(poly, l, build_moment_table(poly, l), boundary,
-                             volume_moments)[1]
+    boundary = weights.reshape(1, weights.shape[1], -1) @ values[:, None]
+    moments = (None if volume_moments is None
+               else np.asarray(volume_moments, dtype=float).reshape(1, -1, 1))
+    return _project_gradient(s, l, moment_tables(s, l), boundary,
+                             moments)[1][0, :, 0]

@@ -132,12 +132,17 @@ def test_load_evaluates_source_in_member_chunks(monkeypatch):
 
     monkeypatch.setattr(geometry, "_CHUNK_MEMBERS", 7)
     assemble_full(mesh, degs, ProblemSpec("poisson", counting_f))
-    expected = []
+    # the classes of one vertex count and degree are chunked together,
+    # groups in (n, l) order, classes in index order within a group
+    groups = {}
     for cls in mesh.cell_classes:
         l = int(degs.levels[cls.members[0]])
-        points = len(polygon_quadrature(cls.polygon, 2 * (l + 1) + 2)[1])
-        expected += [min(7, len(cls.members) - k) * points
-                     for k in range(0, len(cls.members), 7)]
+        groups.setdefault((cls.polygon.n_vertices, l), []).append(cls)
+    expected = []
+    for (_, l), group in sorted(groups.items()):
+        points = len(polygon_quadrature(group[0].polygon, 2 * (l + 1) + 2)[1])
+        members = sum(len(cls.members) for cls in group)
+        expected += [min(7, members - k) * points for k in range(0, members, 7)]
     assert max(len(cls.members) for cls in mesh.cell_classes) > 7
     assert sizes == expected
 
@@ -181,16 +186,17 @@ def test_kernel_built_once_per_class_and_level(monkeypatch):
     shift = np.random.default_rng(4).uniform(-0.05, 0.05, (interior.sum(), 2))
     verts[interior] += shift * base.h
     mesh = PolygonalMesh(verts, base.cells)
-    kernels, pinablas = [], []
+    kernels, pinablas, stacks = [], [], []
     build_fn, pinabla_fn = projectors._build_projectors, projectors._compute_pinabla
 
-    def counting_build(poly, l):
-        kernels.append((poly, l))
-        return build_fn(poly, l)
+    def counting_build(polys, l):
+        stacks.append((polys[0].n_vertices, l))
+        kernels.extend((poly, l) for poly in polys)
+        return build_fn(polys, l)
 
-    def counting_pinabla(poly):
-        pinablas.append(poly)
-        return pinabla_fn(poly)
+    def counting_pinabla(polys):
+        pinablas.extend(polys)
+        return pinabla_fn(polys)
 
     monkeypatch.setattr(projectors, "_build_projectors", counting_build)
     monkeypatch.setattr(projectors, "_compute_pinabla", counting_pinabla)
@@ -204,6 +210,8 @@ def test_kernel_built_once_per_class_and_level(monkeypatch):
     assert {(c.polygon, int(result.degrees.levels[c.members[0]]))
             for c in classes} <= set(kernels)
     assert Counter(pinablas) == Counter(c.polygon for c in classes)
+    # each (vertex count, degree) is computed as one stack
+    assert sorted(stacks) == sorted({(p.n_vertices, l) for p, l in kernels})
 
 
 def test_solve_one_by_one_and_known_inverse():

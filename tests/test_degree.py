@@ -15,7 +15,7 @@ from e2vem.degree import (
     stiffness_rank,
 )
 from e2vem.errors import AdmissibilityNotReached, InadmissibleDegrees
-from e2vem.geometry import PolygonalMesh, build_polygon
+from e2vem.geometry import PolygonalMesh, as_stack, build_polygon
 from e2vem.meshgen import (
     MeshFamilySpec,
     PolygonFamilySpec,
@@ -184,13 +184,16 @@ def test_assign_degrees_certifies_every_scattered_kernel(monkeypatch):
         searches.append(poly)
         return search_fn(poly)
 
-    def recording_rank(poly, l):
-        checked[poly, l] = rank_fn(poly, l)
-        return checked[poly, l]
+    def recording_rank(polys, l):
+        ranks = rank_fn(polys, l)
+        stack, single = as_stack(polys)
+        checked.update(((poly, l), rank) for poly, rank
+                       in zip(stack, [ranks] if single else ranks))
+        return ranks
 
-    def recording_kernel(poly, l):
-        scattered.append((poly, l))
-        return kernel_fn(poly, l)
+    def recording_kernel(polys, l):
+        scattered.extend((poly, l) for poly in as_stack(polys)[0])
+        return kernel_fn(polys, l)
 
     monkeypatch.setattr(degree, "min_admissible_l", counting_search)
     monkeypatch.setattr(degree, "stiffness_rank", recording_rank)
@@ -207,10 +210,12 @@ def test_assign_degrees_certifies_every_scattered_kernel(monkeypatch):
         assert all(p is c.polygon for p, c in zip(searches, mesh.cell_classes))
         assembly.assemble_full(mesh, degrees, assembly.sin_sin_problem())
         assert scattered
-        # every kernel assembly scatters had its own rank certified
+        # every kernel assembly scatters had its own rank certified, and
+        # each class's kernel is scattered once
         uncertified = [(poly.n_vertices, l) for poly, l in scattered
                        if checked.get((poly, l)) != poly.n_vertices - 1]
         assert not uncertified, family
+        assert len(scattered) == len(set(scattered)) == len(mesh.cell_classes)
 
 
 def test_assign_degrees_one_certificate_per_class():

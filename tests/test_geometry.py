@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from e2vem.errors import NotSimple, NotStarShaped, ParseError, StructuralDefect
+from e2vem.errors import (ClockwiseOrientation, NotSimple, NotStarShaped,
+                          ParseError, StructuralDefect)
 from e2vem import geometry
 from e2vem.geometry import (
     PolygonalMesh,
@@ -54,6 +55,13 @@ def test_unit_right_triangle_metrics():
 def test_orientation_normalized():
     cw = build_polygon(UNIT_SQUARE[::-1])
     assert cw.area == pytest.approx(1.0)
+    # reversing a clockwise row keeps its shape data where it lies, alone
+    # or beside a counter-clockwise row
+    ccw = build_polygon(UNIT_SQUARE)
+    both = build_polygon([UNIT_SQUARE, UNIT_SQUARE[::-1]])
+    for poly in (cw, *both):
+        assert np.allclose(poly.star_center, ccw.star_center, atol=1e-15)
+        assert np.array_equal(poly.vertices, ccw.vertices)
 
 
 def test_degenerate_polygons_rejected():
@@ -233,7 +241,9 @@ def test_validate_builds_no_polygon_per_cell(monkeypatch):
     monkeypatch.setattr(geometry, "build_polygon", counting_build)
     mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
     validate_mesh(mesh)
-    assert len(built) == len(mesh.cell_classes) == 10
+    # one stack per vertex count (6, 7 and 8), each row a class
+    assert len(built) == 3
+    assert sum(built) == len(mesh.cell_classes) == 10
 
 
 def test_class_rule_splits_low_kappa_representatives():
@@ -270,6 +280,45 @@ def test_invalid_cell_named_on_every_path():
         with pytest.raises(StructuralDefect) as exc:
             path(PolygonalMesh(GRID_VERTICES, CLOCKWISE_CELLS))
         assert exc.value.cell == 2
+
+
+#: cell chains for the invalid-stack cases, 3 apart so no two touch
+CHAINS = {
+    "square": UNIT_SQUARE,
+    "bowtie": [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)],
+    "clockwise": UNIT_SQUARE[::-1],
+    "triangle": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    "flat": [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("kinds, cell", [
+    # two invalid cells in one vertex-count group, either way round
+    (["square", "square", "bowtie", "square", "clockwise", "square"], 2),
+    (["square", "square", "clockwise", "square", "bowtie", "square"], 2),
+    # invalid cells in two groups, either group first
+    (["square", "triangle", "square", "flat", "bowtie", "triangle"], 3),
+    (["triangle", "bowtie", "triangle", "square", "flat"], 1),
+])
+def test_lowest_invalid_cell_named_across_stacks(kinds, cell):
+    chains = [np.array(CHAINS[k]) + (3.0 * i, 0.0) for i, k in enumerate(kinds)]
+    start = np.cumsum([0] + [len(c) for c in chains])
+    mesh = PolygonalMesh(np.concatenate(chains),
+                         [range(a, b) for a, b in zip(start[:-1], start[1:])])
+    assert per_cell_quality(mesh)[3] == cell
+    # the message is the one the cell's polygon gives when built alone
+    with pytest.raises((NotSimple, NotStarShaped, ClockwiseOrientation)) as alone:
+        build_polygon(chains[cell], normalize_orientation=False)
+    with pytest.raises(StructuralDefect) as exc:
+        mesh.cell_classes
+    assert exc.value.cell == cell
+    assert str(exc.value) == f"cell {cell}: {alone.value}"
+    # a stack of the cells' chains names its lowest invalid row
+    same = [c for c, k in zip(chains, kinds) if len(CHAINS[k]) == len(chains[cell])]
+    with pytest.raises(type(alone.value)) as row:
+        build_polygon(np.stack(same), normalize_orientation=False)
+    assert str(row.value) == str(alone.value)
+    assert same[row.value.row] is chains[cell]
 
 
 @pytest.mark.parametrize("shift", [1e3, 1e4, 1e6])
@@ -317,17 +366,21 @@ def test_boundary_flags_match_edge_walk(family):
 def test_polygon_quadrature_builds_fan_once(monkeypatch):
     calls = []
 
-    def counting_fan(poly):
-        calls.append(poly)
-        return fan(poly)
+    def counting_fan(stack):
+        calls.append(len(stack.area))
+        return fan(stack)
 
-    fan = geometry._sub_triangulate
-    monkeypatch.setattr(geometry, "_sub_triangulate", counting_fan)
+    fan = geometry._fan
+    monkeypatch.setattr(geometry, "_fan", counting_fan)
     poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4))
+    polys = build_polygon(np.stack([poly.vertices, poly.vertices + 1e6,
+                                    2.0 * poly.vertices]))
     for degree in (2, 6, 8):
-        _, w = polygon_quadrature(poly, degree)
-        assert w.sum() == pytest.approx(poly.area, rel=1e-13)
-    assert calls == [poly]
+        _, w = geometry.stack_quadrature(geometry.stack_polygons(polys), degree)
+        assert w.sum(axis=1) == pytest.approx([p.area for p in polys],
+                                              rel=1e-13)
+    # one fan per call, for the whole stack
+    assert calls == [3, 3, 3]
     with pytest.raises(ValueError):
         sub_triangulate(poly).areas[0] = 0.0
 

@@ -1,12 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from e2vem.assembly import ProblemSpec, assemble_full
-from e2vem.degree import assign_degrees
-from e2vem.geometry import PolygonalMesh, build_polygon, polygon_quadrature
+from e2vem.analysis import solution_errors
+from e2vem.assembly import (ProblemSpec, assemble_full, sin_sin_problem,
+                            solve_problem)
+from e2vem.degree import assign_degrees, stiffness_rank
+from e2vem.errors import IllConditioned
+from e2vem.geometry import (PolygonalMesh, build_polygon, polygon_quadrature,
+                            stack_polygons, stack_quadrature)
 from e2vem.meshgen import PolygonFamilySpec, make_polygon, regular_polygon
-from e2vem.polyspace import ScaledMonomialBasis, space_dimension
+from e2vem.polyspace import ScaledMonomialBasis, moment_tables, space_dimension
 from e2vem.projectors import (
+    GRAM_CONDITION_LIMIT,
     build_projectors,
     compute_pinabla,
     project_gradient_from_data,
@@ -51,49 +58,49 @@ def test_pinabla_unit_square_hand_case():
     assert np.allclose(evaluate_linear(poly, pina @ dofs, pts), pts[:, 0], atol=1e-13)
 
 
+def boundary_hat_normals(poly):
+    """``int_dE phi_i n ds = (|e_{i-1}| n_{i-1} + |e_i| n_i) / 2`` (n, 2)."""
+    weighted = poly.edge_lengths[:, None] * poly.edge_normals
+    return 0.5 * (weighted + np.roll(weighted, 1, axis=0))
+
+
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
 def test_pigrad_exact_on_linears_any_l(l):
+    # the gradient projection reproduces the gradient g of a linear u, so
+    # (K u)_i = (Pi grad phi_i, g)_E = (grad phi_i, g)_E, the boundary
+    # integral of phi_i g . n, and u^T K u = |g|^2 |E|
     poly = regular_polygon(9)
-    projs = build_projectors(poly, l)
+    K = build_projectors(poly, l).stiffness
     dofs = 0.25 - 1.5 * poly.vertices[:, 0] + 0.75 * poly.vertices[:, 1]
-    coeffs = projs.pigrad @ dofs
-    nl = space_dimension(l)
-    basis = ScaledMonomialBasis.from_polygon(poly, l)
-    pts, _ = polygon_quadrature(poly, 2 * l + 1)
-    gx = basis.evaluate(pts) @ coeffs[:nl]
-    gy = basis.evaluate(pts) @ coeffs[nl:]
-    assert np.allclose(gx, -1.5, atol=1e-11)
-    assert np.allclose(gy, 0.75, atol=1e-11)
+    grad = np.array([-1.5, 0.75])
+    assert np.allclose(K @ dofs, boundary_hat_normals(poly) @ grad, atol=1e-11)
+    assert dofs @ K @ dofs == pytest.approx(grad @ grad * poly.area, rel=1e-11)
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_pigrad_triangle_exact_for_all_dofs(l):
+    # on a triangle the virtual space is P1 at every l: K is the P1
+    # stiffness, |T| grad(lambda_i) . grad(lambda_j)
     poly = build_polygon([(0.1, 0.0), (1.2, 0.3), (0.4, 1.1)])
-    projs = build_projectors(poly, l)
-    rng = np.random.default_rng(11)
+    K = build_projectors(poly, l).stiffness
     v = poly.vertices
-    # P1 interpolation through arbitrary vertex data; its gradient
     grad_basis = np.linalg.solve(
         np.column_stack([np.ones(3), v]), np.eye(3))[1:]
+    assert np.allclose(K, poly.area * grad_basis.T @ grad_basis, atol=1e-11)
+    rng = np.random.default_rng(11)
     for _ in range(4):
         dofs = rng.standard_normal(3)
         gexact = grad_basis @ dofs
-        coeffs = projs.pigrad @ dofs
-        nl = space_dimension(l)
-        basis = ScaledMonomialBasis.from_polygon(poly, l)
-        pts, _ = polygon_quadrature(poly, max(1, 2 * l))
-        assert np.allclose(basis.evaluate(pts) @ coeffs[:nl], gexact[0], atol=1e-11)
-        assert np.allclose(basis.evaluate(pts) @ coeffs[nl:], gexact[1], atol=1e-11)
+        assert dofs @ K @ dofs == pytest.approx(gexact @ gexact * poly.area,
+                                                rel=1e-11)
 
 
 def test_pigrad_unit_square_hand_case():
-    projs = build_projectors(build_polygon(UNIT_SQUARE), 1)
-    coeffs = projs.pigrad @ np.array([0.0, 1.0, 1.0, 0.0])
-    nl = space_dimension(1)
-    # constant field (1, 0): only the constant monomial contributes
-    assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(coeffs[1:nl], 0.0, atol=1e-12)
-    assert np.allclose(coeffs[nl:], 0.0, atol=1e-12)
+    # u = x: the projected gradient is the constant field (1, 0)
+    K = build_projectors(build_polygon(UNIT_SQUARE), 1).stiffness
+    dofs = np.array([0.0, 1.0, 1.0, 0.0])
+    assert np.allclose(K @ dofs, [-0.5, 0.5, 0.5, -0.5], atol=1e-12)
+    assert dofs @ K @ dofs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pizero_and_pione():
@@ -221,10 +228,84 @@ def test_kernel_memoised_bitwise_and_read_only(l):
         pinabla = compute_pinabla(poly)
         assert compute_pinabla(poly) is pinabla
         arrays = [(getattr(projs, name), getattr(fresh, name))
-                  for name in ("pigrad", "pizero", "stiffness")]
+                  for name in ("pizero", "stiffness")]
         arrays.append((pinabla, compute_pinabla(build_polygon(poly.vertices))))
         for kept, rebuilt in arrays:
             assert kept.shape == rebuilt.shape
             assert kept.tobytes() == rebuilt.tobytes()
             with pytest.raises(ValueError):
                 kept[...] = 0.0
+
+
+def mixed_stacks():
+    """Same-n stacks of triangles, 20-gons and the alpha = 0.4 concave
+    octagon, each with its copies translated by 1e6 and its clockwise
+    copies, which ``build_polygon`` reverses."""
+    triangles = [[(0.1, 0.0), (1.2, 0.3), (0.4, 1.1)],
+                 [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                 [(0.3, 0.1), (2.1, 0.4), (0.9, 1.8)]]
+    twenty = [regular_polygon(20).vertices, make_polygon(
+        PolygonFamilySpec("random_convex", n=20, seed=3)).vertices]
+    octagon = [make_polygon(
+        PolygonFamilySpec("concave_octagon", n=8, alpha=0.4)).vertices]
+    for chains in (triangles, twenty, octagon):
+        chains = [np.asarray(c, dtype=float) for c in chains]
+        yield np.stack(chains + [c + 1e6 for c in chains]
+                       + [c[::-1] for c in chains])
+
+
+def row_bits(polys, l):
+    """Every array the kernel entry points give for ``polys``, row by row,
+    as bytes."""
+    projs = build_projectors(polys, l)
+    stack = stack_polygons(polys)
+    pts, w = stack_quadrature(stack, 2 * l + 2)
+    arrays = [np.array([p.vertices for p in polys]),
+              np.array([p.star_center for p in polys]),
+              np.array([p.edge_normals for p in polys]),
+              np.array([[p.area, p.diameter, p.kernel_inradius]
+                        for p in polys]),
+              projs.stiffness, projs.pizero, projs.gram_condition,
+              compute_pinabla(polys), pts, w,
+              moment_tables(stack, max(1, l)),
+              np.array(stiffness_rank(polys, l))]
+    return [[a[k].tobytes() for a in arrays] for k in range(len(polys))]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_stack_rows_match_stacks_of_one(l):
+    for stack in mixed_stacks():
+        stacked = row_bits(build_polygon(stack), l)
+        alone = [row_bits([build_polygon(row)], l)[0] for row in stack]
+        assert stacked == alone
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_stack_permutation_permutes_rows(l):
+    rng = np.random.default_rng(l)
+    for stack in mixed_stacks():
+        perm = rng.permutation(len(stack))
+        rows = row_bits(build_polygon(stack), l)
+        assert row_bits(build_polygon(stack[perm]), l) == [rows[k] for k in perm]
+
+
+def test_ill_conditioned_warns_once_per_class_and_degree():
+    # the regular 20-gon certifies at l = 9, where its [P_9] Gram has
+    # condition 1.25e13; a translate shares its class, a rotation does not
+    twenty = regular_polygon(20).vertices
+    c, s = np.cos(0.3), np.sin(0.3)
+    chains = [twenty, twenty + (5.0, 0.0),
+              twenty @ np.array([[c, s], [-s, c]]) + (10.0, 0.0)]
+    mesh = PolygonalMesh(np.concatenate(chains),
+                         [range(0, 20), range(20, 40), range(40, 60)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solution_errors(solve_problem(mesh, "minimal", sin_sin_problem()))
+        classes = mesh.cell_classes
+        expected = [(cls, l) for cls in classes for l in range(3, 10)
+                    if build_projectors(cls.polygon, l).gram_condition
+                    > GRAM_CONDITION_LIMIT]
+    assert len(classes) == 2
+    assert {(cls, 9) for cls in classes} <= set(expected)
+    assert sum(issubclass(w.category, IllConditioned) for w in caught) \
+        == len(expected)
