@@ -7,7 +7,7 @@ Usage, from the root of a source checkout::
 Every case runs in a fresh process per source tree, the trees taking
 turns case by case. A process imports ``e2vem`` from its tree, warms up
 on the family's level-0 mesh (through the Cholesky and the CG path), and
-then times ``--reps`` runs, each on a ``PolygonalMesh`` built afresh from
+then times ``REPS`` runs, each on a ``PolygonalMesh`` built afresh from
 the case's arrays, with in-process ``perf_counter`` timers around the
 stages: ``classes`` (the cell-class index), ``degrees``
 (``assign_degrees``), ``assemble`` (``assemble``), ``solve`` (``solve``),
@@ -35,6 +35,8 @@ CASES = [(f"{family}-L{level}", family, level, kind, mode, None)
 CASES += [("jitter-batch", "honeycomb", 0, "poisson", "mean", "batch"),
           ("jittered-honeycomb-L3", "honeycomb", 3, "poisson", "mean", 1)]
 STAGES = ("classes", "degrees", "assemble", "solve", "errors", "total")
+#: Timed runs per case and tree; each stage reports their median.
+REPS = 3
 
 
 def case_meshes(e2vem, np, family, level, jitter):
@@ -57,7 +59,7 @@ def case_meshes(e2vem, np, family, level, jitter):
     return out
 
 
-def worker(src: str, case: str, reps: int) -> dict:
+def worker(src: str, case: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
@@ -74,7 +76,7 @@ def worker(src: str, case: str, reps: int) -> dict:
                                                   mode, solver=solver))
     inputs = case_meshes(e2vem, np, family, level, jitter)
     runs = []
-    for _ in range(reps):
+    for _ in range(REPS):
         times = dict.fromkeys(STAGES, 0.0)
         for vertices, cells in inputs:
             mesh = e2vem.PolygonalMesh(vertices, cells)
@@ -105,38 +107,35 @@ def worker(src: str, case: str, reps: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True,
+    parser.add_argument("--base",
                         help="src directory of the tree to compare against")
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--reps", type=int, default=3)
-    parser.add_argument("--cases", nargs="*", default=[c[0] for c in CASES])
+    parser.add_argument("--out", help="path of the JSON report")
     parser.add_argument("--worker", nargs=2, metavar=("SRC", "CASE"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker(*args.worker, args.reps)))
+        print(json.dumps(worker(*args.worker)))
         return 0
+    if not (args.base and args.out):
+        parser.error("--base and --out are required")
     trees = {"base": str(Path(args.base).resolve()),
              "change": str(Path(__file__).resolve().parents[1] / "src")}
     results = {}
-    for case in args.cases:
+    for case, *_ in CASES:
         results[case] = {}
         for label, src in trees.items():
             proc = subprocess.run(
-                [sys.executable, __file__, "--base", args.base, "--out",
-                 args.out, "--reps", str(args.reps), "--worker", src, case],
+                [sys.executable, __file__, "--worker", src, case],
                 capture_output=True, text=True, check=True)
             results[case][label] = json.loads(proc.stdout.strip().splitlines()[-1])
             print(case, label, json.dumps(results[case][label]), flush=True)
     report = {
         "command": (f"python3 scripts/bench_stages.py --base <base>/src "
-                    f"--out {args.out} --reps {args.reps}"
-                    + (" --cases " + " ".join(args.cases)
-                       if args.cases != [c[0] for c in CASES] else "")),
+                    f"--out {args.out}"),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
         "python": platform.python_version(),
         "method": (f"in-process perf_counter stage timers, median of "
-                   f"{args.reps} runs after a level-0 warm-up, one fresh "
+                   f"{REPS} runs after a level-0 warm-up, one fresh "
                    f"process per case and tree; in each case the base "
                    f"tree runs first, then the change"),
         "trees": {"base": "the src directory given as --base",

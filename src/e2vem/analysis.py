@@ -19,6 +19,7 @@ from .geometry import (PolygonalMesh, class_groups, member_points,
                        stack_polygons, stack_quadrature)
 from .meshgen import (PolygonFamilySpec, MeshFamilySpec, make_mesh,
                       make_polygon)
+from .polyspace import stack_monomials
 from .projectors import compute_pinabla
 
 _ERROR_QUADRATURE_DEGREE = 8
@@ -29,9 +30,10 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     """Squared L2 and H1-seminorm distances between the per-cell linear
     projection of the vertex data and the exact solution and gradient,
     summed over cells; a sum whose exact field is None stays 0. The
-    projectors and quadrature are computed once per cell class, as one
-    stack per vertex count, the exact fields on the chunks of members
-    that ``geometry.member_points`` yields across each stack's classes."""
+    projectors and quadrature are computed once per cell class, in the
+    stacks of one vertex count that ``geometry.class_groups`` yields, the
+    exact fields on the chunks of members that ``geometry.member_points``
+    yields across each stack's classes."""
     u = np.asarray(vertex_values, dtype=float)
     l2_sq = h1_sq = 0.0
     classes = mesh.cell_classes
@@ -41,9 +43,7 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
         s = stack_polygons(polys)
         pinabla = compute_pinabla(polys)                        # (c, 3, n)
         qpts, qw = stack_quadrature(s, _ERROR_QUADRATURE_DEGREE)
-        # the points' scaled coordinates, the non-constant linear monomials
-        local = ((qpts - s.star_center[:, None, :])
-                 / s.diameter[:, None, None])                   # (c, P, 2)
+        linear = stack_monomials(s, qpts, 1)                    # (c, P, 3)
         idx = np.concatenate([c.indices for c in group])
         for rows, c, x, y in member_points(group, qpts):
             coeffs = np.einsum("mn,man->ma", u[idx[rows]], pinabla[c])
@@ -51,10 +51,10 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
             # in-place updates: one norm's temporaries at a time bound
             # the peak memory
             if exact is not None:
-                err = local[c, :, 0]
+                err = linear[c, :, 1]
                 err *= coeffs[:, 1:2]
                 err += coeffs[:, :1]
-                eta = local[c, :, 1]
+                eta = linear[c, :, 2]
                 eta *= coeffs[:, 2:3]
                 err += eta
                 del eta

@@ -4,10 +4,10 @@ Dirichlet elimination, and the SPD solve.
 Assembly iterates the mesh's one cell-class index, ``mesh.cell_classes``,
 grouped by (vertex count, certified degree): the stiffness, reaction,
 projector and quadrature data are computed once on each class
-representative, as one stack per group, and scattered to every member
-shifted by its anchor offset. Members are verified translates of the
-representative, so reuse changes no value beyond the index's relative
-tolerance.
+representative, in stacks of at most ``geometry._STACK_ROWS`` classes
+of a group, and scattered to every member shifted by its anchor offset.
+Members are verified translates of the representative, so reuse changes
+no value beyond the index's relative tolerance.
 """
 from __future__ import annotations
 
@@ -201,7 +201,7 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
     """Assemble the global matrix and load over all vertices, before any
     boundary treatment. Returns ``(A, F)`` with A sparse CSR symmetric,
     constants in its kernel. The classes of each (vertex count, degree)
-    are scattered together, from one stack of their kernels; a member's
+    are scattered together, from stacks of their kernels; a member's
     load is its source values at its class's quadrature points, moved
     onto the member, against the class's load weights."""
     _check_admissible(mesh, degrees)

@@ -169,7 +169,7 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
                "fixed": lambda n: fixed_l}.get(kind)
     classes = mesh.cell_classes
     polys = [cls.polygon for cls in classes]
-    # rank the representatives of each vertex count as one stack per
+    # rank the representatives of each vertex count in stacks per
     # degree, from the bottom of the range; only rows still deficient go
     # on to the next degree
     for n, _, rows in class_groups(classes):

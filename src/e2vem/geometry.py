@@ -77,6 +77,11 @@ class SubTriangulation:
 #: mesh builds new polygons.
 _PER_POLYGON = weakref.WeakKeyDictionary()
 
+#: Most polygons built, computed or grouped as one stack. A row's bits do
+#: not depend on its neighbours, so this bounds only the memory of the
+#: stack's temporaries, which grow with its quadrature points.
+_STACK_ROWS = 128
+
 
 def as_stack(polys):
     """``(stack, single)``: ``polys`` as a tuple of polygons, and whether it
@@ -89,13 +94,14 @@ def as_stack(polys):
 def memoised(polys, key, compute, *args):
     """Each polygon's ``compute(stack, *args)`` row, computed once per
     polygon and ``key``: the polygons of the sequence ``polys`` without an
-    entry are computed as one stack, whose result has a row per polygon.
-    Returns the tuple of every polygon's entry."""
+    entry are computed in stacks of at most ``_STACK_ROWS``, whose results
+    have a row per polygon. Returns the tuple of every polygon's entry."""
     tables = [_PER_POLYGON.setdefault(p, {}) for p in polys]
     missing = [k for k, table in enumerate(tables) if key not in table]
-    if missing:
-        rows = compute([polys[k] for k in missing], *args)
-        for k, row in zip(missing, rows):
+    for start in range(0, len(missing), _STACK_ROWS):
+        chunk = missing[start:start + _STACK_ROWS]
+        rows = compute([polys[k] for k in chunk], *args)
+        for k, row in zip(chunk, rows):
             tables[k][key] = row
     return tuple(t[key] for t in tables)
 
@@ -229,7 +235,8 @@ def build_polygon(points, *, normalize_orientation=True):
     list, or a tuple of them, one per row, from an (m, n, 2) stack.
 
     A single polygon is a stack of one: every row goes through the same
-    array code, so a row's bits do not depend on the rows beside it.
+    array code, ``_STACK_ROWS`` rows at a time, so a row's bits do not
+    depend on the rows beside it.
     Clockwise input is reversed when ``normalize_orientation`` is true
     (the default), otherwise it raises :class:`ClockwiseOrientation`.
     Raises :class:`NotSimple` for degenerate or self-intersecting chains
@@ -245,8 +252,21 @@ def build_polygon(points, *, normalize_orientation=True):
         pts = pts[None]
     if pts.ndim != 3 or pts.shape[2] != 2 or pts.shape[1] < 3:
         raise NotSimple("a polygon needs at least 3 planar vertices")
-    if not len(pts):
-        return ()
+    polys = []
+    for start in range(0, len(pts), _STACK_ROWS):
+        try:
+            polys += _build_stack(pts[start:start + _STACK_ROWS],
+                                  normalize_orientation)
+        except (NotSimple, NotStarShaped, ClockwiseOrientation) as exc:
+            exc.row += start
+            raise
+    return polys[0] if single else tuple(polys)
+
+
+def _build_stack(pts, normalize_orientation):
+    """The polygons of the rows of ``pts`` (m, n, 2), which it reorders
+    in place; raises the first failed test of the lowest invalid row,
+    with that row as ``row``."""
     defect = np.full(len(pts), _VALID)  # each row's first failed test
     # failed rows run on as garbage; only valid rows are kept
     with np.errstate(all="ignore"):
@@ -282,9 +302,8 @@ def build_polygon(points, *, normalize_orientation=True):
     center += origin
     for arr in (pts, center, lens, normals):
         arr.setflags(write=False)
-    polys = tuple(map(Polygon, pts, area.tolist(), diameter.tolist(), center,
-                      lens, normals, inradius.tolist()))
-    return polys[0] if single else polys
+    return list(map(Polygon, pts, area.tolist(), diameter.tolist(), center,
+                    lens, normals, inradius.tolist()))
 
 
 def _fan(s: PolygonStack):
@@ -392,13 +411,16 @@ def member_points(classes, points):
 
 def class_groups(classes, levels=0):
     """The classes of each vertex count and level, ``levels`` giving each
-    class's (or one for all): yields ``(n, l, rows)``, the rows of
-    ``classes`` in the group, in ascending ``(n, l)`` order."""
+    class's (or one for all): yields ``(n, l, rows)``, the ascending rows
+    of ``classes`` in the group, at most ``_STACK_ROWS`` at a time, in
+    ascending ``(n, l)`` order."""
     sizes = [c.polygon.n_vertices for c in classes]
     keys = np.column_stack(np.broadcast_arrays(sizes, levels)).astype(int)
     pairs, inverse = np.unique(keys, axis=0, return_inverse=True)
     for k, (n, l) in enumerate(pairs.tolist()):
-        yield n, l, np.flatnonzero(inverse.ravel() == k)
+        rows = np.flatnonzero(inverse.ravel() == k)
+        for start in range(0, len(rows), _STACK_ROWS):
+            yield n, l, rows[start:start + _STACK_ROWS]
 
 
 class _ClassIndex(NamedTuple):
@@ -426,10 +448,10 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> _ClassIndex:
     class only when its offsets match the representative's within
     ``_CLASS_TOLERANCE`` times the diameter and the representative's
     kappa is at least ``_CLASS_KAPPA``; otherwise it forms a class of its
-    own. This is the only code that builds a mesh's polygons, one stack
-    per vertex count and one more for the members split off low-kappa
-    representatives; an invalid one raises :class:`StructuralDefect`
-    naming the lowest-index invalid cell.
+    own. This is the only code that builds a mesh's polygons, one
+    ``build_polygon`` call per vertex count and one more for the members
+    split off low-kappa representatives; an invalid one raises
+    :class:`StructuralDefect` naming the lowest-index invalid cell.
     """
     sizes = np.diff(cell_start)
     diameters = np.empty(len(sizes))

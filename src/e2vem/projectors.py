@@ -25,9 +25,10 @@ Every array carries a leading stack axis: one row per polygon of a
 :class:`~e2vem.geometry.PolygonStack`, and (m, k, k) matrix stacks go
 through one stacked ``np.linalg`` call. A single polygon is a stack of
 one, so a row's bits do not depend on the rows beside it. Results are
-memoised per polygon (``geometry._PER_POLYGON``): degree certification
-computes each vertex count's kernels as one stack, and assembly and the
-error norms read the same rows.
+memoised per polygon (``geometry._PER_POLYGON``), computed in stacks of
+at most ``geometry._STACK_ROWS`` rows: degree certification computes each
+vertex count's kernels, and assembly and the error norms read the same
+rows.
 """
 from __future__ import annotations
 

@@ -190,7 +190,7 @@ def test_kernel_built_once_per_class_and_level(monkeypatch):
     build_fn, pinabla_fn = projectors._build_projectors, projectors._compute_pinabla
 
     def counting_build(polys, l):
-        stacks.append((polys[0].n_vertices, l))
+        stacks.append((polys[0].n_vertices, l, len(polys)))
         kernels.extend((poly, l) for poly in polys)
         return build_fn(polys, l)
 
@@ -210,8 +210,14 @@ def test_kernel_built_once_per_class_and_level(monkeypatch):
     assert {(c.polygon, int(result.degrees.levels[c.members[0]]))
             for c in classes} <= set(kernels)
     assert Counter(pinablas) == Counter(c.polygon for c in classes)
-    # each (vertex count, degree) is computed as one stack
-    assert sorted(stacks) == sorted({(p.n_vertices, l) for p, l in kernels})
+    # each (vertex count, degree) is computed in the fewest stacks of at
+    # most geometry._STACK_ROWS polygons
+    rows = geometry._STACK_ROWS
+    assert max(m for *_, m in stacks) <= rows
+    groups = Counter((p.n_vertices, l) for p, l in kernels)
+    assert max(groups.values()) > rows
+    assert Counter((n, l) for n, l, _ in stacks) == {
+        key: -(-m // rows) for key, m in groups.items()}
 
 
 def test_solve_one_by_one_and_known_inverse():

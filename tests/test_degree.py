@@ -238,6 +238,33 @@ def test_assign_degrees_one_certificate_per_class():
                       sin_sin_problem())
 
 
+def test_admissibility_check_names_lowest_cell_of_either_fault():
+    # an uncertified class and an off-level member: whichever offending
+    # cell has the lower index is named, with its own fault
+    mesh = make_mesh(MeshFamilySpec("cut_corner_octagon", level=1))
+    degrees = assign_degrees(mesh, "minimal")
+    classes = mesh.cell_classes
+    k = max(k for k, c in enumerate(classes)
+            if len(c.members) > 1 and degrees.evidence[k].l > 0)
+    ev = degrees.evidence[k]
+    evidence = list(degrees.evidence)
+    evidence[k] = dataclasses.replace(ev, rank=ev.rank - 1)
+    first, last = int(classes[k].members[0]), int(classes[k].members[-1])
+    lowered = degrees.levels.copy()
+    lowered[last] -= 1
+    both = dataclasses.replace(degrees, levels=lowered, evidence=tuple(evidence))
+    with pytest.raises(InadmissibleDegrees,
+                       match=f"^cell {first}: stiffness rank {ev.rank - 1} < "):
+        assemble_full(mesh, both, sin_sin_problem())
+    # an off-level cell below the class's first member is named instead
+    below = next(i for i in range(first) if degrees.levels[i] > 0)
+    lowered[below] -= 1
+    with pytest.raises(InadmissibleDegrees,
+                       match=f"^cell {below}: degree .* has no rank certificate"):
+        assemble_full(mesh, dataclasses.replace(both, levels=lowered),
+                      sin_sin_problem())
+
+
 def _jittered_honeycomb(level, seed):
     base = make_mesh(MeshFamilySpec("honeycomb", level=level))
     verts = base.vertices.copy()

@@ -300,7 +300,11 @@ CHAINS = {
     (["square", "triangle", "square", "flat", "bowtie", "triangle"], 3),
     (["triangle", "bowtie", "triangle", "square", "flat"], 1),
 ])
-def test_lowest_invalid_cell_named_across_stacks(kinds, cell):
+@pytest.mark.parametrize("stack_rows", [None, 2])
+def test_lowest_invalid_cell_named_across_stacks(kinds, cell, stack_rows,
+                                                 monkeypatch):
+    if stack_rows:  # slices of two rows: the invalid cells in later slices
+        monkeypatch.setattr(geometry, "_STACK_ROWS", stack_rows)
     chains = [np.array(CHAINS[k]) + (3.0 * i, 0.0) for i, k in enumerate(kinds)]
     start = np.cumsum([0] + [len(c) for c in chains])
     mesh = PolygonalMesh(np.concatenate(chains),
