@@ -210,19 +210,31 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
     n = mesh.n_vertices
     load = np.zeros(n)
     classes = mesh.cell_classes
-    parts = [_assemble_group([classes[k] for k in rows], l, problem,
-                             load_mode, load)
-             for _, l, rows in class_groups(
-                 classes, [ev.l for ev in degrees.evidence])]
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    del parts
+    groups = [(nv, l, [classes[k] for k in rows]) for nv, l, rows in
+              class_groups(classes, [ev.l for ev in degrees.evidence])]
+    # one (row, column, value) entry per member and local matrix entry,
+    # written in place, group by group; int32 indices are the ones the
+    # sparse constructor keeps without a copy
+    sizes = [nv * nv * sum(len(c.members) for c in group)
+             for nv, _, group in groups]
+    total = sum(sizes)
+    index = np.int32 if max(n, total) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.empty(total, dtype=index), np.empty(total, dtype=index)
+    vals = np.empty(total)
+    start = 0
+    for (nv, l, group), size in zip(groups, sizes):
+        entries = [a[start:start + size].reshape(-1, nv, nv)
+                   for a in (rows, cols, vals)]
+        _assemble_group(group, l, problem, load_mode, load, entries)
+        start += size
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), load
 
 
-def _assemble_group(group, l, problem, load_mode, load):
-    """The matrix triplets of the classes ``group`` of one vertex count at
-    degree ``l``, from one stack of their kernels; adds their load to
-    ``load``."""
+def _assemble_group(group, l, problem, load_mode, load, entries):
+    """Write the matrix entries of the classes ``group`` of one vertex
+    count at degree ``l`` into ``entries``, the (m, nv, nv) row, column
+    and value arrays of its members, from one stack of their kernels;
+    adds their load to ``load``."""
     polys = [c.polygon for c in group]
     projs = build_projectors(polys, l)
     pizero, local = projs.pizero, projs.stiffness              # (c, nv), (c, nv, nv)
@@ -244,10 +256,11 @@ def _assemble_group(group, l, problem, load_mode, load):
         f_moments = np.stack([np.einsum("mp,mp->m", fv, moments[c, :, a])
                               for a in range(moments.shape[2])], axis=1)
         np.add.at(load, idx[rows], np.einsum("ma,man->mn", f_moments, project[c]))
-    nv = idx.shape[1]
+    row, col, val = entries
+    row[...] = idx[:, :, None]
+    col[...] = idx[:, None, :]
     cls = np.repeat(np.arange(len(group)), [len(c.members) for c in group])
-    return (np.repeat(idx, nv, axis=1).ravel(), np.tile(idx, (1, nv)).ravel(),
-            local[cls].ravel())
+    np.take(local, cls, axis=0, out=val)
 
 
 def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
