@@ -22,12 +22,10 @@ from .errors import (AdmissibilityNotReached, DegenerateData, E2vemError,
                      ParseError, RejectionBudgetExceeded,
                      StructuralDefect)
 from .geometry import (MeshQuality, Polygon, PolygonalMesh,
-                       build_polygon, polygon_integrate,
-                       polygon_quadrature, validate_mesh)
+                       build_polygon, validate_mesh)
 from .meshgen import (MeshFamilySpec, PolygonFamilySpec, load_mesh,
                       make_mesh, make_polygon, save_mesh)
-from .polyspace import (ScaledMonomialBasis, build_moment_table,
-                        monomial_exponents, space_dimension)
+from .polyspace import monomial_exponents, space_dimension
 from .projectors import ElementProjectors, build_projectors, compute_pinabla
 
 __version__ = "0.1.0"

@@ -167,11 +167,13 @@ def cmd_validate(args) -> int:
 # -- argument parsing ---------------------------------------------------
 
 def _band(text):
-    if isinstance(text, (list, tuple)):
-        lo, hi = text
-    else:
-        lo, hi = str(text).split(",")
-    return (float(lo), float(hi))
+    """A rate band ``(lo, hi)`` from 'lo,hi' or a pair."""
+    pair = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    try:
+        lo, hi = pair
+        return (float(lo), float(hi))
+    except (TypeError, ValueError):
+        raise ValueError(f"{text!r} is not a band 'lo,hi'") from None
 
 
 def _add_solver_flags(sub):
@@ -279,7 +281,11 @@ def main(argv=None) -> int:
             if key == "command" or key not in valid:
                 continue
             if key in ("rate_band_l2", "rate_band_h1"):
-                value = _band(value)
+                try:
+                    value = _band(value)
+                except ValueError as exc:
+                    print(f"error: config: {key}: {exc}", file=sys.stderr)
+                    return EXIT_CONFIG
             defaults[key] = value
         sub.set_defaults(**defaults)
         argv = rest

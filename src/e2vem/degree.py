@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AdmissibilityNotReached
-from .geometry import (Polygon, PolygonalMesh, as_stack, class_groups,
-                       memoised, stack_polygons)
+from .geometry import (Polygon, PolygonalMesh, class_groups, memoised,
+                       stack_polygons)
 from .polyspace import space_dimension
 from .projectors import (boundary_mean_rows, boundary_vector_moments,
                          build_projectors)
@@ -86,13 +86,10 @@ class AdmissibilityEvidence:
 
 def stiffness_rank(polys, l: int):
     """Numerical rank of the local stiffness at degree ``l``, by
-    :func:`_svd_ranks` at shape dimension ``max(n, 2 dim P_l)``: an int
-    for one polygon, a tuple for a sequence of same-n polygons, whose
-    stiffnesses go through one stacked SVD. Memoised per polygon and
-    degree next to the kernel."""
-    stack, single = as_stack(polys)
-    ranks = memoised(stack, ("rank", l), _stiffness_ranks, l)
-    return ranks[0] if single else ranks
+    :func:`_svd_ranks` at shape dimension ``max(n, 2 dim P_l)``: a tuple
+    for a sequence of same-n polygons, whose stiffnesses go through one
+    stacked SVD. Memoised per polygon and degree next to the kernel."""
+    return memoised(polys, ("rank", l), _stiffness_ranks, l)
 
 
 def _stiffness_ranks(polys, l: int):
@@ -112,7 +109,7 @@ def _certify(poly: Polygon, lo: int, hi: int) -> AdmissibilityEvidence:
     rank reaches ``n - 1``: the one search behind every strategy."""
     n = poly.n_vertices
     for l in range(lo, hi + 1):
-        rank = stiffness_rank(poly, l)
+        rank = stiffness_rank((poly,), l)[0]
         if rank == n - 1:
             return _evidence(l, n, rank)
     raise AdmissibilityNotReached(

@@ -9,8 +9,7 @@ intersection linear program.
 """
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -43,6 +42,9 @@ class Polygon:
     kernel_inradius : float
         Radius of the largest ball about ``star_center`` contained in the
         kernel (``rho`` in the shape-regularity ratio ``rho / h_E``).
+    memo : dict
+        Data computed from the polygon, keyed by what was computed; read
+        and filled by :func:`memoised`.
     """
 
     vertices: np.ndarray
@@ -52,30 +54,11 @@ class Polygon:
     edge_lengths: np.ndarray
     edge_normals: np.ndarray
     kernel_inradius: float
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    @property
-    def perimeter(self) -> float:
-        return float(self.edge_lengths.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class SubTriangulation:
-    """Fan of triangles (star_center, v_i, v_{i+1}), positively oriented."""
-
-    triangles: np.ndarray  # (n, 3, 2)
-    areas: np.ndarray      # (n,)
-
-
-#: Data computed per polygon: polygon -> {key: result}. The keys are weak,
-#: so an entry lives exactly as long as its polygon. Reuse is exact:
-#: polygons come from ``build_polygon``, which returns them frozen with
-#: read-only arrays, so nothing computed from a polygon can change; a new
-#: mesh builds new polygons.
-_PER_POLYGON = weakref.WeakKeyDictionary()
 
 #: Most polygons built, computed or grouped as one stack. A row's bits do
 #: not depend on its neighbours, so this bounds only the memory of the
@@ -83,27 +66,20 @@ _PER_POLYGON = weakref.WeakKeyDictionary()
 _STACK_ROWS = 128
 
 
-def as_stack(polys):
-    """``(stack, single)``: ``polys`` as a tuple of polygons, and whether it
-    was one :class:`Polygon`, a stack of one."""
-    if isinstance(polys, Polygon):
-        return (polys,), True
-    return tuple(polys), False
-
-
 def memoised(polys, key, compute, *args):
     """Each polygon's ``compute(stack, *args)`` row, computed once per
-    polygon and ``key``: the polygons of the sequence ``polys`` without an
-    entry are computed in stacks of at most ``_STACK_ROWS``, whose results
-    have a row per polygon. Returns the tuple of every polygon's entry."""
-    tables = [_PER_POLYGON.setdefault(p, {}) for p in polys]
-    missing = [k for k, table in enumerate(tables) if key not in table]
+    polygon and ``key`` and kept in its ``memo``: the polygons of the
+    sequence ``polys`` without an entry are computed in stacks of at most
+    ``_STACK_ROWS``, whose results have a row per polygon. Returns the
+    tuple of every polygon's entry. Reuse is exact: polygons come from
+    ``build_polygon``, frozen with read-only arrays, so nothing computed
+    from a polygon can change; a new mesh builds new polygons."""
+    missing = [p for p in polys if key not in p.memo]
     for start in range(0, len(missing), _STACK_ROWS):
         chunk = missing[start:start + _STACK_ROWS]
-        rows = compute([polys[k] for k in chunk], *args)
-        for k, row in zip(chunk, rows):
-            tables[k][key] = row
-    return tuple(t[key] for t in tables)
+        for p, row in zip(chunk, compute(chunk, *args)):
+            p.memo[key] = row
+    return tuple(p.memo[key] for p in polys)
 
 
 class PolygonStack(NamedTuple):
@@ -318,18 +294,6 @@ def _fan(s: PolygonStack):
     return e1, e2, areas
 
 
-def sub_triangulate(poly: Polygon) -> SubTriangulation:
-    """Fan sub-triangulation of ``poly`` around its star center, with
-    read-only arrays."""
-    areas = _fan(stack_polygons((poly,)))[2][0]
-    v = poly.vertices
-    tris = np.stack([np.broadcast_to(poly.star_center, v.shape), v,
-                     np.roll(v, -1, axis=0)], axis=1)
-    tris.setflags(write=False)
-    areas.setflags(write=False)
-    return SubTriangulation(tris, areas)
-
-
 def stack_quadrature(s: PolygonStack, degree: int):
     """Quadrature points (m, P, 2) and weights (m, P) over each polygon of
     the stack, exact to ``degree``: the triangle rule on every fan
@@ -343,20 +307,6 @@ def stack_quadrature(s: PolygonStack, degree: int):
     w = 2.0 * areas[:, :, None] * rule.weights
     m = len(areas)
     return pts.reshape(m, -1, 2), w.reshape(m, -1)
-
-
-def polygon_quadrature(poly: Polygon, degree: int):
-    """Quadrature points (P, 2) and weights (P,) over ``poly``, exact to
-    ``degree``: :func:`stack_quadrature` on a stack of one."""
-    pts, w = stack_quadrature(stack_polygons((poly,)), degree)
-    return pts[0], w[0]
-
-
-def polygon_integrate(poly: Polygon, f, degree: int) -> float:
-    """Integrate ``f(x, y)`` over the polygon, exactly for total degree
-    <= ``degree``."""
-    pts, w = polygon_quadrature(poly, degree)
-    return float(w @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
 
 
 #: Key resolution of the cell-class index, relative to each cell's diameter.
@@ -669,13 +619,16 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
     """Check structural validity and report shape-regularity numbers.
 
     Raises :class:`StructuralDefect` (naming the offending cell) when the
-    tessellation is broken: repeated vertices inside a cell, an edge used
-    twice with the same orientation, non-CCW or invalid cell polygons, or
-    cells that overlap, so that their interior angles at some vertex sum
-    to more than a full turn. Bad vertex counts and indices are refused
-    when the mesh is built. ``mesh.cell_classes`` validates the polygons
-    once per class; the per-cell ratios are class values.
+    tessellation is broken: no cells at all, repeated vertices inside a
+    cell, an edge used twice with the same orientation, non-CCW or invalid
+    cell polygons, or cells that overlap, so that their interior angles at
+    some vertex sum to more than a full turn. Bad vertex counts and
+    indices are refused when the mesh is built. ``mesh.cell_classes``
+    validates the polygons once per class; the per-cell ratios are class
+    values.
     """
+    if mesh.n_cells == 0:
+        raise StructuralDefect("the mesh has no cells")
     n = mesh.n_vertices
     edges = mesh.edges
     cell_of = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_start))

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Polygon, PolygonStack, stack_polygons, stack_quadrature
+from .geometry import PolygonStack, stack_quadrature
 
 
 def space_dimension(k: int) -> int:
@@ -25,33 +25,6 @@ def monomial_exponents(k: int) -> np.ndarray:
                     dtype=int).reshape(-1, 2)
     exps.setflags(write=False)
     return exps
-
-
-def exponent_index(p: int, q: int) -> int:
-    d = p + q
-    return d * (d + 1) // 2 + q
-
-
-class ScaledMonomialBasis:
-    """Monomials of the local coordinates ``(x - center) / scale``."""
-
-    __slots__ = ("center", "scale", "degree", "exponents", "dim")
-
-    def __init__(self, center, scale, degree):
-        self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
-        self.degree = int(degree)
-        self.exponents = monomial_exponents(self.degree)
-        self.dim = len(self.exponents)
-
-    @classmethod
-    def from_polygon(cls, poly: Polygon, degree: int):
-        return cls(poly.star_center, poly.diameter, degree)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Vandermonde matrix of shape (n_points, dim)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return monomials((pts - self.center) / self.scale, self.degree)
 
 
 def monomials(local, degree: int) -> np.ndarray:
@@ -77,37 +50,17 @@ def stack_monomials(s: PolygonStack, points, degree: int) -> np.ndarray:
     return monomials((points - center) / s.diameter.reshape(shape), degree)
 
 
-def gradient_coefficients(basis: ScaledMonomialBasis, a: int):
-    """Coefficients of ``grad m_a`` in the degree ``k-1`` basis.
-
-    Returns a pair of vectors of length ``dim P_{k-1}`` (empty for a
-    degree-0 basis, where the gradient of the only monomial vanishes).
-    """
-    p, q = basis.exponents[a]
-    dim_lower = space_dimension(basis.degree - 1)
-    gx = np.zeros(dim_lower)
-    gy = np.zeros(dim_lower)
-    if p > 0:
-        gx[exponent_index(p - 1, q)] = p / basis.scale
-    if q > 0:
-        gy[exponent_index(p, q - 1)] = q / basis.scale
-    return gx, gy
-
-
-def divergence_matrix(basis: ScaledMonomialBasis) -> np.ndarray:
-    """Coefficients of ``div p_a`` in the degree ``k-1`` basis for every
-    [P_k]^2 monomial ``p_a`` of the degree ``k`` scalar ``basis``: all
-    ``(m_a, 0)`` followed by all ``(0, m_a)``; shape
-    ``(2 dim P_k, dim P_{k-1})``."""
-    grads = np.array([gradient_coefficients(basis, a) for a in range(basis.dim)])
-    return np.concatenate([grads[:, 0], grads[:, 1]])
-
-
 @lru_cache(maxsize=None)
 def unit_divergence_matrix(k: int) -> np.ndarray:
-    """:func:`divergence_matrix` of a degree ``k`` basis of unit scale;
-    divided by a polygon's diameter, that polygon's matrix."""
-    div = divergence_matrix(ScaledMonomialBasis((0.0, 0.0), 1.0, k))
+    """Coefficients of ``div p_a`` in the degree ``k - 1`` basis for every
+    [P_k]^2 monomial ``p_a`` of unit scale: all ``(m_a, 0)`` followed by
+    all ``(0, m_a)``; shape ``(2 dim P_k, dim P_{k-1})``. Divided by a
+    polygon's diameter, that polygon's matrix."""
+    exps, lower = monomial_exponents(k), monomial_exponents(k - 1)
+    # d/dx of x^p y^q is p x^(p-1) y^q, d/dy is q x^p y^(q-1)
+    div = np.concatenate([
+        exps[:, c, None] * (exps[:, None] - step == lower).all(-1)
+        for c, step in enumerate(np.eye(2, dtype=int))]).astype(float)
     div.setflags(write=False)
     return div
 
@@ -120,11 +73,3 @@ def moment_tables(s: PolygonStack, degree: int) -> np.ndarray:
     v = stack_monomials(s, pts, degree)
     h = (v * w[..., None]).transpose(0, 2, 1) @ v
     return 0.5 * (h + h.transpose(0, 2, 1))
-
-
-def build_moment_table(poly: Polygon, degree: int) -> np.ndarray:
-    """Read-only Gram matrix of the degree ``degree`` scaled monomial basis
-    of ``poly``: :func:`moment_tables` on a stack of one."""
-    h = moment_tables(stack_polygons((poly,)), degree)[0]
-    h.setflags(write=False)
-    return h

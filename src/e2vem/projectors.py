@@ -23,12 +23,11 @@ certifies coercivity.
 
 Every array carries a leading stack axis: one row per polygon of a
 :class:`~e2vem.geometry.PolygonStack`, and (m, k, k) matrix stacks go
-through one stacked ``np.linalg`` call. A single polygon is a stack of
-one, so a row's bits do not depend on the rows beside it. Results are
-memoised per polygon (``geometry._PER_POLYGON``), computed in stacks of
-at most ``geometry._STACK_ROWS`` rows: degree certification computes each
-vertex count's kernels, and assembly and the error norms read the same
-rows.
+through one stacked ``np.linalg`` call, so a row's bits do not depend on
+the rows beside it. Results are memoised in each polygon's ``memo``,
+computed in stacks of at most ``geometry._STACK_ROWS`` rows: degree
+certification computes each vertex count's kernels, and assembly and the
+error norms read the same rows.
 """
 from __future__ import annotations
 
@@ -38,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, SingularSystem
-from .geometry import (Polygon, PolygonStack, as_stack, memoised,
-                       stack_polygons)
+from .geometry import Polygon, PolygonStack, memoised, stack_polygons
 from .polyspace import (moment_tables, space_dimension, stack_monomials,
                         unit_divergence_matrix)
 from .quadrature import segment_rule
@@ -56,17 +54,14 @@ def boundary_mean_rows(s: PolygonStack) -> np.ndarray:
 
 
 def compute_pinabla(polys) -> np.ndarray:
-    """Elliptic projector onto linears: the (3, n) coefficient matrix of a
-    polygon, or the (m, 3, n) stack of a sequence of same-n polygons;
-    computed once per polygon, and read-only for one polygon.
+    """Elliptic projector onto linears: the (m, 3, n) coefficient matrices
+    of a sequence of same-n polygons, each computed once per polygon.
 
     Row system: the gradient orthogonality equations against the two
     linear monomials (pure boundary integrals, since linears are
     harmonic) plus the boundary-mean constraint fixing constants.
     """
-    stack, single = as_stack(polys)
-    rows = memoised(stack, "pinabla", _compute_pinabla)
-    return rows[0] if single else np.array(rows)
+    return np.array(memoised(polys, "pinabla", _compute_pinabla))
 
 
 def _compute_pinabla(polys):
@@ -161,9 +156,9 @@ def _project_gradient(s: PolygonStack, l: int, gram: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class ElementProjectors:
     """The element kernel at one gradient-projection degree: the cell-mean
-    row ``pizero`` (n,), the local ``stiffness`` (n, n) and the [P_l] Gram
-    condition number, for one polygon; a leading stack axis for a
-    sequence of polygons. One polygon's arrays are read-only."""
+    rows ``pizero`` (m, n), the local ``stiffness`` (m, n, n) and the
+    [P_l] Gram condition numbers (m,) of a stack of polygons. Each
+    polygon's memo holds its row, with read-only arrays."""
 
     pizero: np.ndarray
     stiffness: np.ndarray
@@ -171,20 +166,17 @@ class ElementProjectors:
 
 
 def build_projectors(polys, l: int) -> ElementProjectors:
-    """The element kernel at gradient-projection degree ``l`` of a polygon,
-    or of each of a sequence of same-n polygons as one stack: the cell
-    means of the vertex hats and the stabilization-free local stiffness
-    (symmetric PSD, constants in its kernel).
+    """The element kernel at gradient-projection degree ``l`` of each of a
+    sequence of same-n polygons, as one stack: the cell means of the
+    vertex hats and the stabilization-free local stiffness (symmetric
+    PSD, constants in its kernel).
 
     Computed once per polygon and degree: degree certification, assembly
     and the error norms (through :func:`compute_pinabla`) share it, and an
     :class:`IllConditioned` warning fires once per (polygon, degree)."""
     if l < 0:
         raise ValueError(f"negative projection degree {l}")
-    stack, single = as_stack(polys)
-    rows = memoised(stack, l, _build_projectors, l)
-    if single:
-        return rows[0]
+    rows = memoised(polys, l, _build_projectors, l)
     return ElementProjectors(np.array([r.pizero for r in rows]),
                              np.array([r.stiffness for r in rows]),
                              np.array([r.gram_condition for r in rows]))

@@ -26,7 +26,7 @@ from e2vem.errors import (
     IllConditioned,
     InadmissibleDegrees,
 )
-from e2vem.geometry import build_polygon, polygon_integrate, polygon_quadrature
+from e2vem.geometry import build_polygon, stack_polygons, stack_quadrature
 from e2vem.meshgen import (
     MeshFamilySpec,
     PolygonFamilySpec,
@@ -35,7 +35,7 @@ from e2vem.meshgen import (
     make_polygon,
     regular_polygon,
 )
-from e2vem.polyspace import ScaledMonomialBasis, gradient_coefficients
+from e2vem.polyspace import monomial_exponents, stack_monomials
 from e2vem.projectors import (
     build_projectors,
     compute_pinabla,
@@ -158,36 +158,35 @@ def test_criterion_05_projection_consistency():
         poly = make_polygon(PolygonFamilySpec("random_convex", n=n,
                                               seed=trial))
         rng = SplitMix64(10_000 + trial)
-        pts, w = polygon_quadrature(poly, 2 * (l + 1))
+        s = stack_polygons([poly])
+        (pts,), (w,) = stack_quadrature(s, 2 * (l + 1))
 
-        basis1 = ScaledMonomialBasis.from_polygon(poly, 1)
+        def basis(q, degree):
+            return stack_monomials(s, q[None], degree)[0]
+
         lin = np.array([2.0 * rng.random() - 1.0 for _ in range(3)])
-        dofs = basis1.evaluate(poly.vertices) @ lin
-        exact = basis1.evaluate(pts) @ lin
-        projected = basis1.evaluate(pts) @ (compute_pinabla(poly) @ dofs)
+        dofs = basis(poly.vertices, 1) @ lin
+        exact = basis(pts, 1) @ lin
+        projected = basis(pts, 1) @ (compute_pinabla([poly])[0] @ dofs)
         rel = np.sqrt(w @ (projected - exact) ** 2 / (w @ exact ** 2))
         worst_linear = max(worst_linear, rel)
 
-        basis_hi = ScaledMonomialBasis.from_polygon(poly, l + 1)
-        a = np.array([2.0 * rng.random() - 1.0
-                      for _ in range(basis_hi.dim)])
+        exps = monomial_exponents(l + 1)
+        a = np.array([2.0 * rng.random() - 1.0 for _ in range(len(exps))])
         moments = None
         if l >= 1:
-            basis_lo = ScaledMonomialBasis.from_polygon(poly, l - 1)
-            moments = basis_lo.evaluate(pts).T @ ((basis_hi.evaluate(pts)
-                                                   @ a) * w)
+            moments = basis(pts, l - 1).T @ ((basis(pts, l + 1) @ a) * w)
         coeffs = project_gradient_from_data(
-            poly, l, lambda q: basis_hi.evaluate(q) @ a, moments)
-        vb = ScaledMonomialBasis.from_polygon(poly, l).evaluate(pts)
+            poly, l, lambda q: basis(q, l + 1) @ a, moments)
+        vb = basis(pts, l)
         nl = vb.shape[1]
-        gx, gy = np.zeros(nl), np.zeros(nl)
-        for j, aj in enumerate(a):
-            gjx, gjy = gradient_coefficients(basis_hi, j)
-            gx += aj * gjx
-            gy += aj * gjy
-        num = w @ ((vb @ coeffs[:nl] - vb @ gx) ** 2
-                   + (vb @ coeffs[nl:] - vb @ gy) ** 2)
-        den = w @ ((vb @ gx) ** 2 + (vb @ gy) ** 2)
+        # the exact gradient of sum_j a_j ((x - x_C) / h)^p_j ((y - y_C) / h)^q_j
+        local = (pts - poly.star_center)[:, None, :] / poly.diameter
+        powers = local ** np.maximum(exps - 1, 0) * exps
+        gx = (powers[..., 0] * local[..., 1] ** exps[:, 1]) @ a / poly.diameter
+        gy = (local[..., 0] ** exps[:, 0] * powers[..., 1]) @ a / poly.diameter
+        num = w @ ((vb @ coeffs[:nl] - gx) ** 2 + (vb @ coeffs[nl:] - gy) ** 2)
+        den = w @ (gx ** 2 + gy ** 2)
         worst_gradient = max(worst_gradient, np.sqrt(num / den))
 
     assert worst_linear <= 1e-10
@@ -232,10 +231,10 @@ def test_criterion_07_triangle_mesh_matches_p1_fem():
     assert all(l == 0 for l in result.degrees.levels)
     # same load rule as the solver under test: cell mean of f from the
     # documented degree-4 rule, lumped one third per vertex
-    loads = [polygon_integrate(build_polygon(mesh.vertices[cell],
-                                             normalize_orientation=False),
-                               problem.f, 4)
-             for cell in mesh.cells]
+    cells = build_polygon(np.array([mesh.vertices[c] for c in mesh.cells]),
+                          normalize_orientation=False)
+    pts, w = stack_quadrature(stack_polygons(cells), 4)
+    loads = (w * problem.f(pts[..., 0], pts[..., 1])).sum(axis=1)
     fem = fem_p1_solve(mesh.vertices, mesh.cells,
                        mesh.boundary_vertex_flags, loads)
     gap = np.abs(result.vertex_values - fem).max()
@@ -288,7 +287,8 @@ def test_criterion_10_spd_kernel_and_admissibility_refusal():
         for i, cell in enumerate(mesh.cells):
             poly = build_polygon(mesh.vertices[cell],
                                  normalize_orientation=False)
-            stiff = build_projectors(poly, int(degrees.levels[i])).stiffness
+            l = int(degrees.levels[i])
+            stiff = build_projectors([poly], l).stiffness[0]
             sv = np.linalg.svd(stiff, compute_uv=False)
             rank = int((sv > 1e-12 * sv[0]).sum())
             assert rank == poly.n_vertices - 1, (family, i)

@@ -19,7 +19,7 @@ from e2vem.assembly import (
 from e2vem import geometry
 from e2vem.degree import assign_degrees
 from e2vem.errors import NotSPD
-from e2vem.geometry import PolygonalMesh, polygon_quadrature
+from e2vem.geometry import PolygonalMesh, stack_polygons, stack_quadrature
 from e2vem.meshgen import MeshFamilySpec, make_mesh
 
 from oracles import fem_p1_stiffness
@@ -140,7 +140,9 @@ def test_load_evaluates_source_in_member_chunks(monkeypatch):
         groups.setdefault((cls.polygon.n_vertices, l), []).append(cls)
     expected = []
     for (_, l), group in sorted(groups.items()):
-        points = len(polygon_quadrature(group[0].polygon, 2 * (l + 1) + 2)[1])
+        _, w = stack_quadrature(stack_polygons([group[0].polygon]),
+                                2 * (l + 1) + 2)
+        points = w.shape[1]
         members = sum(len(cls.members) for cls in group)
         expected += [min(7, members - k) * points for k in range(0, members, 7)]
     assert max(len(cls.members) for cls in mesh.cell_classes) > 7

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import e2vem
 from e2vem import cli
 
@@ -200,6 +202,14 @@ def test_bad_config_file(tmp_path):
     assert run_cli("--config", str(cfg)) == 2
     cfg.write_text('{"command": "transcend"}')
     assert run_cli("--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize("band", [[1.9], "abc", [1.9, "x"], [None, None]])
+def test_bad_config_band_is_config_error(tmp_path, capsys, band):
+    cfg = tmp_path / "band.json"
+    cfg.write_text(json.dumps({"command": "convergence", "rate_band_l2": band}))
+    assert run_cli("--config", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith("error: config: rate_band_l2: ")
 
 
 def test_reruns_identical_modulo_timestamp(tmp_path):

@@ -15,7 +15,7 @@ from e2vem.degree import (
     stiffness_rank,
 )
 from e2vem.errors import AdmissibilityNotReached, InadmissibleDegrees
-from e2vem.geometry import PolygonalMesh, as_stack, build_polygon
+from e2vem.geometry import PolygonalMesh, build_polygon
 from e2vem.meshgen import (
     MeshFamilySpec,
     PolygonFamilySpec,
@@ -90,7 +90,7 @@ def test_admissibility_monotone_in_l():
         from e2vem.projectors import build_projectors
 
         for l in range(ev.l, ev.l + 3):
-            K = build_projectors(poly, l).stiffness
+            K = build_projectors([poly], l).stiffness[0]
             evals = np.linalg.eigvalsh(K)
             assert int(np.sum(evals > 1e-10 * evals[-1])) == poly.n_vertices - 1
 
@@ -159,8 +159,8 @@ def test_refusal_names_first_deficient_cell(family, strategy):
     for ci, cell in enumerate(mesh.cells):
         n = len(cell)
         l = ell_check(n) if strategy == "ell_check" else 0
-        evals = np.linalg.eigvalsh(
-            build_projectors(build_polygon(mesh.vertices[cell]), l).stiffness)
+        own = build_polygon(mesh.vertices[cell])
+        evals = np.linalg.eigvalsh(build_projectors([own], l).stiffness[0])
         if int(np.sum(evals > 1e-10 * evals[-1])) < n - 1:
             break
     else:
@@ -186,13 +186,11 @@ def test_assign_degrees_certifies_every_scattered_kernel(monkeypatch):
 
     def recording_rank(polys, l):
         ranks = rank_fn(polys, l)
-        stack, single = as_stack(polys)
-        checked.update(((poly, l), rank) for poly, rank
-                       in zip(stack, [ranks] if single else ranks))
+        checked.update(((poly, l), rank) for poly, rank in zip(polys, ranks))
         return ranks
 
     def recording_kernel(polys, l):
-        scattered.extend((poly, l) for poly in as_stack(polys)[0])
+        scattered.extend((poly, l) for poly in polys)
         return kernel_fn(polys, l)
 
     monkeypatch.setattr(degree, "min_admissible_l", counting_search)
@@ -353,7 +351,8 @@ def test_degrees_and_ranks_pinned(case, level, levels_digest, ranks_digest):
     else:
         mesh = make_mesh(MeshFamilySpec(case, level=level))
     levels = assign_degrees(mesh, "minimal").levels
-    ranks = np.array([stiffness_rank(c.polygon, ell_check(c.polygon.n_vertices))
+    ranks = np.array([stiffness_rank([c.polygon],
+                                     ell_check(c.polygon.n_vertices))[0]
                       for c in mesh.cell_classes], dtype=np.int64)
     for values, digest in ((np.asarray(levels, dtype=np.int64), levels_digest),
                            (ranks, ranks_digest)):

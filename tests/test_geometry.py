@@ -10,9 +10,8 @@ from e2vem import geometry
 from e2vem.geometry import (
     PolygonalMesh,
     build_polygon,
-    polygon_integrate,
-    polygon_quadrature,
-    sub_triangulate,
+    stack_polygons,
+    stack_quadrature,
     validate_mesh,
 )
 from e2vem.meshgen import (
@@ -43,7 +42,7 @@ def test_unit_square_metrics():
     assert poly.area == pytest.approx(1.0, abs=1e-15)
     assert poly.diameter == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert poly.star_center == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert poly.perimeter == pytest.approx(4.0, abs=1e-14)
+    assert poly.edge_lengths.sum() == pytest.approx(4.0, abs=1e-14)
 
 
 def test_unit_right_triangle_metrics():
@@ -95,33 +94,46 @@ def test_concave_octagon_star_center_in_kernel():
     assert poly.kernel_inradius > 0
 
 
+def fan_areas(poly):
+    """Areas of the fan triangles of ``poly``'s quadrature: each
+    triangle's weights sum to its area."""
+    _, w = stack_quadrature(stack_polygons([poly]), 4)
+    return w[0].reshape(poly.n_vertices, -1).sum(axis=1)
+
+
+def integrate(poly, f, degree):
+    pts, w = stack_quadrature(stack_polygons([poly]), degree)
+    return float(w[0] @ f(pts[0, :, 0], pts[0, :, 1]))
+
+
 def test_sub_triangulate_unit_square():
-    tri = sub_triangulate(build_polygon(UNIT_SQUARE))
-    assert len(tri.triangles) == 4
-    assert np.allclose(tri.areas, 0.25, atol=1e-15)
+    areas = fan_areas(build_polygon(UNIT_SQUARE))
+    assert len(areas) == 4
+    assert np.allclose(areas, 0.25, atol=1e-15)
 
 
 def test_sub_triangulate_regular_hexagon_congruent():
-    tri = sub_triangulate(regular_polygon(6))
-    assert len(tri.triangles) == 6
-    assert np.ptp(tri.areas) < 1e-14
+    areas = fan_areas(regular_polygon(6))
+    assert len(areas) == 6
+    assert np.ptp(areas) < 1e-14
 
 
 def test_sub_triangulate_concave_octagon_area_sum():
     poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.2))
-    tri = sub_triangulate(poly)
-    assert float(np.sum(tri.areas)) == pytest.approx(poly.area, rel=1e-12)
+    areas = fan_areas(poly)
+    assert areas.min() > 0.0
+    assert float(np.sum(areas)) == pytest.approx(poly.area, rel=1e-12)
 
 
 def test_polygon_integrate_unit_square():
     poly = build_polygon(UNIT_SQUARE)
-    assert polygon_integrate(poly, lambda x, y: np.ones_like(x), 0) == pytest.approx(1.0)
-    assert polygon_integrate(poly, lambda x, y: x * y, 2) == pytest.approx(0.25, abs=1e-14)
+    assert integrate(poly, lambda x, y: np.ones_like(x), 0) == pytest.approx(1.0)
+    assert integrate(poly, lambda x, y: x * y, 2) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_polygon_integrate_hexagon_x2_against_oracles():
     poly = regular_polygon(6)
-    got = polygon_integrate(poly, lambda x, y: x ** 2, 2)
+    got = integrate(poly, lambda x, y: x ** 2, 2)
     mc, se = monte_carlo_integral(poly.vertices, lambda x, y: x ** 2)
     assert abs(got - mc) < max(1e-3, 5 * se)
     x, y = sp.symbols("x y")
@@ -139,6 +151,12 @@ def test_validate_square_grid_numbers():
     assert q.kappa == pytest.approx(min(0.5 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
                                     rel=1e-12)
     assert q.total_area == pytest.approx(1.0, rel=1e-13)
+
+
+def test_validate_empty_mesh():
+    with pytest.raises(StructuralDefect, match="no cells") as exc:
+        validate_mesh(PolygonalMesh(np.zeros((0, 2)), []))
+    assert exc.value.cell is None
 
 
 def test_validate_duplicated_cell():
@@ -385,8 +403,6 @@ def test_polygon_quadrature_builds_fan_once(monkeypatch):
                                               rel=1e-13)
     # one fan per call, for the whole stack
     assert calls == [3, 3, 3]
-    with pytest.raises(ValueError):
-        sub_triangulate(poly).areas[0] = 0.0
 
 
 def test_validate_honeycomb_kappa_across_levels():

@@ -8,10 +8,10 @@ from e2vem.assembly import (ProblemSpec, assemble_full, sin_sin_problem,
                             solve_problem)
 from e2vem.degree import assign_degrees, stiffness_rank
 from e2vem.errors import IllConditioned
-from e2vem.geometry import (PolygonalMesh, build_polygon, polygon_quadrature,
-                            stack_polygons, stack_quadrature)
+from e2vem.geometry import (PolygonalMesh, build_polygon, stack_polygons,
+                            stack_quadrature)
 from e2vem.meshgen import PolygonFamilySpec, make_polygon, regular_polygon
-from e2vem.polyspace import ScaledMonomialBasis, moment_tables, space_dimension
+from e2vem.polyspace import moment_tables, space_dimension, stack_monomials
 from e2vem.projectors import (
     GRAM_CONDITION_LIMIT,
     build_projectors,
@@ -34,16 +34,30 @@ def one_cell_matrix_and_load(poly, f, kind="poisson", strategy="minimal",
     return matrix.toarray(), load
 
 
+def quadrature(poly, degree):
+    """One polygon's quadrature points (P, 2) and weights (P,)."""
+    pts, w = stack_quadrature(stack_polygons([poly]), degree)
+    return pts[0], w[0]
+
+
+def monomials_at(poly, pts, degree):
+    """One polygon's scaled monomials at the points ``pts`` (P, 2)."""
+    return stack_monomials(stack_polygons([poly]), pts[None], degree)[0]
+
+
 def evaluate_linear(poly, coeffs, pts):
-    basis = ScaledMonomialBasis.from_polygon(poly, 1)
-    return basis.evaluate(pts) @ coeffs
+    return monomials_at(poly, pts, 1) @ coeffs
+
+
+def local_stiffness(poly, l):
+    return build_projectors([poly], l).stiffness[0]
 
 
 def test_pinabla_constant_and_linear_dofs():
     for poly in (build_polygon(UNIT_SQUARE), regular_polygon(7),
                  make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4))):
-        pina = compute_pinabla(poly)
-        pts, _ = polygon_quadrature(poly, 2)
+        pina = compute_pinabla([poly])[0]
+        pts, _ = quadrature(poly, 2)
         ones = np.ones(poly.n_vertices)
         assert np.allclose(evaluate_linear(poly, pina @ ones, pts), 1.0, atol=1e-13)
         xs = poly.vertices[:, 0]
@@ -52,9 +66,9 @@ def test_pinabla_constant_and_linear_dofs():
 
 def test_pinabla_unit_square_hand_case():
     poly = build_polygon(UNIT_SQUARE)
-    pina = compute_pinabla(poly)
+    pina = compute_pinabla([poly])[0]
     dofs = np.array([0.0, 1.0, 1.0, 0.0])  # trace of x at the corners
-    pts, _ = polygon_quadrature(poly, 2)
+    pts, _ = quadrature(poly, 2)
     assert np.allclose(evaluate_linear(poly, pina @ dofs, pts), pts[:, 0], atol=1e-13)
 
 
@@ -70,7 +84,7 @@ def test_pigrad_exact_on_linears_any_l(l):
     # (K u)_i = (Pi grad phi_i, g)_E = (grad phi_i, g)_E, the boundary
     # integral of phi_i g . n, and u^T K u = |g|^2 |E|
     poly = regular_polygon(9)
-    K = build_projectors(poly, l).stiffness
+    K = local_stiffness(poly, l)
     dofs = 0.25 - 1.5 * poly.vertices[:, 0] + 0.75 * poly.vertices[:, 1]
     grad = np.array([-1.5, 0.75])
     assert np.allclose(K @ dofs, boundary_hat_normals(poly) @ grad, atol=1e-11)
@@ -82,7 +96,7 @@ def test_pigrad_triangle_exact_for_all_dofs(l):
     # on a triangle the virtual space is P1 at every l: K is the P1
     # stiffness, |T| grad(lambda_i) . grad(lambda_j)
     poly = build_polygon([(0.1, 0.0), (1.2, 0.3), (0.4, 1.1)])
-    K = build_projectors(poly, l).stiffness
+    K = local_stiffness(poly, l)
     v = poly.vertices
     grad_basis = np.linalg.solve(
         np.column_stack([np.ones(3), v]), np.eye(3))[1:]
@@ -97,7 +111,7 @@ def test_pigrad_triangle_exact_for_all_dofs(l):
 
 def test_pigrad_unit_square_hand_case():
     # u = x: the projected gradient is the constant field (1, 0)
-    K = build_projectors(build_polygon(UNIT_SQUARE), 1).stiffness
+    K = local_stiffness(build_polygon(UNIT_SQUARE), 1)
     dofs = np.array([0.0, 1.0, 1.0, 0.0])
     assert np.allclose(K @ dofs, [-0.5, 0.5, 0.5, -0.5], atol=1e-12)
     assert dofs @ K @ dofs == pytest.approx(1.0, abs=1e-12)
@@ -105,22 +119,21 @@ def test_pigrad_unit_square_hand_case():
 
 def test_pizero_and_pione():
     poly = build_polygon(UNIT_SQUARE)
-    projs = build_projectors(poly, 1)
-    pz = projs.pizero
+    pz = build_projectors([poly], 1).pizero[0]
     assert pz @ np.ones(4) == pytest.approx(1.0, abs=1e-13)
     assert pz @ np.array([1.0, 0.0, 1.0, 0.0]) == pytest.approx(0.5, abs=1e-13)
     # the slaved linear moments make the L2 projection onto linears,
     # which the p1 load applies, equal to the elliptic one
-    pinabla = compute_pinabla(poly)
+    pinabla = compute_pinabla([poly])[0]
     dofs = 0.2 + 0.9 * poly.vertices[:, 0] - 0.4 * poly.vertices[:, 1]
-    pts, _ = polygon_quadrature(poly, 2)
+    pts, _ = quadrature(poly, 2)
     exact = 0.2 + 0.9 * pts[:, 0] - 0.4 * pts[:, 1]
     assert np.allclose(evaluate_linear(poly, pinabla @ dofs, pts), exact,
                        atol=1e-12)
 
 
 def test_local_stiffness_unit_right_triangle():
-    K = build_projectors(build_polygon(UNIT_RIGHT_TRIANGLE), 0).stiffness
+    K = local_stiffness(build_polygon(UNIT_RIGHT_TRIANGLE), 0)
     expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                [-1.0, 1.0, 0.0],
                                [-1.0, 0.0, 1.0]])
@@ -129,10 +142,10 @@ def test_local_stiffness_unit_right_triangle():
 
 def test_local_stiffness_hexagon_ranks():
     poly = regular_polygon(6)
-    K2 = build_projectors(poly, 2).stiffness
+    K2 = local_stiffness(poly, 2)
     ev2 = np.linalg.eigvalsh(K2)
     assert int(np.sum(ev2 > 1e-10 * ev2[-1])) == 5
-    K1 = build_projectors(poly, 1).stiffness
+    K1 = local_stiffness(poly, 1)
     ev1 = np.linalg.eigvalsh(K1)
     assert int(np.sum(ev1 > 1e-10 * ev1[-1])) < 5
 
@@ -143,7 +156,7 @@ def test_local_stiffness_symmetric_psd_kernel():
         from e2vem.degree import min_admissible_l
 
         l = min_admissible_l(poly).l
-        K = build_projectors(poly, l).stiffness
+        K = local_stiffness(poly, l)
         assert np.allclose(K, K.T, atol=1e-13)
         assert np.linalg.eigvalsh(K)[0] > -1e-12
         assert np.max(np.abs(K @ np.ones(poly.n_vertices))) < 1e-12
@@ -192,22 +205,22 @@ def test_project_gradient_from_data_quartic():
     def grad_p(x, y):
         return 4 * x ** 3 - 4 * x * y ** 2, -4 * x ** 2 * y + 1.5 * y ** 2
 
-    basis_lm1 = ScaledMonomialBasis.from_polygon(poly, l - 1)
-    qpts, qw = polygon_quadrature(poly, 2 * l + 2)
-    vm = basis_lm1.evaluate(qpts).T @ (p(qpts[:, 0], qpts[:, 1]) * qw)
+    qpts, qw = quadrature(poly, 2 * l + 2)
+    vm = monomials_at(poly, qpts, l - 1).T @ (p(qpts[:, 0], qpts[:, 1]) * qw)
     coeffs = project_gradient_from_data(
         poly, l, lambda pts: p(pts[:, 0], pts[:, 1]), vm)
     nl = space_dimension(l)
-    basis = ScaledMonomialBasis.from_polygon(poly, l)
-    pts, _ = polygon_quadrature(poly, 2 * l)
+    pts, _ = quadrature(poly, 2 * l)
     gx, gy = grad_p(pts[:, 0], pts[:, 1])
-    assert np.allclose(basis.evaluate(pts) @ coeffs[:nl], gx, atol=1e-11)
-    assert np.allclose(basis.evaluate(pts) @ coeffs[nl:], gy, atol=1e-11)
+    values = monomials_at(poly, pts, l)
+    assert np.allclose(values @ coeffs[:nl], gx, atol=1e-11)
+    assert np.allclose(values @ coeffs[nl:], gy, atol=1e-11)
 
 
 def test_gram_condition_reported():
-    projs = build_projectors(regular_polygon(6), 2)
-    assert projs.gram_condition >= 1.0
+    projs = build_projectors([regular_polygon(6)], 2)
+    assert projs.gram_condition.shape == (1,)
+    assert projs.gram_condition[0] >= 1.0
 
 
 def reuse_polygons():
@@ -216,25 +229,32 @@ def reuse_polygons():
             make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4)))
 
 
+def kernel_arrays(poly, l):
+    """The kernel's stacks for ``poly`` alone: pizero, stiffness, Gram
+    condition and pinabla."""
+    projs = build_projectors([poly], l)
+    return [projs.pizero, projs.stiffness, projs.gram_condition,
+            compute_pinabla([poly])]
+
+
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
 def test_kernel_memoised_bitwise_and_read_only(l):
     for poly in reuse_polygons():
-        projs = build_projectors(poly, l)
-        assert build_projectors(poly, l) is projs
+        first = kernel_arrays(poly, l)
+        row, pinabla = poly.memo[l], poly.memo["pinabla"]
+        bits = [a.tobytes() for a in first]
         # reuse is valid: a new polygon on the same vertices gives the same bits
-        fresh = build_projectors(build_polygon(poly.vertices), l)
-        assert fresh is not projs
-        assert fresh.gram_condition == projs.gram_condition
-        pinabla = compute_pinabla(poly)
-        assert compute_pinabla(poly) is pinabla
-        arrays = [(getattr(projs, name), getattr(fresh, name))
-                  for name in ("pizero", "stiffness")]
-        arrays.append((pinabla, compute_pinabla(build_polygon(poly.vertices))))
-        for kept, rebuilt in arrays:
-            assert kept.shape == rebuilt.shape
-            assert kept.tobytes() == rebuilt.tobytes()
+        fresh = kernel_arrays(build_polygon(poly.vertices), l)
+        assert [a.tobytes() for a in fresh] == bits
+        # the memo rows are computed once and are read-only
+        for a in first:
+            a[...] = 0.0
+        assert poly.memo[l] is row and poly.memo["pinabla"] is pinabla
+        for kept in (row.pizero, row.stiffness, pinabla):
             with pytest.raises(ValueError):
                 kept[...] = 0.0
+        # writing into the returned stacks above left the memo as it was
+        assert [a.tobytes() for a in kernel_arrays(poly, l)] == bits
 
 
 def mixed_stacks():
@@ -303,7 +323,7 @@ def test_ill_conditioned_warns_once_per_class_and_degree():
         solution_errors(solve_problem(mesh, "minimal", sin_sin_problem()))
         classes = mesh.cell_classes
         expected = [(cls, l) for cls in classes for l in range(3, 10)
-                    if build_projectors(cls.polygon, l).gram_condition
+                    if build_projectors([cls.polygon], l).gram_condition[0]
                     > GRAM_CONDITION_LIMIT]
     assert len(classes) == 2
     assert {(cls, 9) for cls in classes} <= set(expected)

@@ -7,9 +7,10 @@ from e2vem.cli import parse_n_range
 from e2vem.analysis import eoc_rates
 from e2vem.degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from e2vem import geometry
-from e2vem.geometry import PolygonalMesh, build_polygon, sub_triangulate
+from e2vem.geometry import (PolygonalMesh, build_polygon, stack_polygons,
+                            stack_quadrature)
 from e2vem.meshgen import PolygonFamilySpec, SplitMix64, make_polygon
-from e2vem.polyspace import build_moment_table
+from e2vem.polyspace import moment_tables
 
 from oracles import splitmix64_reference
 
@@ -90,18 +91,23 @@ def test_subtriangulation_covers_polygon(n, seed, alpha):
     for poly in (convex(n, seed),
                  make_polygon(PolygonFamilySpec("concave_octagon", n=8,
                                                 alpha=alpha))):
-        fan = sub_triangulate(poly)
-        total = sum(shoelace(tri) for tri in fan.triangles)
+        # the fan (star_center, v_i, v_{i+1}); each triangle's quadrature
+        # weights sum to its area
+        v = poly.vertices
+        triangles = [(poly.star_center, a, b)
+                     for a, b in zip(v, np.roll(v, -1, axis=0))]
+        _, w = stack_quadrature(stack_polygons([poly]), 2)
+        total = sum(shoelace(tri) for tri in triangles)
         assert abs(total - poly.area) <= 1e-12 * poly.area
-        np.testing.assert_allclose(fan.areas,
-                                   [shoelace(t) for t in fan.triangles],
+        np.testing.assert_allclose(w[0].reshape(len(v), -1).sum(axis=1),
+                                   [shoelace(t) for t in triangles],
                                    rtol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
 @given(sizes, seeds, st.integers(min_value=0, max_value=4))
 def test_moment_table_spd(n, seed, degree):
-    h = build_moment_table(convex(n, seed), degree)
+    h = moment_tables(stack_polygons([convex(n, seed)]), degree)[0]
     assert np.array_equal(h, h.T)
     assert np.linalg.eigvalsh(h).min() > 0.0
 

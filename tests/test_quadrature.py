@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from e2vem.errors import UnsupportedDegree
-from e2vem.geometry import build_polygon, polygon_quadrature
+from e2vem.geometry import build_polygon, stack_polygons, stack_quadrature
 from e2vem.quadrature import segment_rule, triangle_rule
 
 
@@ -33,10 +33,11 @@ def test_triangle_rule_exactness(degree):
 
 def test_polygon_quadrature_exact_on_cell_polynomials():
     poly = build_polygon([(0.2, -0.1), (1.3, 0.2), (1.1, 1.4), (-0.2, 0.9)])
-    pts, w = polygon_quadrature(poly, 6)
+    s = stack_polygons([poly])
+    (pts,), (w,) = stack_quadrature(s, 6)
     assert w.sum() == pytest.approx(poly.area, rel=1e-13)
     # x^3 y^3 over the quad, cross-checked by a much higher-order rule
-    hi_pts, hi_w = polygon_quadrature(poly, 14)
+    (hi_pts,), (hi_w,) = stack_quadrature(s, 14)
     f = lambda x, y: x ** 3 * y ** 3
     assert float(f(pts[:, 0], pts[:, 1]) @ w) == pytest.approx(
         float(f(hi_pts[:, 0], hi_pts[:, 1]) @ hi_w), rel=1e-13)
