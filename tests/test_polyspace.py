@@ -12,6 +12,7 @@ from e2vem.polyspace import (
     moment_tables,
     monomial_exponents,
     space_dimension,
+    stack_monomials,
     unit_divergence_matrix,
 )
 from e2vem.projectors import build_projectors
@@ -103,6 +104,62 @@ def test_unit_divergence_matrix_matches_sympy():
             for var in (x, y) for p, q in monomial_exponents(k).tolist()]
         assert np.array_equal(div, np.array(expected, dtype=float)
                               .reshape(div.shape)), k
+
+
+def gradient_rows(poly, k, a):
+    """The gradient of ``poly``'s scaled monomial ``m_a`` in its degree
+    ``k - 1`` basis: the rows of ``(m_a, 0)`` and ``(0, m_a)`` in the
+    polygon's divergence matrix."""
+    div = unit_divergence_matrix(k) / poly.diameter
+    return div[a], div[space_dimension(k) + a]
+
+
+def test_gradient_coefficients():
+    poly = build_polygon(UNIT_SQUARE)
+    h = poly.diameter
+    gx, gy = gradient_rows(poly, 2, 0)
+    assert not gx.any() and not gy.any()
+    gx, gy = gradient_rows(poly, 2, 1)  # m_(1,0)
+    assert gx[0] == pytest.approx(1.0 / h) and not gx[1:].any()
+    assert not gy.any()
+    gx, gy = gradient_rows(poly, 2, 4)  # m_(1,1)
+    assert gx[2] == pytest.approx(1.0 / h)  # m_(0,1)
+    assert gy[1] == pytest.approx(1.0 / h)  # m_(1,0)
+    assert np.count_nonzero(gx) == 1 and np.count_nonzero(gy) == 1
+
+
+def test_divergence_coefficients():
+    poly = build_polygon(UNIT_SQUARE)
+    s = stack_polygons([poly])
+    div = unit_divergence_matrix(2) / poly.diameter
+    h = poly.diameter
+    nl = space_dimension(2)
+    assert div.shape == (2 * nl, space_dimension(1))
+    # (m_0, 0) is divergence-free
+    assert not div[0].any()
+    # div (m_(1,0), 0) = m_0 / h
+    d = div[1]
+    assert d[0] == pytest.approx(1.0 / h) and not d[1:].any()
+    # div (m_(1,1), m_(2,0)) = m_(0,1)/h, checked against finite differences
+    coef = np.zeros(2 * nl)
+    coef[4] = 1.0  # m_(1,1) in x
+    coef[nl + 3] = 1.0  # m_(2,0) in y
+    div_c = div.T @ coef
+    assert div_c == pytest.approx([0.0, 0.0, 1.0 / h])
+    rng = np.random.default_rng(7)
+    pts = rng.random((1, 20, 2))
+    eps = 1e-6
+
+    def field(p):
+        vals = stack_monomials(s, p, 2)[0]
+        return vals[:, 4], vals[:, 3]
+
+    fx_p, _ = field(pts + [eps, 0.0])
+    fx_m, _ = field(pts - [eps, 0.0])
+    _, fy_p = field(pts + [0.0, eps])
+    _, fy_m = field(pts - [0.0, eps])
+    fd = (fx_p - fx_m) / (2 * eps) + (fy_p - fy_m) / (2 * eps)
+    assert np.allclose(stack_monomials(s, pts, 1)[0] @ div_c, fd, atol=1e-8)
 
 
 def test_ill_conditioned_warning_on_extreme_degree():
