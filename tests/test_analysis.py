@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from e2vem import geometry
+from e2vem import analysis, geometry
 from e2vem.analysis import (
     StudyRow,
     build_report,
@@ -16,8 +16,9 @@ from e2vem.analysis import (
 from e2vem.assembly import (assemble_full, linear_problem, sin_sin_problem,
                             solve_problem)
 from e2vem.errors import DegenerateData, MissingExactSolution
-from e2vem.geometry import PolygonalMesh
+from e2vem.geometry import PolygonalMesh, stack_polygons, stack_quadrature
 from e2vem.meshgen import MeshFamilySpec, make_mesh
+from e2vem.projectors import compute_pinabla
 
 from oracles import eoc_fit
 
@@ -147,3 +148,139 @@ def test_honeycomb_errors_decrease():
     assert all(a > b for a, b in zip(l2, l2[1:]))
     assert all(a > b for a, b in zip(h1, h1[1:]))
     assert np.isfinite(h1).all()
+
+
+@pytest.mark.parametrize("extra", [5, -1])
+def test_errors_refuse_wrong_length_vertex_data(extra):
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=0))
+    prob = sin_sin_problem("poisson")
+    values = np.zeros(mesh.n_vertices + extra)
+    with pytest.raises(ValueError, match=str(mesh.n_vertices)):
+        l2_error(mesh, values, prob.exact_solution)
+    with pytest.raises(ValueError, match=str(mesh.n_vertices)):
+        h1_error(mesh, values, prob.exact_gradient)
+
+
+def test_errors_refuse_two_dimensional_vertex_data():
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=0))
+    prob = sin_sin_problem("poisson")
+    res = solve_problem(mesh, "minimal", prob)
+    column = res.vertex_values[:, None]
+    with pytest.raises(ValueError, match=r"\(%d, 1\)" % mesh.n_vertices):
+        l2_error(mesh, column, prob.exact_solution)
+    res.vertex_values = column
+    with pytest.raises(ValueError, match=r"\(%d,\)" % mesh.n_vertices):
+        solution_errors(res)
+
+
+@pytest.mark.parametrize("hs, errs", [
+    ([0.1, np.nan], [1.0, 2.0]),
+    ([0.1, 0.05], [np.inf, 1.0]),
+    ([np.inf, 0.05], [1.0, 0.5]),
+    ([0.1, 0.05], [1.0, np.nan]),
+])
+def test_eoc_rates_non_finite_inputs(hs, errs, capfd):
+    with pytest.raises(DegenerateData, match="non-finite"):
+        eoc_rates(hs, errs)
+    assert capfd.readouterr().err == ""
+
+
+_STRUCTURED = ("honeycomb", "concave_star", "cut_corner_octagon")
+
+
+def _compressed_classes(mesh):
+    return [c for c in mesh.cell_classes
+            if len(c.members) >= analysis._COMPRESS_MEMBERS]
+
+
+def _scaled_moments(poly, pts, weights, degree=8):
+    """Each monomial ((x - x_C) / h)^p ((y - y_C) / h)^q, p + q <= degree,
+    integrated by the rule ``pts`` (P, 2), ``weights`` (P,)."""
+    x, y = ((pts - poly.star_center) / poly.diameter).T
+    return np.array([(x ** (d - j) * y ** j) @ weights
+                     for d in range(degree + 1) for j in range(d + 1)])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+@pytest.mark.parametrize("family", _STRUCTURED)
+def test_compressed_rules_keep_fan_moments(family, shift):
+    base = make_mesh(MeshFamilySpec(family, level=2))
+    mesh = PolygonalMesh(base.vertices + shift, base.cells)
+    large = _compressed_classes(mesh)
+    assert large
+    k = 45  # dim P_8
+    for cls in large:
+        poly = cls.polygon
+        (pts, w), = analysis.compressed_rules([poly])
+        fan_pts, fan_w = stack_quadrature(stack_polygons([poly]), 8)
+        fan_pts, fan_w = fan_pts[0], fan_w[0]
+        assert pts.shape == (k, 2) and w.shape == (k,)
+        want = _scaled_moments(poly, fan_pts, fan_w)
+        got = _scaled_moments(poly, pts, w)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # every node is a fan node, bit for bit; padding has zero weight
+        assert all((fan_pts == p).all(axis=1).any() for p in pts)
+        assert (w >= 0.0).all()
+        assert 0 < np.count_nonzero(w) <= k
+
+
+def _fan_rule_errors(result):
+    """(l2, h1) of a solution on each class's fan rule from
+    ``stack_quadrature``, moved onto the members by their offsets."""
+    problem, u = result.problem, result.vertex_values
+    l2_sq = h1_sq = 0.0
+    for cls in result.mesh.cell_classes:
+        poly = cls.polygon
+        pts, w = stack_quadrature(stack_polygons([poly]), 8)
+        pts = pts[0] + cls.offsets[:, None, :]                 # (m, P, 2)
+        a = np.einsum("mn,an->ma", u[cls.indices],
+                      compute_pinabla([poly])[0])
+        centers = poly.star_center + cls.offsets
+        local = (pts - centers[:, None, :]) / poly.diameter
+        x, y = pts[..., 0], pts[..., 1]
+        projected = a[:, :1] + a[:, 1:2] * local[..., 0] + a[:, 2:] * local[..., 1]
+        l2_sq += ((projected - problem.exact_solution(x, y)) ** 2 @ w[0]).sum()
+        gx, gy = problem.exact_gradient(x, y)
+        h1_sq += (((a[:, 1:2] / poly.diameter - gx) ** 2
+                   + (a[:, 2:] / poly.diameter - gy) ** 2) @ w[0]).sum()
+    return np.sqrt(l2_sq), np.sqrt(h1_sq)
+
+
+@pytest.mark.parametrize("family", _STRUCTURED)
+def test_compressed_errors_match_fan_rule(family):
+    mesh = make_mesh(MeshFamilySpec(family, level=2))
+    res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
+    np.testing.assert_allclose(solution_errors(res), _fan_rule_errors(res),
+                               rtol=1e-10, atol=0.0)
+    assert all(c.polygon.memo.get(("compressed", 8)) is not None
+               for c in _compressed_classes(mesh))
+
+
+def test_singleton_classes_keep_fan_rule(monkeypatch):
+    base = make_mesh(MeshFamilySpec("honeycomb", level=1))
+    verts = base.vertices.copy()
+    interior = ~base.boundary_vertex_flags
+    verts[interior] += base.h * np.random.default_rng(2).uniform(
+        -0.05, 0.05, (interior.sum(), 2))
+    mesh = PolygonalMesh(verts, base.cells)
+    assert len(mesh.cell_classes) == mesh.n_cells
+    res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
+    errors = solution_errors(res)
+    assert not any(("compressed", 8) in c.polygon.memo
+                   for c in mesh.cell_classes)
+    monkeypatch.setattr(analysis, "_COMPRESS_MEMBERS", 10 ** 9)
+    assert solution_errors(res) == errors
+    np.testing.assert_allclose(errors, _fan_rule_errors(res), rtol=1e-13,
+                               atol=0.0)
+
+
+def test_refused_compressed_rule_keeps_fan_rule(monkeypatch):
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=1))
+    res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
+    monkeypatch.setattr(analysis, "_COMPRESS_TOLERANCE", -1.0)
+    large = _compressed_classes(mesh)
+    assert large
+    assert analysis.compressed_rules([c.polygon for c in large]) == \
+        (None,) * len(large)
+    np.testing.assert_allclose(solution_errors(res), _fan_rule_errors(res),
+                               rtol=1e-13, atol=0.0)
