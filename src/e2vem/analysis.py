@@ -16,8 +16,9 @@ from scipy.optimize import nnls
 
 from .degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from .errors import DegenerateData, MissingExactSolution
-from .geometry import (PolygonalMesh, class_groups, member_points,
-                       memoised, stack_polygons, stack_quadrature)
+from .geometry import (PolygonalMesh, at_points, class_groups,
+                       class_members, member_points, memoised,
+                       stack_polygons, stack_quadrature)
 from .meshgen import (PolygonFamilySpec, MeshFamilySpec, make_mesh,
                       make_polygon)
 from .polyspace import stack_monomials
@@ -93,44 +94,47 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     classes of at least ``_COMPRESS_MEMBERS`` members take their
     :func:`compressed_rules`, the others the fan rule; the exact fields
     are evaluated on the chunks of members that ``geometry.member_points``
-    yields across the classes of each rule. Raises ValueError unless the
+    yields across the classes of each rule, from one
+    ``geometry.class_members`` gather. Raises ValueError unless the
     vertex data holds one value per mesh vertex."""
     u = np.asarray(vertex_values, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ValueError(f"vertex data has shape {u.shape}, expected "
                          f"({mesh.n_vertices},): one value per mesh vertex")
     l2_sq = h1_sq = 0.0
-    classes = mesh.cell_classes
-    for *_, rows in class_groups(classes):
-        group = [classes[k] for k in rows]
-        pinabla = compute_pinabla([c.polygon for c in group])  # (c, 3, n)
-        large = [k for k, c in enumerate(group)
-                 if len(c.members) >= _COMPRESS_MEMBERS]
+    polys = mesh.cell_classes
+    counts = np.bincount(mesh.cell_class)
+    for *_, rows in class_groups(polys):
+        group = [polys[k] for k in rows]
+        pinabla = compute_pinabla(group)                        # (c, 3, n)
+        large = np.flatnonzero(counts[rows] >= _COMPRESS_MEMBERS).tolist()
         rules = {k: r for k, r in zip(large, compressed_rules(
-            [group[k].polygon for k in large])) if r is not None}
+            [group[k] for k in large])) if r is not None}
         fan = [k for k in range(len(group)) if k not in rules]
         for part in (fan, list(rules)):
             if not part:
                 continue
-            s = stack_polygons([group[k].polygon for k in part])
+            s = stack_polygons([group[k] for k in part])
             if part is fan:
                 qpts, qw = stack_quadrature(s, _ERROR_QUADRATURE_DEGREE)
             else:
                 qpts, qw = map(np.array, zip(*rules.values()))
-            sums = _part_errors([group[k] for k in part], s, pinabla[part],
-                                qpts, qw, u, exact, exact_gradient)
+            sums = _part_errors(class_members(mesh, rows[part]), s,
+                                pinabla[part], qpts, qw, u, exact,
+                                exact_gradient)
             l2_sq += sums[0]
             h1_sq += sums[1]
     return l2_sq, h1_sq
 
 
-def _part_errors(group, s, pinabla, qpts, qw, u, exact, exact_gradient):
-    """The squared error sums of the classes ``group``, stacked in ``s``
-    with their projectors and quadrature points (c, P, 2) and weights."""
+def _part_errors(members, s, pinabla, qpts, qw, u, exact, exact_gradient):
+    """The squared error sums of the classes whose ``class_members`` are
+    ``members``, stacked in ``s`` with their projectors and quadrature
+    points (c, P, 2) and weights."""
     l2_sq = h1_sq = 0.0
     linear = stack_monomials(s, qpts, 1)                        # (c, P, 3)
-    idx = np.concatenate([c.indices for c in group])
-    for rows, c, x, y in member_points(group, qpts):
+    idx, cls, offsets = members
+    for rows, c, x, y in member_points(cls, offsets, qpts):
         coeffs = np.einsum("mn,man->ma", u[idx[rows]], pinabla[c])
         shape = (len(c), qw.shape[1])
         # in-place updates: one norm's temporaries at a time bound
@@ -143,7 +147,7 @@ def _part_errors(group, s, pinabla, qpts, qw, u, exact, exact_gradient):
             eta *= coeffs[:, 2:3]
             err += eta
             del eta
-            err -= np.asarray(exact(x, y), dtype=float).reshape(shape)
+            err -= at_points(exact(x, y), x).reshape(shape)
             err *= err
             l2_sq += float(np.einsum("mp,mp->m", err, qw[c]).sum())
             del err
@@ -151,9 +155,9 @@ def _part_errors(group, s, pinabla, qpts, qw, u, exact, exact_gradient):
             gx, gy = exact_gradient(x, y)
             # the projected gradient is constant per cell
             scale = s.diameter[c, None]
-            dx = coeffs[:, 1:2] / scale - np.asarray(gx, dtype=float).reshape(shape)
+            dx = coeffs[:, 1:2] / scale - at_points(gx, x).reshape(shape)
             del gx
-            dy = coeffs[:, 2:3] / scale - np.asarray(gy, dtype=float).reshape(shape)
+            dy = coeffs[:, 2:3] / scale - at_points(gy, x).reshape(shape)
             del gy
             dx *= dx
             dy *= dy
@@ -258,12 +262,6 @@ _SCAN_FAMILIES = {
 }
 
 
-def _scan_specs(family: str, n_range, seeds):
-    if family not in _SCAN_FAMILIES:
-        raise ValueError(f"unknown polygon family {family!r}")
-    return _SCAN_FAMILIES[family][0](n_range, seeds)
-
-
 def scan_polygon(poly) -> ScanRow:
     n = poly.n_vertices
     evidence = min_admissible_l(poly)
@@ -274,14 +272,16 @@ def scan_polygon(poly) -> ScanRow:
 def coercivity_scan(family: str, n_range=None, seeds=(0,)):
     """Per-polygon degree table over a named family.
 
-    ``n_range`` holds vertex counts (ignored for concave_octagon, which
-    sweeps the concavities ``_CONCAVE_ALPHAS``); ``seeds`` only matters
-    for random_convex. Deterministic given the arguments.
+    ``n_range`` holds vertex counts, by default the family's own in
+    ``_SCAN_FAMILIES`` (ignored for concave_octagon, which sweeps the
+    concavities ``_CONCAVE_ALPHAS``); ``seeds`` only matters for
+    random_convex. Deterministic given the arguments.
     """
-    rows = []
-    for spec in _scan_specs(family, n_range or (), seeds):
-        rows.append(scan_polygon(make_polygon(spec)))
-    return rows
+    if family not in _SCAN_FAMILIES:
+        raise ValueError(f"unknown polygon family {family!r}")
+    specs, default = _SCAN_FAMILIES[family]
+    return [scan_polygon(make_polygon(spec)) for spec in
+            specs(default if n_range is None else n_range, seeds)]
 
 
 def _preamble(config) -> str:

@@ -19,8 +19,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .degree import DegreeAssignment, assign_degrees
 from .errors import InadmissibleDegrees, NotSPD
-from .geometry import (PolygonalMesh, class_groups, member_points,
-                       stack_polygons, stack_quadrature)
+from .geometry import (PolygonalMesh, at_points, class_groups,
+                       class_members, member_points, stack_polygons,
+                       stack_quadrature)
 from .meshgen import SplitMix64
 from .polyspace import stack_monomials
 from .projectors import build_projectors, compute_pinabla
@@ -36,7 +37,7 @@ def _as_field(value):
     if callable(value):
         return value
     const = float(value)
-    return lambda x, y: np.full_like(np.asarray(x, dtype=float), const)
+    return lambda x, y: const
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class ProblemSpec:
     ``kind`` is ``poisson`` (-lap U = f) or ``diffusion_reaction``
     (-lap U + U = f). Fields take coordinate arrays: ``f(x, y)`` and
     ``dirichlet_data(x, y)`` return arrays, ``exact_gradient(x, y)``
-    returns the pair ``(dU/dx, dU/dy)``.
+    returns the pair ``(dU/dx, dU/dy)``; a constant stands for an array
+    of that value (``geometry.at_points``).
     """
 
     kind: str
@@ -139,8 +141,7 @@ def linear_problem(a: float, b: float, c: float,
         return a + b * x + c * y
 
     def exact_grad(x, y):
-        shape = np.shape(x)
-        return (np.full(shape, b), np.full(shape, c))
+        return b, c
 
     f = 0.0 if kind == "poisson" else exact
     return ProblemSpec(kind, f, exact, exact, exact_grad)
@@ -181,16 +182,17 @@ def _check_admissible(mesh: PolygonalMesh, degrees: DegreeAssignment):
     evidence = degrees.evidence
     certified = np.array([ev.l for ev in evidence], dtype=int)
     off = np.flatnonzero(degrees.levels != certified[mesh.cell_class])
-    short = [k for k, ev in enumerate(evidence) if not ev.admissible]
-    cell = int(classes[short[0]].members[0]) if short else mesh.n_cells
+    short = np.flatnonzero(~np.array([ev.admissible for ev in evidence],
+                                     dtype=bool)[mesh.cell_class])
+    cell = int(short[0]) if len(short) else mesh.n_cells
     if len(off) and off[0] <= cell:
         ci = int(off[0])
         raise InadmissibleDegrees(
             f"cell {ci}: degree {int(degrees.levels[ci])} has no rank "
             f"certificate (its class's evidence is for "
             f"l={int(certified[mesh.cell_class[ci]])})")
-    if short:
-        ev = evidence[short[0]]
+    if len(short):
+        ev = evidence[mesh.cell_class[cell]]
         raise InadmissibleDegrees(
             f"cell {cell}: stiffness rank {ev.rank} < "
             f"{ev.n_vertices - 1} at l={ev.l}")
@@ -209,14 +211,13 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
         raise ValueError(f"unknown load mode {load_mode!r}")
     n = mesh.n_vertices
     load = np.zeros(n)
-    classes = mesh.cell_classes
-    groups = [(nv, l, [classes[k] for k in rows]) for nv, l, rows in
-              class_groups(classes, [ev.l for ev in degrees.evidence])]
+    groups = list(class_groups(mesh.cell_classes,
+                               [ev.l for ev in degrees.evidence]))
     # one (row, column, value) entry per member and local matrix entry,
     # written in place, group by group; int32 indices are the ones the
     # sparse constructor keeps without a copy
-    sizes = [nv * nv * sum(len(c.members) for c in group)
-             for nv, _, group in groups]
+    counts = np.bincount(mesh.cell_class)
+    sizes = [nv * nv * int(counts[group].sum()) for nv, _, group in groups]
     total = sum(sizes)
     index = np.int32 if max(n, total) <= np.iinfo(np.int32).max else np.int64
     rows, cols = np.empty(total, dtype=index), np.empty(total, dtype=index)
@@ -225,24 +226,25 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
     for (nv, l, group), size in zip(groups, sizes):
         entries = [a[start:start + size].reshape(-1, nv, nv)
                    for a in (rows, cols, vals)]
-        _assemble_group(group, l, problem, load_mode, load, entries)
+        _assemble_group(mesh, group, l, problem, load_mode, load, entries)
         start += size
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), load
 
 
-def _assemble_group(group, l, problem, load_mode, load, entries):
-    """Write the matrix entries of the classes ``group`` of one vertex
-    count at degree ``l`` into ``entries``, the (m, nv, nv) row, column
-    and value arrays of its members, from one stack of their kernels;
-    adds their load to ``load``."""
-    polys = [c.polygon for c in group]
+def _assemble_group(mesh, group, l, problem, load_mode, load, entries):
+    """Write the matrix entries of the classes ``group`` (rows of
+    ``mesh.cell_classes``) of one vertex count at degree ``l`` into
+    ``entries``, the (m, nv, nv) row, column and value arrays of its
+    members, from one stack of their kernels; adds their load to
+    ``load``."""
+    polys = [mesh.cell_classes[k] for k in group]
     projs = build_projectors(polys, l)
     pizero, local = projs.pizero, projs.stiffness              # (c, nv), (c, nv, nv)
     s = stack_polygons(polys)
     if problem.kind == "diffusion_reaction":
         local = local + s.area[:, None, None] * (pizero[:, :, None]
                                                  * pizero[:, None, :])
-    idx = np.concatenate([c.indices for c in group])           # (m, nv)
+    idx, cls, offsets = class_members(mesh, group)  # (m, nv), (m,), (m, 2)
     qpts, qw = stack_quadrature(s, 2 * (l + 1) + 2)            # (c, P, 2), (c, P)
     if load_mode == "mean":
         # the load of a member of class c is (f, 1)_E pizero[c]
@@ -251,15 +253,14 @@ def _assemble_group(group, l, problem, load_mode, load, entries):
         # and here pinabla[c]^T (f, m_a)_E over the linear monomials m_a
         moments = qw[:, :, None] * stack_monomials(s, qpts, 1)
         project = compute_pinabla(polys)
-    for rows, c, x, y in member_points(group, qpts):
-        fv = np.asarray(problem.f(x, y), dtype=float).reshape(len(c), -1)
+    for rows, c, x, y in member_points(cls, offsets, qpts):
+        fv = at_points(problem.f(x, y), x).reshape(len(c), -1)
         f_moments = np.stack([np.einsum("mp,mp->m", fv, moments[c, :, a])
                               for a in range(moments.shape[2])], axis=1)
         np.add.at(load, idx[rows], np.einsum("ma,man->mn", f_moments, project[c]))
     row, col, val = entries
     row[...] = idx[:, :, None]
     col[...] = idx[:, None, :]
-    cls = np.repeat(np.arange(len(group)), [len(c.members) for c in group])
     np.take(local, cls, axis=0, out=val)
 
 
@@ -272,8 +273,7 @@ def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
     boundary = np.flatnonzero(flags)
     free = np.flatnonzero(~flags)
     xb, yb = mesh.vertices[boundary, 0], mesh.vertices[boundary, 1]
-    bvals = np.asarray(problem.dirichlet_data(xb, yb), dtype=float)
-    bvals = np.broadcast_to(bvals, boundary.shape).astype(float)
+    bvals = np.array(at_points(problem.dirichlet_data(xb, yb), xb))
     free_rows = matrix[free]
     reduced = free_rows[:, free].tocsr()
     rhs = load[free] - free_rows[:, boundary] @ bvals

@@ -84,8 +84,7 @@ def _emit_text(text: str, out):
 # -- subcommand implementations ----------------------------------------
 
 def cmd_coercivity(args) -> int:
-    n_range = (parse_n_range(args.n_range) if args.n_range
-               else analysis._SCAN_FAMILIES[args.family][1])
+    n_range = parse_n_range(args.n_range) if args.n_range else None
     config = resolve_config(args)
     rows = analysis.coercivity_scan(args.family, n_range,
                                     seeds=(args.seed,))

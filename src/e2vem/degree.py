@@ -141,8 +141,6 @@ class DegreeAssignment:
 def parse_strategy(strategy):
     """Normalize a strategy spec: 'minimal', 'ell_hat'/'ell-hat',
     'ell_check'/'ell-check', or 'fixed:L'."""
-    if isinstance(strategy, tuple) and len(strategy) == 2 and strategy[0] == "fixed":
-        return "fixed", int(strategy[1])
     name = str(strategy).replace("-", "_").lower()
     if name in ("minimal", "ell_hat", "ell_check"):
         return name, None
@@ -164,12 +162,11 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
     kind, fixed_l = parse_strategy(strategy)
     formula = {"ell_hat": ell_hat, "ell_check": ell_check,
                "fixed": lambda n: fixed_l}.get(kind)
-    classes = mesh.cell_classes
-    polys = [cls.polygon for cls in classes]
+    polys = mesh.cell_classes
     # rank the representatives of each vertex count in stacks per
     # degree, from the bottom of the range; only rows still deficient go
     # on to the next degree
-    for n, _, rows in class_groups(classes):
+    for n, _, rows in class_groups(polys):
         lo, hi = ((ell_check(n), ell_hat(n)) if formula is None
                   else (formula(n),) * 2)
         for l in range(lo, hi + 1):
@@ -179,7 +176,7 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
                 break
     # the certificates, one per class, read the memoised ranks
     evidence = []
-    for cls, poly in zip(classes, polys):
+    for k, poly in enumerate(polys):
         try:
             if formula is None:
                 ev = min_admissible_l(poly)
@@ -188,7 +185,7 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
                 ev = _certify(poly, l, l)
         except AdmissibilityNotReached as exc:
             raise AdmissibilityNotReached(
-                str(exc), cell=int(cls.members[0]),
+                str(exc), cell=int(np.argmax(mesh.cell_class == k)),
                 n_vertices=exc.n_vertices, searched=exc.searched) from exc
         evidence.append(ev)
     levels = np.array([ev.l for ev in evidence], dtype=int)[mesh.cell_class]

@@ -332,25 +332,30 @@ _CLASS_KAPPA = 1e-2
 _CHUNK_MEMBERS = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class CellClass:
-    """Cells that are translates of one representative, ``members[0]``."""
+def class_members(mesh, rows):
+    """The members of the classes ``rows`` of ``mesh.cell_classes``, all
+    of one vertex count, class by class and ascending within a class:
+    their vertex indices (m, n), each one's position in ``rows`` and its
+    anchor offset (m, 2), vertex 0 minus its representative's vertex 0."""
+    index = mesh._class_index
+    rows = np.asarray(rows)
+    counts = index.start[rows + 1] - index.start[rows]
+    head = np.cumsum(counts) - counts  # each class's representative
+    cls = np.repeat(np.arange(len(rows)), counts)
+    cells = index.members[np.arange(len(cls))
+                          + (index.start[rows] - head)[cls]]
+    n = index.polygons[rows[0]].n_vertices
+    idx = mesh.cell_vertices[mesh.cell_start[cells, None] + np.arange(n)]
+    anchor = mesh.vertices[idx[:, 0]]
+    return idx, cls, anchor - anchor[head[cls]]
 
-    polygon: Polygon        # the representative, built and validated once
-    members: np.ndarray     # (m,) cell indices, ascending
-    indices: np.ndarray     # (m, n) vertex indices of each member
-    offsets: np.ndarray     # (m, 2) member vertex 0 - representative vertex 0
-    diameters: np.ndarray   # (m,) largest vertex-to-vertex distance
 
-
-def member_points(classes, points):
-    """Each class's points, row ``k`` of ``points`` (c, P, 2) for
-    ``classes[k]``, moved onto its members, ``_CHUNK_MEMBERS`` members at
-    a time across the classes: yields ``(rows, cls, x, y)``, the slice of
-    the classes' concatenated members, their class rows and their points'
-    (k P,) coordinates, member by member."""
-    cls = np.repeat(np.arange(len(classes)), [len(c.members) for c in classes])
-    offsets = np.concatenate([c.offsets for c in classes])
+def member_points(cls, offsets, points):
+    """Row ``cls[i]`` of ``points`` (c, P, 2) moved by ``offsets[i]``,
+    for the members that :func:`class_members` gives, ``_CHUNK_MEMBERS``
+    members at a time: yields ``(rows, c, x, y)``, the slice of the
+    members, their class rows and their points' (k P,) coordinates,
+    member by member."""
     for start in range(0, len(cls), _CHUNK_MEMBERS):
         rows = slice(start, start + _CHUNK_MEMBERS)
         pts = points[cls[rows]]
@@ -359,12 +364,19 @@ def member_points(classes, points):
         yield rows, cls[rows], pts[:, 0], pts[:, 1]
 
 
-def class_groups(classes, levels=0):
-    """The classes of each vertex count and level, ``levels`` giving each
-    class's (or one for all): yields ``(n, l, rows)``, the ascending rows
-    of ``classes`` in the group, at most ``_STACK_ROWS`` at a time, in
-    ascending ``(n, l)`` order."""
-    sizes = [c.polygon.n_vertices for c in classes]
+def at_points(value, x):
+    """A field's value at the points ``x`` as floats: an array as it is,
+    a constant broadcast to their shape."""
+    return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x))
+
+
+def class_groups(polys, levels=0):
+    """The classes of each vertex count and level, ``polys`` giving each
+    class's representative and ``levels`` its level (or one for all):
+    yields ``(n, l, rows)``, the ascending rows of ``polys`` in the
+    group, at most ``_STACK_ROWS`` at a time, in ascending ``(n, l)``
+    order."""
+    sizes = [p.n_vertices for p in polys]
     keys = np.column_stack(np.broadcast_arrays(sizes, levels)).astype(int)
     pairs, inverse = np.unique(keys, axis=0, return_inverse=True)
     for k, (n, l) in enumerate(pairs.tolist()):
@@ -374,8 +386,10 @@ def class_groups(classes, levels=0):
 
 
 class _ClassIndex(NamedTuple):
-    classes: tuple          # CellClass, ordered by representative
-    cell_class: np.ndarray  # (n_cells,) each cell's index into classes
+    polygons: tuple         # each class's representative, its lowest cell
+    cell_class: np.ndarray  # (n_cells,) each cell's class
+    members: np.ndarray     # (n_cells,) the cells, class by class, ascending
+    start: np.ndarray       # (classes + 1,) where each class starts in members
     diameters: np.ndarray   # (n_cells,) each cell's diameter
 
 
@@ -390,7 +404,8 @@ def _valid_rows(pts, cells, failures):
 
 
 def _cell_classes(vertices, cell_vertices, cell_start) -> _ClassIndex:
-    """Translation classes of the cells, ordered by representative.
+    """Translation classes of the cells, ordered by representative, each
+    class's lowest cell.
 
     Cells are grouped by vertex count and keyed on their vertex offsets
     from vertex 0, quantized relative to the cell diameter, so the
@@ -405,11 +420,11 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> _ClassIndex:
     """
     sizes = np.diff(cell_start)
     diameters = np.empty(len(sizes))
-    failures, classes = [], []
+    rep_cell = np.empty(len(sizes), dtype=np.intp)  # each cell's representative
+    failures, polys = [], {}
     for n in np.unique(sizes):
         ids = np.flatnonzero(sizes == n)
-        idx = cell_vertices[cell_start[ids, None] + np.arange(n)]
-        pts = vertices[idx]
+        pts = vertices[cell_vertices[cell_start[ids, None] + np.arange(n)]]
         rel = pts - pts[:, :1]
         # chunks keep the pair differences' memory small
         diam = np.concatenate([_diameters(rel[k:k + _CHUNK_MEMBERS])
@@ -429,39 +444,27 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> _ClassIndex:
         own = np.arange(len(ids))
         rep = np.where(deviation <= _CLASS_TOLERANCE * diam[rep], rep, own)
         heads = np.flatnonzero(rep == own)
-        polys = dict(zip(heads.tolist(),
+        built = dict(zip(heads.tolist(),
                          _valid_rows(pts[heads], ids[heads], failures)))
         # the members of a low-kappa representative become their own class
         shared = np.bincount(rep, minlength=len(ids)) > 1
-        low = [k for k in heads[shared[heads]].tolist() if k in polys
-               and min(polys[k].kernel_inradius, polys[k].edge_lengths.min())
-               < _CLASS_KAPPA * polys[k].diameter]
+        low = [k for k in heads[shared[heads]].tolist() if k in built
+               and min(built[k].kernel_inradius, built[k].edge_lengths.min())
+               < _CLASS_KAPPA * built[k].diameter]
         loose = np.flatnonzero(np.isin(rep, low) & (rep != own))
         if len(loose):
             rep[loose] = loose
-            polys.update(zip(loose.tolist(),
+            built.update(zip(loose.tolist(),
                              _valid_rows(pts[loose], ids[loose], failures)))
-        if failures:
-            continue
-        # class k is order[start[k]:stop[k]], its representative first
-        order = np.argsort(rep, kind="stable")
-        start = np.flatnonzero(np.diff(rep[order], prepend=-1))
-        stop = np.append(start[1:], len(ids))
-        offsets = pts[order, 0] - pts[rep[order], 0]
-        cells, idx, diam = ids[order], idx[order], diam[order]
-        classes += [CellClass(polys[r], cells[a:b], idx[a:b], offsets[a:b],
-                              diam[a:b])
-                    for r, a, b in zip(order[start].tolist(), start.tolist(),
-                                       stop.tolist())]
+        rep_cell[ids] = ids[rep]
+        polys.update(zip(ids[list(built)].tolist(), built.values()))
     if failures:
         cell, exc = min(failures, key=lambda f: f[0])
         raise StructuralDefect(str(exc), cell=cell) from exc
-    classes.sort(key=lambda c: int(c.members[0]))
-    members = [c.members for c in classes]
-    cell_class = np.empty(len(sizes), dtype=np.intp)
-    cell_class[np.concatenate([np.zeros(0, dtype=np.intp), *members])] = \
-        np.repeat(np.arange(len(classes)), list(map(len, members)))
-    return _ClassIndex(tuple(classes), cell_class, diameters)
+    reps, cell_class = np.unique(rep_cell, return_inverse=True)
+    start = np.concatenate(([0], np.cumsum(np.bincount(cell_class))))
+    return _ClassIndex(tuple(map(polys.get, reps.tolist())), cell_class,
+                       np.argsort(cell_class, kind="stable"), start, diameters)
 
 
 def _successors(cell_start):
@@ -574,10 +577,11 @@ class PolygonalMesh:
 
     @property
     def cell_classes(self) -> tuple:
-        """The one index of cells that share shape data, a tuple of
-        :class:`CellClass`, read by every stage; raises
+        """The one index of cells that share shape data, read by every
+        stage: each class's representative :class:`Polygon`, ordered by
+        its lowest cell, which it is built from; raises
         :class:`StructuralDefect` naming the first invalid cell polygon."""
-        return self._class_index.classes
+        return self._class_index.polygons
 
     @property
     def cell_class(self) -> np.ndarray:
@@ -643,7 +647,7 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
             f"edge {(int(edges.tail[k]), int(edges.head[k]))} already used "
             f"with the same orientation by cell {int(cell_of[j])}",
             cell=int(cell_of[k]))
-    classes = mesh.cell_classes
+    polys = mesh.cell_classes
     # each cell's interior angle at every edge's head, from the next edge
     # round to this one reversed; CCW simple cells give angles in (0, 2 pi)
     d = mesh.vertices[edges.head] - mesh.vertices[edges.tail]
@@ -658,13 +662,12 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
             f"cells overlap at vertex {v}: their interior angles there sum "
             f"to {float(turn[v])!r}, more than 2 pi",
             cell=int(cell_of[edges.head == v].max()))
-    polys = [c.polygon for c in classes]
     rho, shortest, diameter, area = (np.array(v) for v in zip(*(
         (p.kernel_inradius, p.edge_lengths.min(), p.diameter, p.area)
         for p in polys)))
     kernel_ratios = (rho / diameter)[mesh.cell_class]
     edge_ratios = (shortest / diameter)[mesh.cell_class]
-    total_area = area @ np.bincount(mesh.cell_class, minlength=len(classes))
+    total_area = area @ np.bincount(mesh.cell_class, minlength=len(polys))
     kappa = float(min(kernel_ratios.min(), edge_ratios.min()))
     return MeshQuality(
         kappa=kappa,

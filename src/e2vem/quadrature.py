@@ -32,15 +32,10 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.weights)
 
 
 def _node_count(degree: int) -> int:
@@ -57,7 +52,7 @@ def segment_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1] with ceil((degree+1)/2) nodes."""
     n = _node_count(degree)
     x, w = leggauss(n)
-    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, 2 * n - 1)
+    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
 
 
 @lru_cache(maxsize=None)
@@ -74,4 +69,4 @@ def triangle_rule(degree: int) -> QuadratureRule:
     x = np.repeat(xi, n)
     y = (eta[None, :] * (1.0 - xi[:, None])).ravel()
     w = (wxi[:, None] * weta[None, :]).ravel()
-    return QuadratureRule(np.column_stack([x, y]), w, 2 * n - 1)
+    return QuadratureRule(np.column_stack([x, y]), w)

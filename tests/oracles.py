@@ -10,6 +10,13 @@ import numpy as np
 import sympy as sp
 
 
+def class_cells(mesh):
+    """Each cell class's cells, ascending, read from ``mesh.cell_class``
+    alone, one array per entry of ``mesh.cell_classes``."""
+    return [np.flatnonzero(mesh.cell_class == k)
+            for k in range(len(mesh.cell_classes))]
+
+
 def exact_polygon_integral(vertices, expr, x=None, y=None):
     """Exact integral of a sympy expression over a simple polygon.
 

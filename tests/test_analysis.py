@@ -20,7 +20,7 @@ from e2vem.geometry import PolygonalMesh, stack_polygons, stack_quadrature
 from e2vem.meshgen import MeshFamilySpec, make_mesh
 from e2vem.projectors import compute_pinabla
 
-from oracles import eoc_fit
+from oracles import class_cells, eoc_fit
 
 
 def test_linear_interpolant_errors_vanish():
@@ -62,6 +62,28 @@ def test_errors_mesh_order_independent():
     assert abs(h1a - h1b) < 1e-13
 
 
+def test_scalar_exact_fields_broadcast():
+    # an exact solution or gradient that returns constants gives the
+    # errors of the same constants as arrays
+    mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
+    u = np.linspace(0.0, 1.0, mesh.n_vertices)
+    assert l2_error(mesh, u, lambda x, y: 1.0) == \
+        l2_error(mesh, u, lambda x, y: np.ones_like(x))
+    assert h1_error(mesh, u, lambda x, y: (0.0, 0.0)) == \
+        h1_error(mesh, u, lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
+    assert l2_error(mesh, np.ones(mesh.n_vertices), lambda x, y: 1.0) < 1e-15
+    # the linear patch problem's constant gradient is such a field
+    res = solve_problem(mesh, "minimal", linear_problem(0.2, 0.6, -0.3))
+    assert max(solution_errors(res)) < 1e-12
+
+
+def test_coercivity_scan_default_counts():
+    rows = coercivity_scan("regular")
+    assert rows == coercivity_scan("regular", range(3, 21))
+    assert len(rows) == 18
+    assert coercivity_scan("regular", []) == []
+
+
 def test_errors_chunked_over_class_members(monkeypatch):
     mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
     prob = sin_sin_problem("poisson")
@@ -69,7 +91,7 @@ def test_errors_chunked_over_class_members(monkeypatch):
     monkeypatch.setattr(geometry, "_CHUNK_MEMBERS", 10 ** 9)
     whole = solution_errors(res)
     matrix, load = assemble_full(mesh, res.degrees, prob)
-    assert max(len(cls.members) for cls in mesh.cell_classes) > 7
+    assert np.bincount(mesh.cell_class).max() > 7
     monkeypatch.setattr(geometry, "_CHUNK_MEMBERS", 7)
     chunked = solution_errors(res)
     np.testing.assert_allclose(chunked, whole, rtol=1e-13, atol=0.0)
@@ -189,8 +211,8 @@ _STRUCTURED = ("honeycomb", "concave_star", "cut_corner_octagon")
 
 
 def _compressed_classes(mesh):
-    return [c for c in mesh.cell_classes
-            if len(c.members) >= analysis._COMPRESS_MEMBERS]
+    return [poly for poly, cells in zip(mesh.cell_classes, class_cells(mesh))
+            if len(cells) >= analysis._COMPRESS_MEMBERS]
 
 
 def _scaled_moments(poly, pts, weights, degree=8):
@@ -209,8 +231,7 @@ def test_compressed_rules_keep_fan_moments(family, shift):
     large = _compressed_classes(mesh)
     assert large
     k = 45  # dim P_8
-    for cls in large:
-        poly = cls.polygon
+    for poly in large:
         (pts, w), = analysis.compressed_rules([poly])
         fan_pts, fan_w = stack_quadrature(stack_polygons([poly]), 8)
         fan_pts, fan_w = fan_pts[0], fan_w[0]
@@ -227,15 +248,16 @@ def test_compressed_rules_keep_fan_moments(family, shift):
 def _fan_rule_errors(result):
     """(l2, h1) of a solution on each class's fan rule from
     ``stack_quadrature``, moved onto the members by their offsets."""
-    problem, u = result.problem, result.vertex_values
+    problem, u, mesh = result.problem, result.vertex_values, result.mesh
     l2_sq = h1_sq = 0.0
-    for cls in result.mesh.cell_classes:
-        poly = cls.polygon
+    for poly, cells in zip(mesh.cell_classes, class_cells(mesh)):
+        indices = np.array([mesh.cells[c] for c in cells])      # (m, n)
+        offsets = mesh.vertices[indices[:, 0]] - poly.vertices[0]
         pts, w = stack_quadrature(stack_polygons([poly]), 8)
-        pts = pts[0] + cls.offsets[:, None, :]                 # (m, P, 2)
-        a = np.einsum("mn,an->ma", u[cls.indices],
+        pts = pts[0] + offsets[:, None, :]                      # (m, P, 2)
+        a = np.einsum("mn,an->ma", u[indices],
                       compute_pinabla([poly])[0])
-        centers = poly.star_center + cls.offsets
+        centers = poly.star_center + offsets
         local = (pts - centers[:, None, :]) / poly.diameter
         x, y = pts[..., 0], pts[..., 1]
         projected = a[:, :1] + a[:, 1:2] * local[..., 0] + a[:, 2:] * local[..., 1]
@@ -252,8 +274,8 @@ def test_compressed_errors_match_fan_rule(family):
     res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
     np.testing.assert_allclose(solution_errors(res), _fan_rule_errors(res),
                                rtol=1e-10, atol=0.0)
-    assert all(c.polygon.memo.get(("compressed", 8)) is not None
-               for c in _compressed_classes(mesh))
+    assert all(poly.memo.get(("compressed", 8)) is not None
+               for poly in _compressed_classes(mesh))
 
 
 def test_singleton_classes_keep_fan_rule(monkeypatch):
@@ -266,8 +288,8 @@ def test_singleton_classes_keep_fan_rule(monkeypatch):
     assert len(mesh.cell_classes) == mesh.n_cells
     res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
     errors = solution_errors(res)
-    assert not any(("compressed", 8) in c.polygon.memo
-                   for c in mesh.cell_classes)
+    assert not any(("compressed", 8) in poly.memo
+                   for poly in mesh.cell_classes)
     monkeypatch.setattr(analysis, "_COMPRESS_MEMBERS", 10 ** 9)
     assert solution_errors(res) == errors
     np.testing.assert_allclose(errors, _fan_rule_errors(res), rtol=1e-13,
@@ -280,7 +302,7 @@ def test_refused_compressed_rule_keeps_fan_rule(monkeypatch):
     monkeypatch.setattr(analysis, "_COMPRESS_TOLERANCE", -1.0)
     large = _compressed_classes(mesh)
     assert large
-    assert analysis.compressed_rules([c.polygon for c in large]) == \
+    assert analysis.compressed_rules(large) == \
         (None,) * len(large)
     np.testing.assert_allclose(solution_errors(res), _fan_rule_errors(res),
                                rtol=1e-13, atol=0.0)

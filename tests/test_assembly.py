@@ -22,7 +22,7 @@ from e2vem.errors import NotSPD
 from e2vem.geometry import PolygonalMesh, stack_polygons, stack_quadrature
 from e2vem.meshgen import MeshFamilySpec, make_mesh
 
-from oracles import fem_p1_stiffness
+from oracles import class_cells, fem_p1_stiffness
 
 
 def square_grid_2x2():
@@ -113,8 +113,8 @@ def test_assembly_order_independent():
                              [mesh.cells[i] for i in order], name=mesh.name)
     degs2 = assign_degrees(shuffled, "minimal")
     assert np.array_equal(degs2.levels, degs.levels[order])
-    assert ({frozenset(order[c.members]) for c in shuffled.cell_classes}
-            == {frozenset(c.members) for c in mesh.cell_classes})
+    assert ({frozenset(order[c]) for c in class_cells(shuffled)}
+            == {frozenset(c) for c in class_cells(mesh)})
     A2, F2 = assemble_full(shuffled, degs2, prob)
     assert np.max(np.abs((A - A2).toarray())) < 1e-13
     assert np.max(np.abs(F - F2)) < 1e-13
@@ -135,18 +135,37 @@ def test_load_evaluates_source_in_member_chunks(monkeypatch):
     # the classes of one vertex count and degree are chunked together,
     # groups in (n, l) order, classes in index order within a group
     groups = {}
-    for cls in mesh.cell_classes:
-        l = int(degs.levels[cls.members[0]])
-        groups.setdefault((cls.polygon.n_vertices, l), []).append(cls)
+    for poly, cells in zip(mesh.cell_classes, class_cells(mesh)):
+        l = int(degs.levels[cells[0]])
+        groups.setdefault((poly.n_vertices, l), []).append((poly, cells))
     expected = []
     for (_, l), group in sorted(groups.items()):
-        _, w = stack_quadrature(stack_polygons([group[0].polygon]),
+        _, w = stack_quadrature(stack_polygons([group[0][0]]),
                                 2 * (l + 1) + 2)
         points = w.shape[1]
-        members = sum(len(cls.members) for cls in group)
+        members = sum(len(cells) for _, cells in group)
         expected += [min(7, members - k) * points for k in range(0, members, 7)]
-    assert max(len(cls.members) for cls in mesh.cell_classes) > 7
+    assert np.bincount(mesh.cell_class).max() > 7
     assert sizes == expected
+
+
+def test_scalar_fields_broadcast():
+    # a field that returns a constant stands for an array of it: the
+    # load, the Dirichlet values and the solve match the array form
+    mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
+    degs = assign_degrees(mesh, "minimal")
+    for kind, mode in (("poisson", "mean"), ("diffusion_reaction", "p1")):
+        scalar = ProblemSpec(kind, lambda x, y: 1.0,
+                             dirichlet_data=lambda x, y: 0.5)
+        array = ProblemSpec(kind, lambda x, y: np.ones_like(x),
+                            dirichlet_data=lambda x, y: np.full_like(x, 0.5))
+        assert np.array_equal(assemble_full(mesh, degs, scalar, mode)[1],
+                              assemble_full(mesh, degs, array, mode)[1])
+        a, b = assemble(mesh, degs, scalar, mode), assemble(mesh, degs, array, mode)
+        assert np.array_equal(a.boundary_values, b.boundary_values)
+        assert np.array_equal(a.rhs, b.rhs)
+        assert np.array_equal(solve_problem(mesh, "minimal", scalar, mode).vertex_values,
+                              solve_problem(mesh, "minimal", array, mode).vertex_values)
 
 
 def jittered_square_grid(scale=1.0):
@@ -209,9 +228,9 @@ def test_kernel_built_once_per_class_and_level(monkeypatch):
     # certification, assembly and the error norms share one kernel per
     # (class, level) and one elliptic projector per class
     assert set(Counter(kernels).values()) == {1}
-    assert {(c.polygon, int(result.degrees.levels[c.members[0]]))
-            for c in classes} <= set(kernels)
-    assert Counter(pinablas) == Counter(c.polygon for c in classes)
+    assert {(poly, int(result.degrees.levels[cells[0]]))
+            for poly, cells in zip(classes, class_cells(mesh))} <= set(kernels)
+    assert Counter(pinablas) == Counter(classes)
     # each (vertex count, degree) is computed in the fewest stacks of at
     # most geometry._STACK_ROWS polygons
     rows = geometry._STACK_ROWS

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import e2vem
-from e2vem import cli
+from e2vem import analysis, cli
 
 
 def run_cli(*argv):
@@ -36,6 +36,15 @@ def test_coercivity_stdout_matches_csv(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     written = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert printed == written and len(written) == 6
+
+
+def test_coercivity_default_counts(capsys):
+    # without --n-range the scan covers the family's default counts
+    assert run_cli("coercivity", "--family", "regular") == 0
+    printed = capsys.readouterr().out.splitlines()
+    expected = analysis.scan_csv_lines(
+        analysis.coercivity_scan("regular", range(3, 21)))
+    assert printed == expected and len(printed) == 19
 
 
 def test_unknown_family_is_config_error(tmp_path):

@@ -24,7 +24,8 @@ from e2vem.meshgen import (
     regular_polygon,
 )
 
-from oracles import badpoly_dim_symbolic, ell_check_formula, ell_hat_formula
+from oracles import (badpoly_dim_symbolic, class_cells, ell_check_formula,
+                     ell_hat_formula)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -205,7 +206,7 @@ def test_assign_degrees_certifies_every_scattered_kernel(monkeypatch):
         assert time.perf_counter() - t0 < 2.0  # 1166 / 685 cells, 9 / 10 classes
         # one search per cell class, on the class's own representative
         assert len(searches) == len(mesh.cell_classes)
-        assert all(p is c.polygon for p, c in zip(searches, mesh.cell_classes))
+        assert all(p is c for p, c in zip(searches, mesh.cell_classes))
         assembly.assemble_full(mesh, degrees, assembly.sin_sin_problem())
         assert scattered
         # every kernel assembly scatters had its own rank certified, and
@@ -221,14 +222,15 @@ def test_assign_degrees_one_certificate_per_class():
     for strat in ("minimal", "ell_hat", "ell_check", "fixed:3"):
         degrees = assign_degrees(mesh, strat)
         assert len(degrees.evidence) == len(mesh.cell_classes)
-        for cls, ev in zip(mesh.cell_classes, degrees.evidence):
-            assert ev.n_vertices == cls.polygon.n_vertices
-            assert np.all(degrees.levels[cls.members] == ev.l)
+        for poly, cells, ev in zip(mesh.cell_classes, class_cells(mesh),
+                                   degrees.evidence):
+            assert ev.n_vertices == poly.n_vertices
+            assert np.all(degrees.levels[cells] == ev.l)
     # a member below its class certificate is refused, by its own index
     degrees = assign_degrees(mesh, "minimal")
-    cls = next(c for c, ev in zip(mesh.cell_classes, degrees.evidence)
-               if len(c.members) > 1 and ev.l > 0)
-    cell = int(cls.members[-1])
+    cell = next(int(cells[-1]) for cells, ev in zip(class_cells(mesh),
+                                                    degrees.evidence)
+                if len(cells) > 1 and ev.l > 0)
     lowered = degrees.levels.copy()
     lowered[cell] -= 1
     with pytest.raises(InadmissibleDegrees, match=f"^cell {cell}:"):
@@ -241,13 +243,13 @@ def test_admissibility_check_names_lowest_cell_of_either_fault():
     # cell has the lower index is named, with its own fault
     mesh = make_mesh(MeshFamilySpec("cut_corner_octagon", level=1))
     degrees = assign_degrees(mesh, "minimal")
-    classes = mesh.cell_classes
-    k = max(k for k, c in enumerate(classes)
-            if len(c.members) > 1 and degrees.evidence[k].l > 0)
+    members = class_cells(mesh)
+    k = max(k for k, cells in enumerate(members)
+            if len(cells) > 1 and degrees.evidence[k].l > 0)
     ev = degrees.evidence[k]
     evidence = list(degrees.evidence)
     evidence[k] = dataclasses.replace(ev, rank=ev.rank - 1)
-    first, last = int(classes[k].members[0]), int(classes[k].members[-1])
+    first, last = int(members[k][0]), int(members[k][-1])
     lowered = degrees.levels.copy()
     lowered[last] -= 1
     both = dataclasses.replace(degrees, levels=lowered, evidence=tuple(evidence))
@@ -351,9 +353,8 @@ def test_degrees_and_ranks_pinned(case, level, levels_digest, ranks_digest):
     else:
         mesh = make_mesh(MeshFamilySpec(case, level=level))
     levels = assign_degrees(mesh, "minimal").levels
-    ranks = np.array([stiffness_rank([c.polygon],
-                                     ell_check(c.polygon.n_vertices))[0]
-                      for c in mesh.cell_classes], dtype=np.int64)
+    ranks = np.array([stiffness_rank([poly], ell_check(poly.n_vertices))[0]
+                      for poly in mesh.cell_classes], dtype=np.int64)
     for values, digest in ((np.asarray(levels, dtype=np.int64), levels_digest),
                            (ranks, ranks_digest)):
         assert hashlib.sha256(values.tobytes()).hexdigest()[:32] == digest

@@ -10,6 +10,8 @@ from e2vem import geometry
 from e2vem.geometry import (
     PolygonalMesh,
     build_polygon,
+    class_groups,
+    class_members,
     stack_polygons,
     stack_quadrature,
     validate_mesh,
@@ -25,7 +27,7 @@ from e2vem.meshgen import (
 from e2vem.assembly import sin_sin_problem, solve_problem
 from e2vem.degree import assign_degrees
 
-from oracles import (boundary_flags_by_edge_walk, exact_polygon_integral,
+from oracles import (boundary_flags_by_edge_walk, class_cells, exact_polygon_integral,
                      kernel_contains, monte_carlo_integral, per_cell_quality)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -274,7 +276,7 @@ def test_class_rule_splits_low_kappa_representatives():
         verts = np.vstack([shape + (2.0 * k, 0.0) for k in range(4)])
         mesh = PolygonalMesh(verts, [range(4 * k, 4 * k + 4)
                                      for k in range(4)])
-        assert [c.members.tolist() for c in mesh.cell_classes] == classes
+        assert [c.tolist() for c in class_cells(mesh)] == classes
         q = validate_mesh(mesh)
         assert q.total_area == pytest.approx(4.0 * shape[2, 1], rel=1e-14)
         assert np.ptp(q.cell_kernel_ratios) == 0.0
@@ -284,11 +286,45 @@ def test_class_rule_splits_low_kappa_representatives():
 @pytest.mark.parametrize("family", MESH_FAMILIES)
 def test_representative_diameter_is_class_diameter(family):
     mesh = make_mesh(MeshFamilySpec(family, level=2))
-    for cls in mesh.cell_classes:
-        assert cls.polygon.diameter == cls.diameters[0]
-        poly = build_polygon(mesh.vertices[mesh.cells[cls.members[-1]]],
+    diameters = mesh._class_index.diameters
+    for rep, cells in zip(mesh.cell_classes, class_cells(mesh)):
+        assert rep.diameter == diameters[cells[0]]
+        poly = build_polygon(mesh.vertices[mesh.cells[cells[-1]]],
                              normalize_orientation=False)
-        assert poly.diameter == cls.diameters[-1]
+        assert poly.diameter == diameters[cells[-1]]
+    assert mesh.h == diameters.max()
+
+
+@pytest.mark.parametrize("case", ["honeycomb", "concave_star",
+                                  "jittered honeycomb"])
+def test_class_index_rules(case):
+    # the rules the array index relies on, against a gather from the
+    # mesh's own arrays: each class's representative is its lowest cell,
+    # members ascend within a class, classes follow their lowest cells
+    if case.startswith("jittered"):
+        mesh = _jittered(make_mesh(MeshFamilySpec("honeycomb", level=1)), 7)
+    else:
+        mesh = make_mesh(MeshFamilySpec(case, level=2))
+    polys, members = mesh.cell_classes, class_cells(mesh)
+    lowest = [int(cells[0]) for cells in members]
+    assert lowest == sorted(lowest)
+    assert np.array_equal(np.sort(np.concatenate(members)),
+                          np.arange(mesh.n_cells))
+    for poly, cell in zip(polys, lowest):
+        assert np.array_equal(poly.vertices, mesh.vertices[mesh.cells[cell]])
+        assert np.array_equal(poly.vertices[0],
+                              mesh.vertices[mesh.cell_vertices[
+                                  mesh.cell_start[cell]]])
+    for *_, rows in class_groups(polys):
+        for part in (rows, rows[::-2]):
+            idx, cls, offsets = class_members(mesh, part)
+            cells = [c for k in part for c in members[k]]
+            want = np.array([mesh.cells[c] for c in cells])
+            assert np.array_equal(idx, want)
+            assert np.array_equal(cls, np.repeat(
+                np.arange(len(part)), [len(members[k]) for k in part]))
+            assert np.array_equal(offsets, mesh.vertices[want[:, 0]]
+                                  - [polys[part[k]].vertices[0] for k in cls])
 
 
 def test_invalid_cell_named_on_every_path():
@@ -431,10 +467,9 @@ def test_cell_classes_verify_members_against_representative():
     verts[10, 1] += 5e-12
     verts[14, 1] += 5e-14
     mesh = PolygonalMesh(verts, [range(4 * k, 4 * k + 4) for k in range(4)])
-    classes = mesh.cell_classes
-    assert [c.members.tolist() for c in classes] == [[0, 1, 3], [2]]
-    assert np.allclose(classes[0].offsets, [(0, 0), (2, 0), (6, 0)])
-    assert np.allclose([d for c in classes for d in c.diameters], math.sqrt(2.0))
+    assert [c.tolist() for c in class_cells(mesh)] == [[0, 1, 3], [2]]
+    assert np.allclose(class_members(mesh, [0])[2], [(0, 0), (2, 0), (6, 0)])
+    assert np.allclose(mesh._class_index.diameters, math.sqrt(2.0))
 
 
 def test_mesh_json_roundtrip_bit_exact(tmp_path):

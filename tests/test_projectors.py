@@ -322,10 +322,10 @@ def test_ill_conditioned_warns_once_per_class_and_degree():
         warnings.simplefilter("always")
         solution_errors(solve_problem(mesh, "minimal", sin_sin_problem()))
         classes = mesh.cell_classes
-        expected = [(cls, l) for cls in classes for l in range(3, 10)
-                    if build_projectors([cls.polygon], l).gram_condition[0]
+        expected = [(poly, l) for poly in classes for l in range(3, 10)
+                    if build_projectors([poly], l).gram_condition[0]
                     > GRAM_CONDITION_LIMIT]
     assert len(classes) == 2
-    assert {(cls, 9) for cls in classes} <= set(expected)
+    assert {(poly, 9) for poly in classes} <= set(expected)
     assert sum(issubclass(w.category, IllConditioned) for w in caught) \
         == len(expected)
