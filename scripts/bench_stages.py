@@ -5,14 +5,16 @@ Usage, from the root of a source checkout::
     python3 scripts/bench_stages.py --base ../parent/src --out BENCH.json
 
 Every case runs in a fresh process per source tree, the trees taking
-turns case by case. A process imports ``e2vem`` from its tree, warms up
-on the family's level-0 mesh (through the Cholesky and the CG path), and
-then times ``REPS`` runs, each on a ``PolygonalMesh`` built afresh from
-the case's arrays, with in-process ``perf_counter`` timers around the
-stages: ``classes`` (the cell-class index), ``degrees``
-(``assign_degrees``), ``assemble`` (``assemble``), ``solve`` (``solve``),
-``errors`` (``solution_errors``) and ``total`` (all of them). Each stage
-reports the median over the runs.
+turns case by case. A process imports numpy and ``e2vem`` from its tree,
+recording ``import`` (the wall time of those two imports, in s) and
+``import_rss_mb`` (the process's peak resident memory right after them,
+in MiB), warms up on the family's level-0 mesh (through the Cholesky and
+the CG path), and then times ``REPS`` runs, each on a ``PolygonalMesh``
+built afresh from the case's arrays, with in-process ``perf_counter``
+timers around the stages: ``classes`` (the cell-class index),
+``degrees`` (``assign_degrees``), ``assemble`` (``assemble``), ``solve``
+(``solve``), ``errors`` (``solution_errors``) and ``total`` (all of
+them). Each stage reports the median over the runs.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -61,9 +64,13 @@ def case_meshes(e2vem, np, family, level, jitter):
 
 def worker(src: str, case: str) -> dict:
     sys.path.insert(0, src)
+    start = time.perf_counter()
     import numpy as np
 
     import e2vem
+    imported = {"import": time.perf_counter() - start,
+                "import_rss_mb": resource.getrusage(
+                    resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     from e2vem.assembly import assemble, solve
     from e2vem.degree import assign_degrees
 
@@ -102,7 +109,8 @@ def worker(src: str, case: str) -> dict:
             lap("errors")
         times["total"] = sum(times[s] for s in STAGES[:-1])
         runs.append(times)
-    return {stage: statistics.median(r[stage] for r in runs) for stage in STAGES}
+    return {**imported, **{stage: statistics.median(r[stage] for r in runs)
+                           for stage in STAGES}}
 
 
 def main(argv=None) -> int:
@@ -137,10 +145,12 @@ def main(argv=None) -> int:
         "method": (f"in-process perf_counter stage timers, median of "
                    f"{REPS} runs after a level-0 warm-up, one fresh "
                    f"process per case and tree; in each case the base "
-                   f"tree runs first, then the change"),
+                   f"tree runs first, then the change; import and "
+                   f"import_rss_mb are single readings of the process's "
+                   f"numpy and e2vem imports"),
         "trees": {"base": "the src directory given as --base",
                   "change": "this checkout's src"},
-        "unit": "s",
+        "unit": "s, import_rss_mb in MiB",
         "cases": results,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

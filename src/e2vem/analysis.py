@@ -12,7 +12,7 @@ import json
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.linalg import lapack
 
 from .degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from .errors import DegenerateData, MissingExactSolution
@@ -21,7 +21,7 @@ from .geometry import (PolygonalMesh, at_points, class_groups,
                        stack_polygons, stack_quadrature)
 from .meshgen import (PolygonFamilySpec, MeshFamilySpec, make_mesh,
                       make_polygon)
-from .polyspace import stack_monomials
+from .polyspace import space_dimension, stack_monomials
 from .projectors import compute_pinabla
 
 _ERROR_QUADRATURE_DEGREE = 8
@@ -30,58 +30,160 @@ _ERROR_QUADRATURE_DEGREE = 8
 #: the polygon), at which the rule replaces the fan rule.
 _COMPRESS_TOLERANCE = 1e-12
 #: Fewest members of a class whose error norms use a compressed rule.
-#: Compressing costs one QR and NNLS per class: 1.2-1.6 ms for a
-#: degree-8 octagon (200 fan points, 45 moments) on a shared 2-core VM.
-#: Each member then skips 155 of its 200 points, and a skipped point
-#: saves about 0.17 us of point moves and exact-field calls (on
-#: concave_star L4, 7.75 M points fewer took 1.35 s less), so 26 us a
-#: member. The two break even at 45-60 members; a class near the
-#: threshold gains or loses under a millisecond either way. Smaller
-#: classes, every singleton among them, keep the fan rule.
+#: Recombining a class's rule costs 1.4-2.6 ms alone, and 0.7-1.0 ms a
+#: class when a mesh's classes are recombined together (3.6-5.2 ms for
+#: concave_star L4's five, 4.0-4.2 ms for honeycomb L3's five; shared
+#: 2-core VM). Each member then skips N - 45 of its N fan points, 155 of
+#: an octagon's 200, 105 of a hexagon's 150, and a skipped point saves
+#: about 0.17 us of point moves and exact-field calls (on concave_star
+#: L4, 7.75 M points fewer took 1.35 s less): 26 us a member of an
+#: octagon class, 18 us of a hexagon class. A class breaks even at 55-140
+#: members alone and at 27-55 among others; a class near the threshold
+#: gains or loses under a millisecond either way. Smaller classes, every
+#: singleton among them, keep the fan rule.
 _COMPRESS_MEMBERS = 50
 
 
 def compressed_rules(polys, degree: int = _ERROR_QUADRATURE_DEGREE):
-    """Each same-n polygon's positive compressed rule of exactness
-    ``degree``, its points (K, 2) and weights (K,) with K = dim P_degree,
-    or None where the fan rule stays; computed once per polygon and kept
-    in its ``memo``.
+    """Each polygon's positive compressed rule of exactness ``degree``,
+    its points (K, 2) and weights (K,) with K = dim P_degree, or None
+    where the fan rule stays; computed once per polygon and kept in its
+    ``memo``.
 
-    The rule is Sommariva and Vianello's: the fan-rule nodes that the
-    nonnegative least-squares solution of the scaled-monomial moment
-    system, in the orthonormal basis from a QR of the Vandermonde, keeps,
-    so at most K of them, padded with zero weights to K rows. A rule
-    whose moments miss the fan moments by more than
-    ``_COMPRESS_TOLERANCE`` is refused."""
+    The rule is a Caratheodory-Tchakaloff recombination of the fan rule
+    (Piazzon, Sommariva and Vianello, Dolomites Res. Notes Approx. 10,
+    2017): K of the fan nodes, bit for bit, whose nonnegative weights
+    keep the fan rule's scaled-monomial moments; see :func:`_recombine`.
+    Some weights may be 0. A rule whose moments miss the fan moments by
+    more than ``_COMPRESS_TOLERANCE`` is refused."""
     return memoised(polys, ("compressed", degree), _compress, degree)
 
 
 def _compress(polys, degree):
-    s = stack_polygons(polys)
-    pts, w = stack_quadrature(s, degree)
-    vander = stack_monomials(s, pts, degree)               # (m, P, K)
-    k = vander.shape[2]
+    # the fan rules and Vandermondes, one stack per vertex count, padded
+    # with zero-weight nodes to the longest rule
+    sizes = np.array([p.n_vertices for p in polys])
+    k = space_dimension(degree)
+    stacks = []
+    for n in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == n)
+        s = stack_polygons([polys[i] for i in rows])
+        pts, w = stack_quadrature(s, degree)
+        stacks.append((rows, pts, w, stack_monomials(s, pts, degree)))
+    size = stacks[-1][2].shape[1]
+    points = np.zeros((len(polys), size, 2))
+    weights = np.zeros((len(polys), size))
+    vander = np.zeros((len(polys), size, k))
+    for rows, pts, w, v in stacks:
+        m = w.shape[1]
+        points[rows, :m], weights[rows, :m], vander[rows, :m] = pts, w, v
     rules = []
-    for p, v, wk in zip(pts, vander, w):
-        q = np.linalg.qr(v)[0]
-        try:
-            u = nnls(q.T, q.T @ wk)[0]
-        except RuntimeError:  # no convergence: keep the fan rule
-            rules.append(None)
-            continue
-        keep = np.flatnonzero(u > 0.0)
-        moments = v.T @ wk
-        miss = np.abs(v[keep].T @ u[keep] - moments).max()
-        if len(keep) > k or not miss <= _COMPRESS_TOLERANCE * moments[0]:
-            rules.append(None)
-            continue
-        weights = np.zeros(k)
-        weights[:len(keep)] = u[keep]
-        rule = (p[np.resize(keep, k)], weights)  # padding repeats nodes
-        for arr in rule:
-            arr.setflags(write=False)
+    for p, w, v, keep, u in zip(points, weights, vander,
+                                *_recombine(vander, weights)):
+        order = np.argsort(keep)
+        keep, u = keep[order], u[order]
+        moments = v.T @ w
+        miss = np.abs(v[keep].T @ u - moments).max()
+        rule = None
+        if miss <= _COMPRESS_TOLERANCE * moments[0]:
+            rule = (p[keep], u)
+            for arr in rule:
+                arr.setflags(write=False)
         rules.append(rule)
     return rules
+
+
+#: Relative tilt of the node scales and scores by which
+#: :func:`_recombine` settles near-ties, as between the nodes of a
+#: symmetric polygon, toward the lower node: far above the rounding of
+#: the LU's entries (so a translated copy of a polygon, whose nodes round
+#: differently, keeps the same nodes), far below any gap that matters
+#: to the pivots.
+_TIE_TILT = 1e-6
+
+
+def _recombine(vander, weights):
+    """Caratheodory-Tchakaloff recombination of positive rules, a stack
+    of them at once: for each row's Vandermonde (N, K) and weights (N,),
+    zero-padded alike, K node indices and nonnegative weights with the
+    same moments ``vander.T @ weights``, up to rounding.
+
+    LU with partial pivoting of the Vandermonde, its rows scaled by the
+    roots of the weights, picks a basis of K nodes; the others are the
+    candidates. Each step moves the weights along the null vector of the
+    moment matrix that scales every candidate's weight down by one factor
+    and makes up their moments on the basis, until the candidates reach 0
+    or a basis weight does first. Then that basis node leaves the rule,
+    and the candidate whose moments took most weight from it enters the
+    basis. So every step but the last removes one node, the weights stay
+    nonnegative, and at most N - K + 1 steps are taken. The basis inverse
+    and the step are updated by the product-form pivot of the simplex
+    method."""
+    c, size, k = vander.shape
+    tilt = 1.0 - _TIE_TILT * np.arange(size) / size
+    root = np.sqrt(weights) * tilt
+    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
+    order = np.empty((c, size), dtype=int)
+    inverse = np.empty((c, k, k))     # of the basis nodes' moment rows
+    cand = np.empty((c, size - k, k))  # the candidates' moment rows
+    for i in range(c):
+        lu, piv, _ = lapack.dgetrf(vander[i] * root[i, :, None])
+        perm = list(range(size))
+        for a, b in enumerate(piv.tolist()):
+            perm[a], perm[b] = perm[b], perm[a]
+        order[i] = perm
+        # in the coordinates of U, a node's moment row is its row of the
+        # unit lower L over its root weight
+        inverse[i] = np.tril(lapack.dtrtri(lu[:k], lower=1, unitdiag=1)[0],
+                             -1).T
+        cand[i] = lu[k:]
+    inverse += np.eye(k)
+    basis, nodes = order[:, :k].copy(), order[:, k:]
+    inverse *= np.take_along_axis(root, basis, 1)[:, :, None]
+    cand *= np.take_along_axis(inv_root, nodes, 1)[..., None]
+    on = np.take_along_axis(weights, basis, 1)
+    off = np.take_along_axis(weights, nodes, 1)
+    delta = (inverse @ np.einsum("cr,crk->ck", off, cand)[..., None])[..., 0]
+    out_nodes, out_weights = basis.copy(), np.zeros((c, k))
+    rows = np.arange(c)    # the rows still moving
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(size - k + 1):
+            ratio = delta / on
+            p, lowest = ratio.argmin(1), ratio.min(1)
+            done = ~(lowest < -1.0)  # no basis weight reaches 0 first
+            if done.any():
+                out_nodes[rows[done]] = basis[done]
+                out_weights[rows[done]] = np.maximum(on + delta, 0.0)[done]
+                if done.all():
+                    break
+                left = ~done
+                rows, p, lowest = rows[left], p[left], lowest[left]
+                basis, nodes, inverse, cand, on, off, delta = (
+                    a[left] for a in (basis, nodes, inverse, cand, on, off,
+                                      delta))
+            ar = np.arange(len(rows))
+            shrink = 1.0 + 1.0 / lowest
+            on -= delta / lowest[:, None]
+            delta *= shrink[:, None]
+            off *= shrink[:, None]
+            # node p leaves; the live candidate j that took most weight
+            # from it enters, with its weight
+            leave = inverse[ar, p]
+            j = ((cand @ leave[:, :, None])[..., 0] * off
+                 * tilt[nodes]).argmin(1)
+            col = (inverse @ cand[ar, j][:, :, None])[..., 0]
+            enter = off[ar, j]
+            delta -= col * enter[:, None]
+            # the pivot x -> x - (col - e_p) x[p] / col[p]
+            pivot = col[ar, p]
+            col[ar, p] -= 1.0
+            col /= pivot[:, None]
+            inverse -= col[:, :, None] * leave[:, None, :]
+            delta -= col * delta[ar, p][:, None]
+            on[ar, p] = enter
+            off[ar, j] = 0.0
+            basis[ar, p] = nodes[ar, j]
+    return out_nodes, out_weights
 
 
 def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
@@ -90,26 +192,27 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     projection of the vertex data and the exact solution and gradient,
     summed over cells; a sum whose exact field is None stays 0. The
     projectors are computed once per cell class, in the stacks of one
-    vertex count that ``geometry.class_groups`` yields. Each stack's
-    classes of at least ``_COMPRESS_MEMBERS`` members take their
-    :func:`compressed_rules`, the others the fan rule; the exact fields
-    are evaluated on the chunks of members that ``geometry.member_points``
-    yields across the classes of each rule, from one
-    ``geometry.class_members`` gather. Raises ValueError unless the
-    vertex data holds one value per mesh vertex."""
+    vertex count that ``geometry.class_groups`` yields. The classes of at
+    least ``_COMPRESS_MEMBERS`` members take their
+    :func:`compressed_rules`, recombined in one stack, the others the fan
+    rule; the exact fields are evaluated on the chunks of members that
+    ``geometry.member_points`` yields across the classes of each rule,
+    from one ``geometry.class_members`` gather. Raises ValueError unless
+    the vertex data holds one value per mesh vertex."""
     u = np.asarray(vertex_values, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ValueError(f"vertex data has shape {u.shape}, expected "
                          f"({mesh.n_vertices},): one value per mesh vertex")
     l2_sq = h1_sq = 0.0
     polys = mesh.cell_classes
-    counts = np.bincount(mesh.cell_class)
+    large = np.flatnonzero(np.bincount(mesh.cell_class) >= _COMPRESS_MEMBERS)
+    compressed = dict(zip(large.tolist(),
+                          compressed_rules([polys[k] for k in large])))
     for *_, rows in class_groups(polys):
         group = [polys[k] for k in rows]
         pinabla = compute_pinabla(group)                        # (c, 3, n)
-        large = np.flatnonzero(counts[rows] >= _COMPRESS_MEMBERS).tolist()
-        rules = {k: r for k, r in zip(large, compressed_rules(
-            [group[k] for k in large])) if r is not None}
+        rules = {k: compressed[r] for k, r in enumerate(rows.tolist())
+                 if compressed.get(r) is not None}
         fan = [k for k in range(len(group)) if k not in rules]
         for part in (fan, list(rules)):
             if not part:

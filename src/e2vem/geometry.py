@@ -15,7 +15,6 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (ClockwiseOrientation, NotSimple, NotStarShaped,
                      StructuralDefect)
@@ -190,6 +189,9 @@ def _star_centers(pts, n_in, diameter, centroid, defect):
     clearance = _inward_clearance(pts, n_in, centroid)
     center = centroid.copy()
     for k in np.flatnonzero(~(clearance > 1e-9 * diameter) & (defect == _VALID)):
+        # imported here: scipy.optimize costs a process about 17 MiB and
+        # 0.15 s, and most meshes never need it
+        from scipy.optimize import linprog
         a_ub = np.column_stack([-n_in[k], np.ones(pts.shape[1])])
         b_ub = -(n_in[k] * pts[k]).sum(axis=1)
         res = linprog([0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
@@ -365,9 +367,12 @@ def member_points(cls, offsets, points):
 
 
 def at_points(value, x):
-    """A field's value at the points ``x`` as floats: an array as it is,
-    a constant broadcast to their shape."""
-    return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x))
+    """A field's value at the points ``x`` as a C-contiguous float array:
+    a contiguous array as it is, a constant filled to their shape (a
+    stride-0 view of it would be summed in another order, and so round
+    unlike the array form)."""
+    return np.ascontiguousarray(
+        np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)))
 
 
 def class_groups(polys, levels=0):

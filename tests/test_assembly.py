@@ -149,10 +149,15 @@ def test_load_evaluates_source_in_member_chunks(monkeypatch):
     assert sizes == expected
 
 
-def test_scalar_fields_broadcast():
+@pytest.mark.parametrize("family, level", [("square_grid", 0)] + [
+    (family, level)
+    for family in ("honeycomb", "concave_star", "cut_corner_octagon")
+    for level in range(3)])
+def test_scalar_fields_broadcast(family, level):
     # a field that returns a constant stands for an array of it: the
     # load, the Dirichlet values and the solve match the array form
-    mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
+    # bitwise, whatever the mesh's point counts
+    mesh = make_mesh(MeshFamilySpec(family, level=level))
     degs = assign_degrees(mesh, "minimal")
     for kind, mode in (("poisson", "mean"), ("diffusion_reaction", "p1")):
         scalar = ProblemSpec(kind, lambda x, y: 1.0,

@@ -96,6 +96,35 @@ def test_concave_octagon_star_center_in_kernel():
     assert poly.kernel_inradius > 0
 
 
+def test_dart_star_center_from_kernel_program():
+    # the dart's area centroid (2, 11/6) lies outside it, so its star
+    # center is the kernel's Chebyshev center, found by a linear program
+    dart = [(0.0, 0.0), (2.0, 2.5), (4.0, 0.0), (2.0, 3.0)]
+    poly = build_polygon(dart)
+    assert poly.area == pytest.approx(1.0)
+    assert not kernel_contains(dart, (2.0, 11.0 / 6.0))
+    assert kernel_contains(poly.vertices, poly.star_center)
+    # the kernel is the kite between the lines y = 1.25 x, y = 6 - 1.5 x
+    # and their mirror images about x = 2: its largest ball sits on x = 2
+    # at the height y where the lines' distances 2 y - 5 over sqrt(10.25)
+    # and 3 - y over sqrt(3.25) agree
+    a, b = math.sqrt(10.25), math.sqrt(3.25)
+    y = (3.0 * a + 5.0 * b) / (a + 2.0 * b)
+    np.testing.assert_allclose(poly.star_center, [2.0, y], rtol=1e-7)
+    assert poly.kernel_inradius == pytest.approx((3.0 - y) / b, rel=1e-7)
+    assert (fan_areas(poly) > 0.0).all()
+
+
+def test_at_points_gives_contiguous_arrays():
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    values = np.cos(x)
+    kept = geometry.at_points(values, x)
+    assert np.shares_memory(kept, values) and (kept == values).all()
+    filled = geometry.at_points(0.5, x)
+    assert filled.flags.c_contiguous and filled.shape == x.shape
+    assert (filled == 0.5).all()
+
+
 def fan_areas(poly):
     """Areas of the fan triangles of ``poly``'s quadrature: each
     triangle's weights sum to its area."""
