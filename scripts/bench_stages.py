@@ -1,20 +1,25 @@
-"""Per-stage wall-clock times of the solver pipeline, for two source trees.
+"""Per-stage wall-clock times and peak memory of the solver pipeline, for
+two source trees.
 
 Usage, from the root of a source checkout::
 
     python3 scripts/bench_stages.py --base ../parent/src --out BENCH.json
 
-Every case runs in a fresh process per source tree, the trees taking
-turns case by case. A process imports numpy and ``e2vem`` from its tree,
-recording ``import`` (the wall time of those two imports, in s) and
-``import_rss_mb`` (the process's peak resident memory right after them,
-in MiB), warms up on the family's level-0 mesh (through the Cholesky and
-the CG path), and then times ``REPS`` runs, each on a ``PolygonalMesh``
-built afresh from the case's arrays, with in-process ``perf_counter``
-timers around the stages: ``classes`` (the cell-class index),
-``degrees`` (``assign_degrees``), ``assemble`` (``assemble``), ``solve``
-(``solve``), ``errors`` (``solution_errors``) and ``total`` (all of
-them). Each stage reports the median over the runs.
+Every case runs in ``PAIRS`` pairs of fresh processes, one process per
+source tree in each pair; the tree that goes first alternates from pair
+to pair, so a drift of the machine's load falls on both trees. A process
+imports numpy and ``e2vem`` from its tree, recording ``import`` (the wall
+time of those two imports, in s) and ``import_rss_mb`` (the process's
+peak resident memory right after them, in MiB), warms up on the family's
+level-0 mesh (through the Cholesky and the CG path), and then times
+``REPS`` runs, each on a ``PolygonalMesh`` built afresh from the case's
+arrays, with in-process ``perf_counter`` timers around the stages:
+``classes`` (the cell-class index), ``degrees`` (``assign_degrees``),
+``assemble`` (``assemble``), ``solve`` (``solve``), ``errors``
+(``solution_errors``) and ``total`` (all of them). After its timed runs
+it records ``peak_rss_mb``, its peak resident memory. Each stage reports
+the median and quartiles over all timed runs of a tree's processes; the
+per-process readings over its processes.
 """
 from __future__ import annotations
 
@@ -38,7 +43,10 @@ CASES = [(f"{family}-L{level}", family, level, kind, mode, None)
 CASES += [("jitter-batch", "honeycomb", 0, "poisson", "mean", "batch"),
           ("jittered-honeycomb-L3", "honeycomb", 3, "poisson", "mean", 1)]
 STAGES = ("classes", "degrees", "assemble", "solve", "errors", "total")
-#: Timed runs per case and tree; each stage reports their median.
+#: Readings taken once per process.
+PROCESS = ("import", "import_rss_mb", "peak_rss_mb")
+#: Process pairs per case, and timed runs per process.
+PAIRS = 3
 REPS = 3
 
 
@@ -109,8 +117,15 @@ def worker(src: str, case: str) -> dict:
             lap("errors")
         times["total"] = sum(times[s] for s in STAGES[:-1])
         runs.append(times)
-    return {**imported, **{stage: statistics.median(r[stage] for r in runs)
-                           for stage in STAGES}}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {**imported, "peak_rss_mb": peak,
+            **{stage: [r[stage] for r in runs] for stage in STAGES}}
+
+
+def summary(values) -> dict:
+    """Median and quartiles of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def main(argv=None) -> int:
@@ -130,27 +145,40 @@ def main(argv=None) -> int:
              "change": str(Path(__file__).resolve().parents[1] / "src")}
     results = {}
     for case, *_ in CASES:
-        results[case] = {}
-        for label, src in trees.items():
-            proc = subprocess.run(
-                [sys.executable, __file__, "--worker", src, case],
-                capture_output=True, text=True, check=True)
-            results[case][label] = json.loads(proc.stdout.strip().splitlines()[-1])
-            print(case, label, json.dumps(results[case][label]), flush=True)
+        readings = {label: [] for label in trees}
+        for pair in range(PAIRS):
+            for label in list(trees)[::1 if pair % 2 == 0 else -1]:
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--worker", trees[label], case],
+                    capture_output=True, text=True, check=True)
+                readings[label].append(
+                    json.loads(proc.stdout.strip().splitlines()[-1]))
+        results[case] = {
+            label: {**{key: summary([r[key] for r in runs])
+                       for key in PROCESS},
+                    **{stage: summary([t for r in runs for t in r[stage]])
+                       for stage in STAGES}}
+            for label, runs in readings.items()}
+        print(case, json.dumps({label: {key: round(v["median"], 4)
+                                        for key, v in res.items()}
+                                for label, res in results[case].items()}),
+              flush=True)
     report = {
         "command": (f"python3 scripts/bench_stages.py --base <base>/src "
                     f"--out {args.out}"),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
         "python": platform.python_version(),
-        "method": (f"in-process perf_counter stage timers, median of "
-                   f"{REPS} runs after a level-0 warm-up, one fresh "
-                   f"process per case and tree; in each case the base "
-                   f"tree runs first, then the change; import and "
-                   f"import_rss_mb are single readings of the process's "
-                   f"numpy and e2vem imports"),
+        "method": (f"in-process perf_counter stage timers after a level-0 "
+                   f"warm-up; {PAIRS} pairs of fresh processes per case, one "
+                   f"per tree, the first tree alternating from pair to "
+                   f"pair; {REPS} timed runs per process. Stages give the "
+                   f"median and quartiles of all {PAIRS * REPS} runs of a "
+                   f"tree; import, import_rss_mb (after the numpy and "
+                   f"e2vem imports) and peak_rss_mb (after the timed runs) "
+                   f"those of its {PAIRS} processes"),
         "trees": {"base": "the src directory given as --base",
                   "change": "this checkout's src"},
-        "unit": "s, import_rss_mb in MiB",
+        "unit": "s; import_rss_mb and peak_rss_mb in MiB",
         "cases": results,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

@@ -1,5 +1,5 @@
 """Global assembly of the discrete Poisson / diffusion-reaction systems,
-Dirichlet elimination, and the SPD solve.
+with the Dirichlet data lifted into the load, and the SPD solve.
 
 Assembly iterates the mesh's one cell-class index, ``mesh.cell_classes``,
 grouped by (vertex count, certified degree): the stiffness, reaction,
@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 from .degree import DegreeAssignment, assign_degrees
+from . import geometry
 from .errors import InadmissibleDegrees, NotSPD
 from .geometry import (PolygonalMesh, at_points, class_groups,
                        class_members, member_points, stack_polygons,
@@ -206,37 +207,130 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
     are scattered together, from stacks of their kernels; a member's
     load is its source values at its class's quadrature points, moved
     onto the member, against the class's load weights."""
+    n = mesh.n_vertices
+    return _assemble(mesh, degrees, problem, load_mode, np.arange(n),
+                     np.zeros(n))
+
+
+def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
+             problem: ProblemSpec, load_mode: str = "mean") -> LinearSystem:
+    """Assemble the system over the non-Dirichlet vertices: values
+    interpolated from ``problem.dirichlet_data`` move to the right-hand
+    side member by member, and no Dirichlet row or column is stored."""
+    flags = mesh.boundary_vertex_flags
+    boundary = np.flatnonzero(flags)
+    free = np.flatnonzero(~flags)
+    xb, yb = mesh.vertices[boundary, 0], mesh.vertices[boundary, 1]
+    bvals = np.array(at_points(problem.dirichlet_data(xb, yb), xb))
+    dof = np.full(mesh.n_vertices, -1)
+    dof[free] = np.arange(len(free))
+    lift = np.zeros(mesh.n_vertices)
+    lift[boundary] = bvals
+    matrix, load = _assemble(mesh, degrees, problem, load_mode, dof, lift)
+    return LinearSystem(matrix, load[free], free, boundary, bvals,
+                        mesh.n_vertices)
+
+
+def _assemble(mesh, degrees, problem, load_mode, dof, lift):
+    """The CSR matrix, canonical and exact-size, over the DOFs that
+    ``dof`` numbers (vertex to DOF, -1 for none), and the load over all
+    vertices, less ``K_E lift`` for every member E with a vertex that is
+    not a DOF.
+
+    A (member, local row) "slab" holds the member's entries of one row
+    in the columns that are DOFs. One stable sort of the slab rows lays
+    the slabs out row by row in buffers of the summed slab length; each
+    row's columns are then sorted and its duplicates summed in place,
+    and the buffers shrunk in place to the entries that remain."""
     _check_admissible(mesh, degrees)
     if load_mode not in ("mean", "p1"):
         raise ValueError(f"unknown load mode {load_mode!r}")
-    n = mesh.n_vertices
+    n, size = mesh.n_vertices, int(dof.max(initial=-1)) + 1
     load = np.zeros(n)
     groups = list(class_groups(mesh.cell_classes,
                                [ev.l for ev in degrees.evidence]))
-    # one (row, column, value) entry per member and local matrix entry,
-    # written in place, group by group; int32 indices are the ones the
-    # sparse constructor keeps without a copy
+    # int32 slab bookkeeping unless the vertex or local entry count
+    # outgrows it
     counts = np.bincount(mesh.cell_class)
-    sizes = [nv * nv * int(counts[group].sum()) for nv, _, group in groups]
-    total = sum(sizes)
+    total = sum(nv * nv * int(counts[group].sum()) for nv, _, group in groups)
     index = np.int32 if max(n, total) <= np.iinfo(np.int32).max else np.int64
-    rows, cols = np.empty(total, dtype=index), np.empty(total, dtype=index)
-    vals = np.empty(total)
-    start = 0
-    for (nv, l, group), size in zip(groups, sizes):
-        entries = [a[start:start + size].reshape(-1, nv, nv)
-                   for a in (rows, cols, vals)]
-        _assemble_group(mesh, group, l, problem, load_mode, load, entries)
-        start += size
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), load
+    dof = dof.astype(index)
+    members = [_assemble_group(mesh, group, l, problem, load_mode, load, dof,
+                               lift) for _, l, group in groups]
+    starts, indptr = _slab_layout([d for _, _, d in members], size)
+    # the stored entries decide the matrix's index type, as scipy does,
+    # so that the constructor keeps the buffers shrunk in place below
+    if max(size, indptr[-1]) <= np.iinfo(np.int32).max:
+        indptr = indptr.astype(np.int32, copy=False)
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    data = np.empty(indptr[-1])
+    head = 0
+    for local, cls, d in members:
+        slabs = starts[head:head + d.size].reshape(d.shape)
+        head += d.size
+        # members with no Dirichlet vertex write whole local matrices
+        inner = (d >= 0).all(axis=1)
+        for part, masked in ((np.flatnonzero(inner), False),
+                             (np.flatnonzero(~inner), True)):
+            for start in range(0, len(part), geometry._CHUNK_MEMBERS):
+                chunk = part[start:start + geometry._CHUNK_MEMBERS]
+                _scatter(indices, data, slabs[chunk], d[chunk],
+                         np.take(local, cls[chunk], axis=0), masked)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    matrix.sum_duplicates()
+    # the summed entries lead the buffers, still at the slab length:
+    # shrink them in place (a copy would raise the peak by the matrix)
+    nnz = matrix.nnz
+    del matrix
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    matrix.has_canonical_format = True
+    return matrix, load
 
 
-def _assemble_group(mesh, group, l, problem, load_mode, load, entries):
-    """Write the matrix entries of the classes ``group`` (rows of
-    ``mesh.cell_classes``) of one vertex count at degree ``l`` into
-    ``entries``, the (m, nv, nv) row, column and value arrays of its
-    members, from one stack of their kernels; adds their load to
-    ``load``."""
+def _slab_layout(dofs, size):
+    """Where each slab starts in the row-ordered buffers, for the members'
+    DOFs ``dofs`` (a list of (m, nv) arrays), with their ``indptr``: a
+    slab is as long as its member has DOFs, or empty when its row is not
+    one, and slabs of one row keep their order in ``dofs``."""
+    index = dofs[0].dtype
+    rows = np.concatenate([d.ravel() for d in dofs])
+    lengths = np.concatenate([
+        np.where(d >= 0, (d >= 0).sum(axis=1, dtype=index)[:, None], 0).ravel()
+        for d in dofs])
+    order = np.argsort(rows, kind="stable")
+    starts = np.empty_like(lengths)
+    starts[order] = np.cumsum(lengths[order], dtype=index) - lengths[order]
+    # row -1, the slabs that are not stored, counts 0 and leads indptr
+    indptr = np.cumsum(np.bincount(rows + 1, lengths, minlength=size + 1))
+    return starts, indptr.astype(index)
+
+
+def _scatter(indices, data, slabs, d, values, masked):
+    """Write members' entries ``values`` (m, nv, nv) at DOFs ``d`` (m, nv)
+    into their slabs, which start at ``slabs`` (m, nv) in ``indices`` and
+    ``data``: every entry, or (``masked``) those whose row and column are
+    both DOFs, packed in column order."""
+    if not masked:
+        target = slabs[:, :, None] + np.arange(d.shape[1], dtype=slabs.dtype)
+        columns = np.broadcast_to(d[:, None, :], target.shape)
+    else:
+        free = d >= 0
+        rank = np.cumsum(free, axis=1, dtype=slabs.dtype) - 1
+        kept = free[:, :, None] & free[:, None, :]
+        target = (slabs[:, :, None] + rank[:, None, :])[kept]
+        columns = np.broadcast_to(d[:, None, :], kept.shape)[kept]
+        values = values[kept]
+    indices[target] = columns
+    data[target] = values
+
+
+def _assemble_group(mesh, group, l, problem, load_mode, load, dof, lift):
+    """The kernels (c, nv, nv) of the classes ``group`` (rows of
+    ``mesh.cell_classes``) of one vertex count at degree ``l``, from one
+    stack, with their members' classes (m,) and DOFs (m, nv); adds the
+    members' load, less their ``K_E lift``, to ``load``."""
     polys = [mesh.cell_classes[k] for k in group]
     projs = build_projectors(polys, l)
     pizero, local = projs.pizero, projs.stiffness              # (c, nv), (c, nv, nv)
@@ -258,27 +352,13 @@ def _assemble_group(mesh, group, l, problem, load_mode, load, entries):
         f_moments = np.stack([np.einsum("mp,mp->m", fv, moments[c, :, a])
                               for a in range(moments.shape[2])], axis=1)
         np.add.at(load, idx[rows], np.einsum("ma,man->mn", f_moments, project[c]))
-    row, col, val = entries
-    row[...] = idx[:, :, None]
-    col[...] = idx[:, None, :]
-    np.take(local, cls, axis=0, out=val)
-
-
-def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
-             problem: ProblemSpec, load_mode: str = "mean") -> LinearSystem:
-    """Assemble and eliminate Dirichlet vertices (values interpolated
-    from ``problem.dirichlet_data`` move to the right-hand side)."""
-    matrix, load = assemble_full(mesh, degrees, problem, load_mode)
-    flags = mesh.boundary_vertex_flags
-    boundary = np.flatnonzero(flags)
-    free = np.flatnonzero(~flags)
-    xb, yb = mesh.vertices[boundary, 0], mesh.vertices[boundary, 1]
-    bvals = np.array(at_points(problem.dirichlet_data(xb, yb), xb))
-    free_rows = matrix[free]
-    reduced = free_rows[:, free].tocsr()
-    rhs = load[free] - free_rows[:, boundary] @ bvals
-    return LinearSystem(reduced, rhs, free, boundary, bvals,
-                        mesh.n_vertices)
+    d = dof[idx]
+    lifted = np.flatnonzero((d < 0).any(axis=1))
+    if len(lifted):
+        g = lift[idx[lifted]]
+        np.add.at(load, idx[lifted],
+                  -np.einsum("mij,mj->mi", local[cls[lifted]], g))
+    return local, cls, d
 
 
 @dataclass(frozen=True)
@@ -327,6 +407,10 @@ def _aggregates(a: sp.csr_matrix, prio: np.ndarray) -> np.ndarray:
     aggregate of a neighbour. Rows without neighbours share one
     aggregate, so every level at least halves."""
     n = len(prio)
+    # the rounds read the pattern only: share its index arrays under
+    # 1-byte data, so that the row slices copy 5 B per entry, not 12
+    a = sp.csr_matrix((np.ones(len(a.indices), dtype=bool), a.indices,
+                       a.indptr), shape=a.shape)
 
     def neighbour_max(v, rows):
         return np.maximum.reduceat(np.take(v, rows.indices), rows.indptr[:-1])
@@ -394,10 +478,15 @@ def _vcycle(levels, coarse, r):
         return cho_solve(coarse, r)
     (a, w, pt, pta), rest = levels[0], levels[1:]
     x = w * r
-    r = r - a @ x
-    e = _vcycle(rest, coarse, pt @ r)
-    # A P e through (P^T A)^T: A is symmetric, and this product is cheaper
-    return x + pt.T @ e + w * (r - pta.T @ e)
+    s = a @ x
+    np.subtract(r, s, out=s)            # r itself is CG's: left as it is
+    e = _vcycle(rest, coarse, pt @ s)
+    # A P e through (P^T A)^T: A is symmetric, and this product is cheaper;
+    # x + P e + w (s - A P e), summed in place in that order
+    x += pt.T @ e
+    ape = pta.T @ e
+    x += np.multiply(w, np.subtract(s, ape, out=ape), out=ape)
+    return x
 
 
 def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
@@ -433,7 +522,7 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     levels, coarse = _hierarchy(a)
     factor = _dense_factor(coarse)
     limit = max(500, 4 * n)
-    x, r = np.zeros(n), b.copy()
+    x, r, step = np.zeros(n), b.copy(), np.empty(n)
     z = _vcycle(levels, factor, r)
     d, rz = z, r @ z
     count = 0
@@ -447,11 +536,12 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
             raise NotSPD(f"CG direction with curvature {curvature:.3e}: "
                          f"the matrix is not positive definite")
         alpha = rz / curvature
-        x += alpha * d
-        r -= alpha * ad
+        x += np.multiply(alpha, d, out=step)
+        r -= np.multiply(alpha, ad, out=ad)
         z = _vcycle(levels, factor, r)
         rz, rz_old = r @ z, rz
-        d = z + (rz / rz_old) * d
+        d *= rz / rz_old                # d = z + beta d, in place
+        d += z
         count += 1
     res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
     sizes = tuple(level[0].shape[0] for level in levels) + coarse.shape[:1]

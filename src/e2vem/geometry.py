@@ -331,7 +331,7 @@ _CLASS_TOLERANCE = 1e-12
 #: divided by an edge of at least kappa h.
 _CLASS_KAPPA = 1e-2
 #: Most class members whose points are moved at once (bounds memory).
-_CHUNK_MEMBERS = 4096
+_CHUNK_MEMBERS = 1024
 
 
 def class_members(mesh, rows):
