@@ -14,14 +14,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AdmissibilityNotReached
-from .geometry import (Polygon, PolygonalMesh, class_groups, memoised,
-                       stack_polygons)
+from .geometry import Polygon, PolygonalMesh, class_groups, stack_polygons
 from .polyspace import space_dimension
 from .projectors import (boundary_mean_rows, boundary_vector_moments,
-                         build_projectors)
-
-_EPS = 2.0 ** -52
-_RANK_SAFETY = 64.0
+                         stiffness_rank, svd_ranks)
 
 
 def ell_hat(n: int) -> int:
@@ -45,12 +41,6 @@ def ell_check(n: int) -> int:
     return l
 
 
-def _svd_ranks(s: np.ndarray, shape_dim: int) -> np.ndarray:
-    """Count of each row's descending singular values ``s`` (m, k) above
-    ``shape_dim * s[0] * eps * 64``; 0 for a zero row."""
-    return (s > shape_dim * s[:, :1] * _EPS * _RANK_SAFETY).sum(axis=1)
-
-
 def dim_badpoly(poly: Polygon, l: int) -> int:
     """Dimension of the bad-polynomial space: the vector polynomials in
     [P_l]^2 whose normal trace is orthogonal to every zero-mean
@@ -64,7 +54,7 @@ def dim_badpoly(poly: Polygon, l: int) -> int:
     d = pairing[:, :poly.n_vertices - 1].T
     sv = np.linalg.svd(d, compute_uv=False)
     dim_vec = 2 * space_dimension(l)
-    rank = _svd_ranks(sv[None], max(max(d.shape), poly.n_vertices, dim_vec))
+    rank = svd_ranks(sv[None], max(max(d.shape), poly.n_vertices, dim_vec))
     return dim_vec - int(rank[0])
 
 
@@ -82,20 +72,6 @@ class AdmissibilityEvidence:
     @property
     def admissible(self) -> bool:
         return self.rank == self.n_vertices - 1
-
-
-def stiffness_rank(polys, l: int):
-    """Numerical rank of the local stiffness at degree ``l``, by
-    :func:`_svd_ranks` at shape dimension ``max(n, 2 dim P_l)``: a tuple
-    for a sequence of same-n polygons, whose stiffnesses go through one
-    stacked SVD. Memoised per polygon and degree next to the kernel."""
-    return memoised(polys, ("rank", l), _stiffness_ranks, l)
-
-
-def _stiffness_ranks(polys, l: int):
-    k = build_projectors(polys, l).stiffness
-    sv = np.linalg.svd(k, compute_uv=False)
-    return _svd_ranks(sv, max(k.shape[-1], 2 * space_dimension(l))).tolist()
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,9 @@ The slaved linear moments make the L2 projection onto linears equal to
 
 The local stiffness ``K = Pi^T G Pi`` (``Pi`` the gradient projection,
 ``G`` the [P_l]^2 Gram) is the stabilization-free bilinear form; its rank
-certifies coercivity.
+certifies coercivity. The [P_l] Gram is factored once, ``L L^T``: the
+whitened projection ``C = L^-1 [R_x; R_y]`` gives ``K = C^T C``, whose
+eigenvalues are the squared singular values of ``C``.
 
 Every array carries a leading stack axis: one row per polygon of a
 :class:`~e2vem.geometry.PolygonStack`, and (m, k, k) matrix stacks go
@@ -32,7 +34,7 @@ error norms read the same rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +46,15 @@ from .quadrature import segment_rule
 
 #: Gram condition number above which a warning is emitted (not fatal).
 GRAM_CONDITION_LIMIT = 1e12
+
+_EPS = 2.0 ** -52
+_RANK_SAFETY = 64.0
+
+
+def svd_ranks(s: np.ndarray, shape_dim: int) -> np.ndarray:
+    """Count of each row's descending singular values ``s`` (m, k) above
+    ``shape_dim * s[0] * eps * 64``; 0 for a zero row."""
+    return (s > shape_dim * s[:, :1] * _EPS * _RANK_SAFETY).sum(axis=1)
 
 
 def boundary_mean_rows(s: PolygonStack) -> np.ndarray:
@@ -66,22 +77,13 @@ def compute_pinabla(polys) -> np.ndarray:
 
 def _compute_pinabla(polys):
     s = stack_polygons(polys)
-    v, lens, h = s.vertices, s.edge_lengths, s.diameter
-    mids = ((0.5 * (v + np.roll(v, -1, axis=1)) - s.star_center[:, None, :])
-            / h[:, None, None])
-    g = np.zeros((len(h), 3, 3))
-    g[:, 0, 0] = 1.0
-    g[:, 0, 1:] = (lens[:, None, :] @ mids)[:, 0] / lens.sum(axis=1)[:, None]
-    g[:, 1, 1] = g[:, 2, 2] = s.area / h ** 2
-    weighted = lens[..., None] * s.edge_normals
-    b = np.empty((len(h), 3, v.shape[1]))
-    b[:, 0] = boundary_mean_rows(s)
-    b[:, 1:] = ((weighted + np.roll(weighted, 1, axis=1)).transpose(0, 2, 1)
-                / (2.0 * h)[:, None, None])
-    try:
-        pinabla = np.linalg.solve(g, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"elliptic projector system: {exc}") from exc
+    h = s.diameter[:, None, None]
+    # a triangular system: the linear rows are diagonal (area / h^2) and the
+    # constant row adds the linears' boundary means, interpolated by p0
+    grad = boundary_vector_moments(s, 0) * h / s.area[:, None, None]
+    p0 = boundary_mean_rows(s)[:, None]
+    means = p0 @ (s.vertices - s.star_center[:, None]) / h
+    pinabla = np.concatenate([p0 - means @ grad, grad], axis=1)
     pinabla.setflags(write=False)
     return list(pinabla)
 
@@ -119,6 +121,16 @@ def boundary_vector_moments(s: PolygonStack, l: int) -> np.ndarray:
     return weights @ (1.0 - t) + np.roll(weights @ t, 1, axis=2)
 
 
+def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``lower^-1 b`` for stacks of lower triangular matrices (..., k, k)
+    and right hand sides (..., k, c), one solution row at a time."""
+    x = np.empty_like(b)
+    for i in range(b.shape[-2]):
+        done = (lower[..., i, None, :i] @ x[..., :i, :])[..., 0, :]
+        x[..., i, :] = (b[..., i, :] - done) / lower[..., i, i, None]
+    return x
+
+
 def _project_gradient(s: PolygonStack, l: int, gram: np.ndarray,
                       boundary: np.ndarray, volume_moments):
     """L2 projection of gradients onto [P_l]^2 by the divergence identity
@@ -128,8 +140,9 @@ def _project_gradient(s: PolygonStack, l: int, gram: np.ndarray,
     ``boundary`` (m, 2 dim P_l, c) holds the boundary term,
     ``volume_moments`` (m, dim P_{l-1}, c) the moments of ``v`` against
     the degree ``l - 1`` scalar basis and ``gram`` (m, d, d) Gram
-    matrices whose leading block is that of [P_l]. Returns the right hand
-    side, the projection coefficients and the [P_l] Gram condition
+    matrices whose leading block is that of [P_l]. Returns the [P_l] Gram
+    Cholesky factors ``L``, the whitened projection ``L^-1 [R_x; R_y]``
+    (m, 2 dim P_l, c) of the right hand sides and the Gram condition
     numbers, which warn above ``GRAM_CONDITION_LIMIT``.
     """
     rhs = boundary
@@ -137,66 +150,73 @@ def _project_gradient(s: PolygonStack, l: int, gram: np.ndarray,
         div = unit_divergence_matrix(l) / s.diameter[:, None, None]
         rhs = rhs - div @ volume_moments
     nl = space_dimension(l)
-    g = gram[:, :nl, :nl]
     try:
-        np.linalg.cholesky(g)
+        lower = np.linalg.cholesky(gram[:, :nl, :nl])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"[P_{l}]^2 Gram is not positive definite: {exc}") from exc
-    cond = np.linalg.cond(g)
+    sv = np.linalg.svd(lower, compute_uv=False)
+    cond = (sv[:, 0] / sv[:, -1]) ** 2
     for value in cond[cond > GRAM_CONDITION_LIMIT]:
         warnings.warn(
             f"vector Gram condition {value:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e} "
             f"(n={s.vertices.shape[1]}, l={l})", IllConditioned, stacklevel=3)
-    # both components in one solve: the columns of [rhs_x, rhs_y]
-    c = rhs.shape[2]
-    coeffs = np.linalg.solve(g, np.concatenate([rhs[:, :nl], rhs[:, nl:]], axis=2))
-    return rhs, np.concatenate([coeffs[..., :c], coeffs[..., c:]], axis=1), cond
+    whitened = _forward_substitution(lower[:, None],
+                                     rhs.reshape(len(rhs), 2, nl, -1))
+    return lower, whitened.reshape(rhs.shape), cond
 
 
 @dataclass(frozen=True, eq=False)
 class ElementProjectors:
     """The element kernel at one gradient-projection degree: the cell-mean
-    rows ``pizero`` (m, n), the local ``stiffness`` (m, n, n) and the
-    [P_l] Gram condition numbers (m,) of a stack of polygons. Each
-    polygon's memo holds its row, with read-only arrays."""
+    rows ``pizero`` (m, n), the local ``stiffness`` (m, n, n), the [P_l]
+    Gram condition numbers (m,) and the stiffness ranks (m,) of a stack of
+    polygons. Each polygon's memo holds its row, with read-only arrays."""
 
     pizero: np.ndarray
     stiffness: np.ndarray
     gram_condition: float
+    rank: int
 
 
 def build_projectors(polys, l: int) -> ElementProjectors:
     """The element kernel at gradient-projection degree ``l`` of each of a
-    sequence of same-n polygons, as one stack: the cell means of the
-    vertex hats and the stabilization-free local stiffness (symmetric
-    PSD, constants in its kernel).
-
-    Computed once per polygon and degree: degree certification, assembly
-    and the error norms (through :func:`compute_pinabla`) share it, and an
+    sequence of same-n polygons, as one stack of their memoised rows: the
+    cell means of the vertex hats, the stabilization-free local stiffness
+    (symmetric PSD, constants in its kernel) and its rank, by
+    :func:`svd_ranks` at shape dimension ``max(n, 2 dim P_l)``. Degree
+    certification, assembly and the error norms share the rows, so an
     :class:`IllConditioned` warning fires once per (polygon, degree)."""
-    if l < 0:
-        raise ValueError(f"negative projection degree {l}")
     rows = memoised(polys, l, _build_projectors, l)
-    return ElementProjectors(np.array([r.pizero for r in rows]),
-                             np.array([r.stiffness for r in rows]),
-                             np.array([r.gram_condition for r in rows]))
+    return ElementProjectors(*(np.array([getattr(r, f.name) for r in rows])
+                               for f in fields(ElementProjectors)))
+
+
+def stiffness_rank(polys, l: int):
+    """Numerical rank of the local stiffness at degree ``l``, a tuple for
+    a sequence of same-n polygons: the ``rank`` of each memoised kernel
+    row, read without stacking the rows as :func:`build_projectors` does."""
+    return tuple(row.rank for row in memoised(polys, l, _build_projectors, l))
 
 
 def _build_projectors(polys, l: int):
+    if l < 0:
+        raise ValueError(f"negative projection degree {l}")
     s = stack_polygons(polys)
     h = moment_tables(s, max(1, l))
     pinabla = compute_pinabla(polys)
     # the enhancement slaves the hats' moments to their elliptic projection
-    rhs, pigrad, cond = _project_gradient(
+    _, whitened, cond = _project_gradient(
         s, l, h, boundary_vector_moments(s, l),
         h[:, :space_dimension(l - 1), :3] @ pinabla)
-    # rhs = G pigrad, so this is pigrad^T G pigrad
-    stiffness = rhs.transpose(0, 2, 1) @ pigrad
-    stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
+    # C^T C = R^T G^-1 R = pigrad^T G pigrad
+    stiffness = whitened.transpose(0, 2, 1) @ whitened
+    sv = np.linalg.svd(whitened, compute_uv=False)
+    rank = svd_ranks(sv ** 2, max(whitened.shape[1:]))
     pizero = (h[:, :1, :3] @ pinabla)[:, 0] / s.area[:, None]
     for arr in (pizero, stiffness):
         arr.setflags(write=False)
-    return list(map(ElementProjectors, pizero, stiffness, cond.tolist()))
+    return list(map(ElementProjectors, pizero, stiffness, cond.tolist(),
+                    rank.tolist()))
 
 
 def project_gradient_from_data(poly: Polygon, l: int, boundary_values,
@@ -217,5 +237,8 @@ def project_gradient_from_data(poly: Polygon, l: int, boundary_values,
     boundary = weights.reshape(1, weights.shape[1], -1) @ values[:, None]
     moments = (None if volume_moments is None
                else np.asarray(volume_moments, dtype=float).reshape(1, -1, 1))
-    return _project_gradient(s, l, moment_tables(s, l), boundary,
-                             moments)[1][0, :, 0]
+    lower, whitened, _ = _project_gradient(s, l, moment_tables(s, l),
+                                           boundary, moments)
+    # back substitution with L^T, lower triangular in reversed order
+    w = whitened.reshape(2, -1, 1)[:, ::-1]
+    return _forward_substitution(lower[0].T[::-1, ::-1], w)[:, ::-1].ravel()

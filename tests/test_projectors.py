@@ -218,9 +218,20 @@ def test_project_gradient_from_data_quartic():
 
 
 def test_gram_condition_reported():
-    projs = build_projectors([regular_polygon(6)], 2)
-    assert projs.gram_condition.shape == (1,)
-    assert projs.gram_condition[0] >= 1.0
+    # cond(L)^2 from the Cholesky factor is the Gram's own condition
+    # number, up to the 20-gon's 1.25e13 at l = 9
+    for poly in (regular_polygon(20), regular_polygon(6),
+                 make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4)),
+                 make_polygon(PolygonFamilySpec("random_convex", n=12, seed=0))):
+        s = stack_polygons([poly])
+        for l in range(10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditioned)
+                cond = build_projectors([poly], l).gram_condition
+            nl = space_dimension(l)
+            gram = moment_tables(s, max(1, l))[:, :nl, :nl]
+            assert cond.shape == (1,)
+            assert cond[0] == pytest.approx(np.linalg.cond(gram)[0], rel=1e-8)
 
 
 def reuse_polygons():
@@ -307,6 +318,22 @@ def test_stack_permutation_permutes_rows(l):
         perm = rng.permutation(len(stack))
         rows = row_bits(build_polygon(stack), l)
         assert row_bits(build_polygon(stack[perm]), l) == [rows[k] for k in perm]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_stiffness_symmetric_and_rank_counts_its_eigenvalues(l):
+    # K = C^T C is symmetric as computed, and the kernel's rank, from the
+    # singular values of C, is the count of K's eigenvalues above
+    # max(n, 2 dim P_l) * 64 eps times the largest
+    for stack in mixed_stacks():
+        projs = build_projectors(build_polygon(stack), l)
+        k = projs.stiffness
+        assert k.tobytes() == k.transpose(0, 2, 1).tobytes()
+        ev = np.abs(np.linalg.eigvalsh(k))
+        shape_dim = max(stack.shape[1], 2 * space_dimension(l))
+        count = (ev > shape_dim * ev.max(axis=1, keepdims=True)
+                 * 2.0 ** -52 * 64).sum(axis=1)
+        assert projs.rank.tolist() == count.tolist()
 
 
 def test_ill_conditioned_warns_once_per_class_and_degree():
