@@ -7,8 +7,7 @@ discrete form without any stabilization term.
 """
 
 from .analysis import (ScanRow, StudyReport, StudyRow, coercivity_scan,
-                       eoc_rates, h1_error, l2_error,
-                       run_convergence_study, scan_to_csv,
+                       eoc_rates, run_convergence_study, scan_to_csv,
                        solution_errors)
 from .assembly import (LinearSystem, ProblemSpec, SolutionResult,
                        SolveStats, assemble, assemble_full,

@@ -16,12 +16,12 @@ from scipy.linalg import lapack
 
 from .degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from .errors import DegenerateData, MissingExactSolution
-from .geometry import (PolygonalMesh, at_points, class_groups,
-                       class_members, member_points, memoised,
+from .geometry import (PolygonalMesh, PolygonStack, at_points,
+                       class_groups, class_members, member_points,
                        stack_polygons, stack_quadrature)
 from .meshgen import (PolygonFamilySpec, MeshFamilySpec, make_mesh,
                       make_polygon)
-from .polyspace import space_dimension, stack_monomials
+from .polyspace import stack_monomials
 from .projectors import compute_pinabla
 
 _ERROR_QUADRATURE_DEGREE = 8
@@ -30,25 +30,26 @@ _ERROR_QUADRATURE_DEGREE = 8
 #: the polygon), at which the rule replaces the fan rule.
 _COMPRESS_TOLERANCE = 1e-12
 #: Fewest members of a class whose error norms use a compressed rule.
-#: Recombining a class's rule costs 1.4-2.6 ms alone, and 0.7-1.0 ms a
-#: class when a mesh's classes are recombined together (3.6-5.2 ms for
-#: concave_star L4's five, 4.0-4.2 ms for honeycomb L3's five; shared
-#: 2-core VM). Each member then skips N - 45 of its N fan points, 155 of
-#: an octagon's 200, 105 of a hexagon's 150, and a skipped point saves
-#: about 0.17 us of point moves and exact-field calls (on concave_star
-#: L4, 7.75 M points fewer took 1.35 s less): 26 us a member of an
-#: octagon class, 18 us of a hexagon class. A class breaks even at 55-140
-#: members alone and at 27-55 among others; a class near the threshold
-#: gains or loses under a millisecond either way. Smaller classes, every
-#: singleton among them, keep the fan rule.
+#: Recombining a class's rule costs 0.5-2.2 ms alone, and 0.3-0.9 ms a
+#: class when the large classes of one vertex count are recombined in one
+#: stack (2.8-3.7 ms for honeycomb L3's five classes in three stacks,
+#: 3.8-4.9 ms for concave_star L4's five in two; shared 2-core VM). Each
+#: member then skips N - 45 of its N fan points, 155 of an octagon's 200,
+#: 105 of a hexagon's 150, and a skipped point saves about 0.17 us of
+#: point moves and exact-field calls (on concave_star L4, 7.75 M points
+#: fewer took 1.35 s less): 26 us a member of an octagon class, 18 us of
+#: a hexagon class. A class breaks even at 19-122 members alone and at
+#: 12-50 in a stack with others; a class near the threshold gains or
+#: loses under a millisecond either way. Smaller classes, every singleton
+#: among them, keep the fan rule.
 _COMPRESS_MEMBERS = 50
 
 
-def compressed_rules(polys, degree: int = _ERROR_QUADRATURE_DEGREE):
-    """Each polygon's positive compressed rule of exactness ``degree``,
-    its points (K, 2) and weights (K,) with K = dim P_degree, or None
-    where the fan rule stays; computed once per polygon and kept in its
-    ``memo``.
+def compressed_rules(s: PolygonStack):
+    """Each polygon's positive compressed rule of exactness
+    ``_ERROR_QUADRATURE_DEGREE``, for a stack of polygons: its points
+    (K, 2) and weights (K,) with K = dim P_8, or None where the fan rule
+    stays.
 
     The rule is a Caratheodory-Tchakaloff recombination of the fan rule
     (Piazzon, Sommariva and Vianello, Dolomites Res. Notes Approx. 10,
@@ -56,27 +57,9 @@ def compressed_rules(polys, degree: int = _ERROR_QUADRATURE_DEGREE):
     keep the fan rule's scaled-monomial moments; see :func:`_recombine`.
     Some weights may be 0. A rule whose moments miss the fan moments by
     more than ``_COMPRESS_TOLERANCE`` is refused."""
-    return memoised(polys, ("compressed", degree), _compress, degree)
-
-
-def _compress(polys, degree):
-    # the fan rules and Vandermondes, one stack per vertex count, padded
-    # with zero-weight nodes to the longest rule
-    sizes = np.array([p.n_vertices for p in polys])
-    k = space_dimension(degree)
-    stacks = []
-    for n in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == n)
-        s = stack_polygons([polys[i] for i in rows])
-        pts, w = stack_quadrature(s, degree)
-        stacks.append((rows, pts, w, stack_monomials(s, pts, degree)))
-    size = stacks[-1][2].shape[1]
-    points = np.zeros((len(polys), size, 2))
-    weights = np.zeros((len(polys), size))
-    vander = np.zeros((len(polys), size, k))
-    for rows, pts, w, v in stacks:
-        m = w.shape[1]
-        points[rows, :m], weights[rows, :m], vander[rows, :m] = pts, w, v
+    degree = _ERROR_QUADRATURE_DEGREE
+    points, weights = stack_quadrature(s, degree)
+    vander = stack_monomials(s, points, degree)
     rules = []
     for p, w, v, keep, u in zip(points, weights, vander,
                                 *_recombine(vander, weights)):
@@ -84,12 +67,8 @@ def _compress(polys, degree):
         keep, u = keep[order], u[order]
         moments = v.T @ w
         miss = np.abs(v[keep].T @ u - moments).max()
-        rule = None
-        if miss <= _COMPRESS_TOLERANCE * moments[0]:
-            rule = (p[keep], u)
-            for arr in rule:
-                arr.setflags(write=False)
-        rules.append(rule)
+        rules.append((p[keep], u) if miss <= _COMPRESS_TOLERANCE * moments[0]
+                     else None)
     return rules
 
 
@@ -104,9 +83,9 @@ _TIE_TILT = 1e-6
 
 def _recombine(vander, weights):
     """Caratheodory-Tchakaloff recombination of positive rules, a stack
-    of them at once: for each row's Vandermonde (N, K) and weights (N,),
-    zero-padded alike, K node indices and nonnegative weights with the
-    same moments ``vander.T @ weights``, up to rounding.
+    of them at once: for each row's Vandermonde (N, K) and positive
+    weights (N,), K node indices and nonnegative weights with the same
+    moments ``vander.T @ weights``, up to rounding.
 
     LU with partial pivoting of the Vandermonde, its rows scaled by the
     roots of the weights, picks a basis of K nodes; the others are the
@@ -122,7 +101,6 @@ def _recombine(vander, weights):
     c, size, k = vander.shape
     tilt = 1.0 - _TIE_TILT * np.arange(size) / size
     root = np.sqrt(weights) * tilt
-    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
     order = np.empty((c, size), dtype=int)
     inverse = np.empty((c, k, k))     # of the basis nodes' moment rows
     cand = np.empty((c, size - k, k))  # the candidates' moment rows
@@ -140,7 +118,7 @@ def _recombine(vander, weights):
     inverse += np.eye(k)
     basis, nodes = order[:, :k].copy(), order[:, k:]
     inverse *= np.take_along_axis(root, basis, 1)[:, :, None]
-    cand *= np.take_along_axis(inv_root, nodes, 1)[..., None]
+    cand *= 1.0 / np.take_along_axis(root, nodes, 1)[..., None]
     on = np.take_along_axis(weights, basis, 1)
     off = np.take_along_axis(weights, nodes, 1)
     delta = (inverse @ np.einsum("cr,crk->ck", off, cand)[..., None])[..., 0]
@@ -190,11 +168,10 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
                        exact_gradient):
     """Squared L2 and H1-seminorm distances between the per-cell linear
     projection of the vertex data and the exact solution and gradient,
-    summed over cells; a sum whose exact field is None stays 0. The
-    projectors are computed once per cell class, in the stacks of one
+    summed over cells. The projectors are computed on the stacks of one
     vertex count that ``geometry.class_groups`` yields. The classes of at
     least ``_COMPRESS_MEMBERS`` members take their
-    :func:`compressed_rules`, recombined in one stack, the others the fan
+    :func:`compressed_rules`, from their own stack, the others the fan
     rule; the exact fields are evaluated on the chunks of members that
     ``geometry.member_points`` yields across the classes of each rule,
     from one ``geometry.class_members`` gather. Raises ValueError unless
@@ -205,24 +182,26 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
                          f"({mesh.n_vertices},): one value per mesh vertex")
     l2_sq = h1_sq = 0.0
     polys = mesh.cell_classes
-    large = np.flatnonzero(np.bincount(mesh.cell_class) >= _COMPRESS_MEMBERS)
-    compressed = dict(zip(large.tolist(),
-                          compressed_rules([polys[k] for k in large])))
+    counts = np.bincount(mesh.cell_class)
     for *_, rows in class_groups(polys):
-        group = [polys[k] for k in rows]
-        pinabla = compute_pinabla(group)                        # (c, 3, n)
-        rules = {k: compressed[r] for k, r in enumerate(rows.tolist())
-                 if compressed.get(r) is not None}
-        fan = [k for k in range(len(group)) if k not in rules]
+        s = stack_polygons([polys[k] for k in rows])
+        pinabla = compute_pinabla(s)                            # (c, 3, n)
+        large = np.flatnonzero(counts[rows] >= _COMPRESS_MEMBERS)
+        rules = {}
+        if len(large):
+            rules = {k: r for k, r in zip(large.tolist(),
+                                          compressed_rules(s.take(large)))
+                     if r is not None}
+        fan = [k for k in range(len(rows)) if k not in rules]
         for part in (fan, list(rules)):
             if not part:
                 continue
-            s = stack_polygons([group[k] for k in part])
+            sub = s.take(part)
             if part is fan:
-                qpts, qw = stack_quadrature(s, _ERROR_QUADRATURE_DEGREE)
+                qpts, qw = stack_quadrature(sub, _ERROR_QUADRATURE_DEGREE)
             else:
                 qpts, qw = map(np.array, zip(*rules.values()))
-            sums = _part_errors(class_members(mesh, rows[part]), s,
+            sums = _part_errors(class_members(mesh, rows[part]), sub,
                                 pinabla[part], qpts, qw, u, exact,
                                 exact_gradient)
             l2_sq += sums[0]
@@ -242,49 +221,30 @@ def _part_errors(members, s, pinabla, qpts, qw, u, exact, exact_gradient):
         shape = (len(c), qw.shape[1])
         # in-place updates: one norm's temporaries at a time bound
         # the peak memory
-        if exact is not None:
-            err = linear[c, :, 1]
-            err *= coeffs[:, 1:2]
-            err += coeffs[:, :1]
-            eta = linear[c, :, 2]
-            eta *= coeffs[:, 2:3]
-            err += eta
-            del eta
-            err -= at_points(exact(x, y), x).reshape(shape)
-            err *= err
-            l2_sq += float(np.einsum("mp,mp->m", err, qw[c]).sum())
-            del err
-        if exact_gradient is not None:
-            gx, gy = exact_gradient(x, y)
-            # the projected gradient is constant per cell
-            scale = s.diameter[c, None]
-            dx = coeffs[:, 1:2] / scale - at_points(gx, x).reshape(shape)
-            del gx
-            dy = coeffs[:, 2:3] / scale - at_points(gy, x).reshape(shape)
-            del gy
-            dx *= dx
-            dy *= dy
-            dx += dy
-            del dy
-            h1_sq += float(np.einsum("mp,mp->m", dx, qw[c]).sum())
+        err = linear[c, :, 1]
+        err *= coeffs[:, 1:2]
+        err += coeffs[:, :1]
+        eta = linear[c, :, 2]
+        eta *= coeffs[:, 2:3]
+        err += eta
+        del eta
+        err -= at_points(exact(x, y), x).reshape(shape)
+        err *= err
+        l2_sq += float(np.einsum("mp,mp->m", err, qw[c]).sum())
+        del err
+        gx, gy = exact_gradient(x, y)
+        # the projected gradient is constant per cell
+        scale = s.diameter[c, None]
+        dx = coeffs[:, 1:2] / scale - at_points(gx, x).reshape(shape)
+        del gx
+        dy = coeffs[:, 2:3] / scale - at_points(gy, x).reshape(shape)
+        del gy
+        dx *= dx
+        dy *= dy
+        dx += dy
+        del dy
+        h1_sq += float(np.einsum("mp,mp->m", dx, qw[c]).sum())
     return l2_sq, h1_sq
-
-
-def l2_error(mesh: PolygonalMesh, vertex_values, exact) -> float:
-    """sqrt of the summed squared L2 distance between the per-cell
-    linear projection of the vertex data and ``exact``."""
-    if exact is None:
-        raise MissingExactSolution("l2_error needs an exact solution")
-    return float(np.sqrt(_projection_errors(
-        mesh, vertex_values, exact, None)[0]))
-
-
-def h1_error(mesh: PolygonalMesh, vertex_values, exact_gradient) -> float:
-    """Gradient analogue of :func:`l2_error` (H1 seminorm distance)."""
-    if exact_gradient is None:
-        raise MissingExactSolution("h1_error needs an exact gradient")
-    return float(np.sqrt(_projection_errors(
-        mesh, vertex_values, None, exact_gradient)[1]))
 
 
 def solution_errors(result):

@@ -20,9 +20,9 @@ from scipy.linalg import cho_factor, cho_solve
 from .degree import DegreeAssignment, assign_degrees
 from . import geometry
 from .errors import InadmissibleDegrees, NotSPD
-from .geometry import (PolygonalMesh, at_points, class_groups,
-                       class_members, member_points, stack_polygons,
-                       stack_quadrature)
+from .geometry import (PolygonalMesh, at_points, check_vertices_used,
+                       class_groups, class_members, member_points,
+                       stack_polygons, stack_quadrature)
 from .meshgen import SplitMix64
 from .polyspace import stack_monomials
 from .projectors import build_projectors, compute_pinabla
@@ -216,7 +216,9 @@ def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
              problem: ProblemSpec, load_mode: str = "mean") -> LinearSystem:
     """Assemble the system over the non-Dirichlet vertices: values
     interpolated from ``problem.dirichlet_data`` move to the right-hand
-    side member by member, and no Dirichlet row or column is stored."""
+    side member by member, and no Dirichlet row or column is stored.
+    Raises :class:`StructuralDefect` for a vertex that no cell uses."""
+    check_vertices_used(mesh)
     flags = mesh.boundary_vertex_flags
     boundary = np.flatnonzero(flags)
     free = np.flatnonzero(~flags)
@@ -346,7 +348,7 @@ def _assemble_group(mesh, group, l, problem, load_mode, load, dof, lift):
     else:
         # and here pinabla[c]^T (f, m_a)_E over the linear monomials m_a
         moments = qw[:, :, None] * stack_monomials(s, qpts, 1)
-        project = compute_pinabla(polys)
+        project = compute_pinabla(s)
     for rows, c, x, y in member_points(cls, offsets, qpts):
         fv = at_points(problem.f(x, y), x).reshape(len(c), -1)
         f_moments = np.stack([np.einsum("mp,mp->m", fv, moments[c, :, a])

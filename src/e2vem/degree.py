@@ -66,8 +66,6 @@ class AdmissibilityEvidence:
     l: int
     n_vertices: int
     rank: int
-    ell_hat: int
-    ell_check: int
 
     @property
     def admissible(self) -> bool:
@@ -77,7 +75,7 @@ class AdmissibilityEvidence:
 @lru_cache(maxsize=None)
 def _evidence(l: int, n: int, rank: int) -> AdmissibilityEvidence:
     """One shared, immutable certificate per distinct value."""
-    return AdmissibilityEvidence(l, n, rank, ell_hat(n), ell_check(n))
+    return AdmissibilityEvidence(l, n, rank)
 
 
 def _certify(poly: Polygon, lo: int, hi: int) -> AdmissibilityEvidence:

@@ -42,8 +42,8 @@ class Polygon:
         Radius of the largest ball about ``star_center`` contained in the
         kernel (``rho`` in the shape-regularity ratio ``rho / h_E``).
     memo : dict
-        Data computed from the polygon, keyed by what was computed; read
-        and filled by :func:`memoised`.
+        The element kernel rows of ``projectors.build_projectors``, keyed
+        by their int degree; read and filled by :func:`memoised`.
     """
 
     vertices: np.ndarray
@@ -90,6 +90,10 @@ class PolygonStack(NamedTuple):
     star_center: np.ndarray  # (m, 2)
     edge_lengths: np.ndarray  # (m, n)
     edge_normals: np.ndarray  # (m, n, 2)
+
+    def take(self, rows) -> "PolygonStack":
+        """The stack of the rows ``rows``."""
+        return PolygonStack(*(a[rows] for a in self))
 
 
 def stack_polygons(polys) -> PolygonStack:
@@ -624,6 +628,15 @@ def _first_repeat(keys):
     return (repeats[0], earlier[repeats[0]]) if len(repeats) else None
 
 
+def check_vertices_used(mesh: PolygonalMesh) -> None:
+    """Raise :class:`StructuralDefect` naming the lowest-index vertex that
+    no cell uses: it has no equation, so a solve could not succeed."""
+    unused = np.flatnonzero(np.bincount(mesh.cell_vertices,
+                                        minlength=mesh.n_vertices) == 0)
+    if len(unused):
+        raise StructuralDefect(f"vertex {int(unused[0])} is used by no cell")
+
+
 def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
     """Check structural validity and report shape-regularity numbers.
 
@@ -631,10 +644,11 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
     tessellation is broken: no cells at all, repeated vertices inside a
     cell, an edge used twice with the same orientation, non-CCW or invalid
     cell polygons, or cells that overlap, so that their interior angles at
-    some vertex sum to more than a full turn. Bad vertex counts and
-    indices are refused when the mesh is built. ``mesh.cell_classes``
-    validates the polygons once per class; the per-cell ratios are class
-    values.
+    some vertex sum to more than a full turn. After these per-cell checks,
+    it raises one naming the vertex for a vertex that no cell uses. Bad
+    vertex counts and indices are refused when the mesh is built.
+    ``mesh.cell_classes`` validates the polygons once per class; the
+    per-cell ratios are class values.
     """
     if mesh.n_cells == 0:
         raise StructuralDefect("the mesh has no cells")
@@ -667,6 +681,7 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
             f"cells overlap at vertex {v}: their interior angles there sum "
             f"to {float(turn[v])!r}, more than 2 pi",
             cell=int(cell_of[edges.head == v].max()))
+    check_vertices_used(mesh)
     rho, shortest, diameter, area = (np.array(v) for v in zip(*(
         (p.kernel_inradius, p.edge_lengths.min(), p.diameter, p.area)
         for p in polys)))

@@ -26,10 +26,11 @@ eigenvalues are the squared singular values of ``C``.
 Every array carries a leading stack axis: one row per polygon of a
 :class:`~e2vem.geometry.PolygonStack`, and (m, k, k) matrix stacks go
 through one stacked ``np.linalg`` call, so a row's bits do not depend on
-the rows beside it. Results are memoised in each polygon's ``memo``,
-computed in stacks of at most ``geometry._STACK_ROWS`` rows: degree
-certification computes each vertex count's kernels, and assembly and the
-error norms read the same rows.
+the rows beside it. Only the kernel rows of :func:`build_projectors` are
+memoised, in each polygon's ``memo`` under the degree, computed in
+stacks of at most ``geometry._STACK_ROWS`` rows: degree certification
+computes each vertex count's kernels, and assembly reads the same rows.
+:func:`compute_pinabla` is computed on the stack that its caller holds.
 """
 from __future__ import annotations
 
@@ -64,28 +65,21 @@ def boundary_mean_rows(s: PolygonStack) -> np.ndarray:
     return (lens + np.roll(lens, 1, axis=1)) / (2.0 * lens.sum(axis=1))[:, None]
 
 
-def compute_pinabla(polys) -> np.ndarray:
+def compute_pinabla(s: PolygonStack) -> np.ndarray:
     """Elliptic projector onto linears: the (m, 3, n) coefficient matrices
-    of a sequence of same-n polygons, each computed once per polygon.
+    of a stack of polygons.
 
     Row system: the gradient orthogonality equations against the two
     linear monomials (pure boundary integrals, since linears are
-    harmonic) plus the boundary-mean constraint fixing constants.
+    harmonic) plus the boundary-mean constraint fixing constants. It is
+    triangular: the linear rows are diagonal (area / h^2) and the
+    constant row adds the linears' boundary means, interpolated by p0.
     """
-    return np.array(memoised(polys, "pinabla", _compute_pinabla))
-
-
-def _compute_pinabla(polys):
-    s = stack_polygons(polys)
     h = s.diameter[:, None, None]
-    # a triangular system: the linear rows are diagonal (area / h^2) and the
-    # constant row adds the linears' boundary means, interpolated by p0
     grad = boundary_vector_moments(s, 0) * h / s.area[:, None, None]
     p0 = boundary_mean_rows(s)[:, None]
     means = p0 @ (s.vertices - s.star_center[:, None]) / h
-    pinabla = np.concatenate([p0 - means @ grad, grad], axis=1)
-    pinabla.setflags(write=False)
-    return list(pinabla)
+    return np.concatenate([p0 - means @ grad, grad], axis=1)
 
 
 def _edge_moment_weights(s: PolygonStack, l: int, edge_degree: int):
@@ -184,7 +178,7 @@ def build_projectors(polys, l: int) -> ElementProjectors:
     cell means of the vertex hats, the stabilization-free local stiffness
     (symmetric PSD, constants in its kernel) and its rank, by
     :func:`svd_ranks` at shape dimension ``max(n, 2 dim P_l)``. Degree
-    certification, assembly and the error norms share the rows, so an
+    certification and assembly share the rows, so an
     :class:`IllConditioned` warning fires once per (polygon, degree)."""
     rows = memoised(polys, l, _build_projectors, l)
     return ElementProjectors(*(np.array([getattr(r, f.name) for r in rows])
@@ -203,7 +197,7 @@ def _build_projectors(polys, l: int):
         raise ValueError(f"negative projection degree {l}")
     s = stack_polygons(polys)
     h = moment_tables(s, max(1, l))
-    pinabla = compute_pinabla(polys)
+    pinabla = compute_pinabla(s)
     # the enhancement slaves the hats' moments to their elliptic projection
     _, whitened, cond = _project_gradient(
         s, l, h, boundary_vector_moments(s, l),

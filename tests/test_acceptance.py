@@ -167,7 +167,7 @@ def test_criterion_05_projection_consistency():
         lin = np.array([2.0 * rng.random() - 1.0 for _ in range(3)])
         dofs = basis(poly.vertices, 1) @ lin
         exact = basis(pts, 1) @ lin
-        projected = basis(pts, 1) @ (compute_pinabla([poly])[0] @ dofs)
+        projected = basis(pts, 1) @ (compute_pinabla(s)[0] @ dofs)
         rel = np.sqrt(w @ (projected - exact) ** 2 / (w @ exact ** 2))
         worst_linear = max(worst_linear, rel)
 

@@ -7,20 +7,25 @@ from e2vem.analysis import (
     build_report,
     coercivity_scan,
     eoc_rates,
-    h1_error,
-    l2_error,
     run_convergence_study,
     scan_to_csv,
     solution_errors,
 )
-from e2vem.assembly import (assemble_full, linear_problem, sin_sin_problem,
-                            solve_problem)
+from e2vem.assembly import (ProblemSpec, SolutionResult, assemble_full,
+                            linear_problem, sin_sin_problem, solve_problem)
 from e2vem.errors import DegenerateData, MissingExactSolution
 from e2vem.geometry import PolygonalMesh, stack_polygons, stack_quadrature
 from e2vem.meshgen import MeshFamilySpec, make_mesh
 from e2vem.projectors import compute_pinabla
 
 from oracles import class_cells, eoc_fit
+
+
+def errors_of(mesh, values, exact=None, gradient=None):
+    """``solution_errors`` of the vertex data ``values`` on ``mesh``
+    against the exact solution ``exact`` and its ``gradient``."""
+    problem = ProblemSpec("poisson", 0.0, 0.0, exact, gradient)
+    return solution_errors(SolutionResult(mesh, problem, None, values, None))
 
 
 def test_linear_interpolant_errors_vanish():
@@ -37,14 +42,14 @@ def test_zero_solution_error_is_exact_norm():
     prob = sin_sin_problem("poisson")
     zeros = np.zeros(mesh.n_vertices)
     # ||sin sin||_L2 over the unit square is exactly 1/2
-    err = l2_error(mesh, zeros, prob.exact_solution)
+    err, _ = errors_of(mesh, zeros, prob.exact_solution, prob.exact_gradient)
     assert err == pytest.approx(0.5, abs=1e-6)
 
 
 def test_missing_exact_solution():
     mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
     with pytest.raises(MissingExactSolution):
-        l2_error(mesh, np.zeros(mesh.n_vertices), None)
+        errors_of(mesh, np.zeros(mesh.n_vertices))
 
 
 def test_errors_mesh_order_independent():
@@ -56,8 +61,8 @@ def test_errors_mesh_order_independent():
     order = np.random.default_rng(1).permutation(mesh.n_cells)
     shuffled = PolygonalMesh(mesh.vertices, [mesh.cells[i] for i in order],
                              name=mesh.name)
-    l2b = l2_error(shuffled, res.vertex_values, prob.exact_solution)
-    h1b = h1_error(shuffled, res.vertex_values, prob.exact_gradient)
+    l2b, h1b = errors_of(shuffled, res.vertex_values, prob.exact_solution,
+                         prob.exact_gradient)
     assert abs(l2a - l2b) < 1e-13
     assert abs(h1a - h1b) < 1e-13
 
@@ -67,11 +72,13 @@ def test_scalar_exact_fields_broadcast():
     # errors of the same constants as arrays
     mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
     u = np.linspace(0.0, 1.0, mesh.n_vertices)
-    assert l2_error(mesh, u, lambda x, y: 1.0) == \
-        l2_error(mesh, u, lambda x, y: np.ones_like(x))
-    assert h1_error(mesh, u, lambda x, y: (0.0, 0.0)) == \
-        h1_error(mesh, u, lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
-    assert l2_error(mesh, np.ones(mesh.n_vertices), lambda x, y: 1.0) < 1e-15
+    constants = (lambda x, y: 1.0, lambda x, y: (0.0, 0.0))
+    scalar = errors_of(mesh, u, *constants)
+    arrays = errors_of(mesh, u, lambda x, y: np.ones_like(x),
+                       lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
+    assert scalar[0] == arrays[0]
+    assert scalar[1] == arrays[1]
+    assert errors_of(mesh, np.ones(mesh.n_vertices), *constants)[0] < 1e-15
     # the linear patch problem's constant gradient is such a field
     res = solve_problem(mesh, "minimal", linear_problem(0.2, 0.6, -0.3))
     assert max(solution_errors(res)) < 1e-12
@@ -178,9 +185,7 @@ def test_errors_refuse_wrong_length_vertex_data(extra):
     prob = sin_sin_problem("poisson")
     values = np.zeros(mesh.n_vertices + extra)
     with pytest.raises(ValueError, match=str(mesh.n_vertices)):
-        l2_error(mesh, values, prob.exact_solution)
-    with pytest.raises(ValueError, match=str(mesh.n_vertices)):
-        h1_error(mesh, values, prob.exact_gradient)
+        errors_of(mesh, values, prob.exact_solution, prob.exact_gradient)
 
 
 def test_errors_refuse_two_dimensional_vertex_data():
@@ -189,7 +194,7 @@ def test_errors_refuse_two_dimensional_vertex_data():
     res = solve_problem(mesh, "minimal", prob)
     column = res.vertex_values[:, None]
     with pytest.raises(ValueError, match=r"\(%d, 1\)" % mesh.n_vertices):
-        l2_error(mesh, column, prob.exact_solution)
+        errors_of(mesh, column, prob.exact_solution, prob.exact_gradient)
     res.vertex_values = column
     with pytest.raises(ValueError, match=r"\(%d,\)" % mesh.n_vertices):
         solution_errors(res)
@@ -232,14 +237,14 @@ def test_compressed_rules_keep_fan_moments(family, shift):
     assert large
     k = 45  # dim P_8
     for poly in large:
-        (pts, w), = analysis.compressed_rules([poly])
+        (pts, w), = analysis.compressed_rules(stack_polygons([poly]))
         fan_pts, fan_w = stack_quadrature(stack_polygons([poly]), 8)
         fan_pts, fan_w = fan_pts[0], fan_w[0]
         assert pts.shape == (k, 2) and w.shape == (k,)
         want = _scaled_moments(poly, fan_pts, fan_w)
         got = _scaled_moments(poly, pts, w)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        # every node is a fan node, bit for bit; padding has zero weight
+        # every node is a fan node, bit for bit; some weights may be 0
         assert all((fan_pts == p).all(axis=1).any() for p in pts)
         assert (w >= 0.0).all()
         assert 0 < np.count_nonzero(w) <= k
@@ -256,7 +261,7 @@ def _fan_rule_errors(result):
         pts, w = stack_quadrature(stack_polygons([poly]), 8)
         pts = pts[0] + offsets[:, None, :]                      # (m, P, 2)
         a = np.einsum("mn,an->ma", u[indices],
-                      compute_pinabla([poly])[0])
+                      compute_pinabla(stack_polygons([poly]))[0])
         centers = poly.star_center + offsets
         local = (pts - centers[:, None, :]) / poly.diameter
         x, y = pts[..., 0], pts[..., 1]
@@ -268,14 +273,31 @@ def _fan_rule_errors(result):
     return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
+def recorded_rules(monkeypatch):
+    """The list that every rule ``analysis.compressed_rules`` returns from
+    now on is appended to."""
+    built = []
+    compress = analysis.compressed_rules
+
+    def recorded(s):
+        rules = compress(s)
+        built.extend(rules)
+        return rules
+
+    monkeypatch.setattr(analysis, "compressed_rules", recorded)
+    return built
+
+
 @pytest.mark.parametrize("family", _STRUCTURED)
-def test_compressed_errors_match_fan_rule(family):
+def test_compressed_errors_match_fan_rule(family, monkeypatch):
     mesh = make_mesh(MeshFamilySpec(family, level=2))
     res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
+    built = recorded_rules(monkeypatch)
     np.testing.assert_allclose(solution_errors(res), _fan_rule_errors(res),
                                rtol=1e-10, atol=0.0)
-    assert all(poly.memo.get(("compressed", 8)) is not None
-               for poly in _compressed_classes(mesh))
+    # one rule per large class, and none of them refused
+    assert len(built) == len(_compressed_classes(mesh))
+    assert all(rule is not None for rule in built)
 
 
 def test_singleton_classes_keep_fan_rule(monkeypatch):
@@ -287,9 +309,9 @@ def test_singleton_classes_keep_fan_rule(monkeypatch):
     mesh = PolygonalMesh(verts, base.cells)
     assert len(mesh.cell_classes) == mesh.n_cells
     res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
+    built = recorded_rules(monkeypatch)
     errors = solution_errors(res)
-    assert not any(("compressed", 8) in poly.memo
-                   for poly in mesh.cell_classes)
+    assert built == []
     monkeypatch.setattr(analysis, "_COMPRESS_MEMBERS", 10 ** 9)
     assert solution_errors(res) == errors
     np.testing.assert_allclose(errors, _fan_rule_errors(res), rtol=1e-13,
@@ -302,7 +324,7 @@ def test_refused_compressed_rule_keeps_fan_rule(monkeypatch):
     monkeypatch.setattr(analysis, "_COMPRESS_TOLERANCE", -1.0)
     large = _compressed_classes(mesh)
     assert large
-    assert analysis.compressed_rules(large) == \
-        (None,) * len(large)
+    assert [analysis.compressed_rules(stack_polygons([poly]))[0]
+            for poly in large] == [None] * len(large)
     np.testing.assert_allclose(solution_errors(res), _fan_rule_errors(res),
                                rtol=1e-13, atol=0.0)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sps
 from scipy.linalg import cho_solve
 
+from e2vem import analysis
 from e2vem.analysis import solution_errors
 from e2vem.assembly import (
     LinearSystem,
@@ -318,29 +319,31 @@ def test_kernel_built_once_per_class_and_level(monkeypatch):
     verts[interior] += shift * base.h
     mesh = PolygonalMesh(verts, base.cells)
     kernels, pinablas, stacks = [], [], []
-    build_fn, pinabla_fn = projectors._build_projectors, projectors._compute_pinabla
+    build_fn, pinabla_fn = projectors._build_projectors, projectors.compute_pinabla
 
     def counting_build(polys, l):
         stacks.append((polys[0].n_vertices, l, len(polys)))
         kernels.extend((poly, l) for poly in polys)
         return build_fn(polys, l)
 
-    def counting_pinabla(polys):
-        pinablas.extend(polys)
-        return pinabla_fn(polys)
+    def counting_pinabla(s):
+        pinablas.extend(map(bytes, s.vertices))
+        return pinabla_fn(s)
 
     monkeypatch.setattr(projectors, "_build_projectors", counting_build)
-    monkeypatch.setattr(projectors, "_compute_pinabla", counting_pinabla)
+    for module in (projectors, analysis):
+        monkeypatch.setattr(module, "compute_pinabla", counting_pinabla)
     result = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
     solution_errors(result)
     classes = mesh.cell_classes
     assert len(classes) == mesh.n_cells  # every cell is its own class
-    # certification, assembly and the error norms share one kernel per
-    # (class, level) and one elliptic projector per class
+    # certification and assembly share one kernel per (class, level); each
+    # kernel build and the error norms compute a class's elliptic projector
     assert set(Counter(kernels).values()) == {1}
     assert {(poly, int(result.degrees.levels[cells[0]]))
             for poly, cells in zip(classes, class_cells(mesh))} <= set(kernels)
-    assert Counter(pinablas) == Counter(classes)
+    computed = [poly for poly, _ in kernels] + list(classes)
+    assert Counter(pinablas) == Counter(bytes(p.vertices) for p in computed)
     # each (vertex count, degree) is computed in the fewest stacks of at
     # most geometry._STACK_ROWS polygons
     rows = geometry._STACK_ROWS

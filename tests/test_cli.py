@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import e2vem
@@ -130,6 +131,18 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_problem", explode)
     assert run_cli("solve", "--mesh", str(mesh_path),
                    "--out", str(tmp_path / "x.json")) == 4
+
+
+def test_exit_code_unused_vertex(tmp_path, capsys):
+    # a vertex that no cell uses is a bad mesh (2), not a solver failure (4)
+    mesh = e2vem.make_mesh(e2vem.MeshFamilySpec("square_grid", level=0))
+    mesh_path = tmp_path / "extra.json"
+    e2vem.save_mesh(e2vem.PolygonalMesh(
+        np.vstack([mesh.vertices, [(0.3, 0.6)]]), mesh.cells), mesh_path)
+    assert run_cli("validate", "--mesh", str(mesh_path)) == 2
+    assert run_cli("solve", "--mesh", str(mesh_path),
+                   "--out", str(tmp_path / "x.json")) == 2
+    assert "vertex 25 is used by no cell" in capsys.readouterr().err
 
 
 def test_exit_code_rate_band(tmp_path):

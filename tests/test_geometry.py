@@ -224,6 +224,26 @@ def test_validate_names_oracle_invalid_cell(cells, cell):
     assert first_invalid in (cell, None)
 
 
+def grid_with_unused_vertex():
+    """The 4 x 4 square grid with one more vertex, 25, that no cell uses."""
+    mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
+    return PolygonalMesh(np.vstack([mesh.vertices, [(0.3, 0.6)]]), mesh.cells)
+
+
+def test_validate_names_unused_vertex():
+    with pytest.raises(StructuralDefect, match="vertex 25 is used by no cell") as exc:
+        validate_mesh(grid_with_unused_vertex())
+    assert exc.value.cell is None
+
+
+@pytest.mark.parametrize("solver", ["auto", "cg", "cholesky"])
+def test_solve_refuses_unused_vertex(solver):
+    # the vertex has no equation: a structural defect, not a solver failure
+    with pytest.raises(StructuralDefect, match="vertex 25"):
+        solve_problem(grid_with_unused_vertex(), "minimal",
+                      sin_sin_problem("poisson"), solver=solver)
+
+
 @pytest.mark.parametrize("family", ["square_grid", "honeycomb",
                                     "concave_star"])
 @pytest.mark.parametrize("move", [(1.2, 1.2), (-1.2, 0.3), (0.0, -1.5),

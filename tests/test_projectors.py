@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from e2vem.analysis import solution_errors
+from e2vem.analysis import compressed_rules, solution_errors
 from e2vem.assembly import (ProblemSpec, assemble_full, sin_sin_problem,
                             solve_problem)
 from e2vem.degree import assign_degrees, stiffness_rank
@@ -56,7 +56,7 @@ def local_stiffness(poly, l):
 def test_pinabla_constant_and_linear_dofs():
     for poly in (build_polygon(UNIT_SQUARE), regular_polygon(7),
                  make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4))):
-        pina = compute_pinabla([poly])[0]
+        pina = compute_pinabla(stack_polygons([poly]))[0]
         pts, _ = quadrature(poly, 2)
         ones = np.ones(poly.n_vertices)
         assert np.allclose(evaluate_linear(poly, pina @ ones, pts), 1.0, atol=1e-13)
@@ -66,7 +66,7 @@ def test_pinabla_constant_and_linear_dofs():
 
 def test_pinabla_unit_square_hand_case():
     poly = build_polygon(UNIT_SQUARE)
-    pina = compute_pinabla([poly])[0]
+    pina = compute_pinabla(stack_polygons([poly]))[0]
     dofs = np.array([0.0, 1.0, 1.0, 0.0])  # trace of x at the corners
     pts, _ = quadrature(poly, 2)
     assert np.allclose(evaluate_linear(poly, pina @ dofs, pts), pts[:, 0], atol=1e-13)
@@ -124,7 +124,7 @@ def test_pizero_and_pione():
     assert pz @ np.array([1.0, 0.0, 1.0, 0.0]) == pytest.approx(0.5, abs=1e-13)
     # the slaved linear moments make the L2 projection onto linears,
     # which the p1 load applies, equal to the elliptic one
-    pinabla = compute_pinabla([poly])[0]
+    pinabla = compute_pinabla(stack_polygons([poly]))[0]
     dofs = 0.2 + 0.9 * poly.vertices[:, 0] - 0.4 * poly.vertices[:, 1]
     pts, _ = quadrature(poly, 2)
     exact = 0.2 + 0.9 * pts[:, 0] - 0.4 * pts[:, 1]
@@ -245,14 +245,14 @@ def kernel_arrays(poly, l):
     condition and pinabla."""
     projs = build_projectors([poly], l)
     return [projs.pizero, projs.stiffness, projs.gram_condition,
-            compute_pinabla([poly])]
+            compute_pinabla(stack_polygons([poly]))]
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
 def test_kernel_memoised_bitwise_and_read_only(l):
     for poly in reuse_polygons():
         first = kernel_arrays(poly, l)
-        row, pinabla = poly.memo[l], poly.memo["pinabla"]
+        row = poly.memo[l]
         bits = [a.tobytes() for a in first]
         # reuse is valid: a new polygon on the same vertices gives the same bits
         fresh = kernel_arrays(build_polygon(poly.vertices), l)
@@ -260,8 +260,8 @@ def test_kernel_memoised_bitwise_and_read_only(l):
         # the memo rows are computed once and are read-only
         for a in first:
             a[...] = 0.0
-        assert poly.memo[l] is row and poly.memo["pinabla"] is pinabla
-        for kept in (row.pizero, row.stiffness, pinabla):
+        assert poly.memo[l] is row
+        for kept in (row.pizero, row.stiffness):
             with pytest.raises(ValueError):
                 kept[...] = 0.0
         # writing into the returned stacks above left the memo as it was
@@ -286,21 +286,24 @@ def mixed_stacks():
 
 
 def row_bits(polys, l):
-    """Every array the kernel entry points give for ``polys``, row by row,
-    as bytes."""
+    """Every array the kernel entry points and ``compressed_rules`` give
+    for ``polys``, row by row, as bytes."""
     projs = build_projectors(polys, l)
     stack = stack_polygons(polys)
     pts, w = stack_quadrature(stack, 2 * l + 2)
+    rules = [b"" if rule is None else rule[0].tobytes() + rule[1].tobytes()
+             for rule in compressed_rules(stack)]
     arrays = [np.array([p.vertices for p in polys]),
               np.array([p.star_center for p in polys]),
               np.array([p.edge_normals for p in polys]),
               np.array([[p.area, p.diameter, p.kernel_inradius]
                         for p in polys]),
               projs.stiffness, projs.pizero, projs.gram_condition,
-              compute_pinabla(polys), pts, w,
+              compute_pinabla(stack), pts, w,
               moment_tables(stack, max(1, l)),
               np.array(stiffness_rank(polys, l))]
-    return [[a[k].tobytes() for a in arrays] for k in range(len(polys))]
+    return [[a[k].tobytes() for a in arrays] + [rules[k]]
+            for k in range(len(polys))]
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
