@@ -17,9 +17,12 @@ arrays, with in-process ``perf_counter`` timers around the stages:
 ``classes`` (the cell-class index), ``degrees`` (``assign_degrees``),
 ``assemble`` (``assemble``), ``solve`` (``solve``), ``errors``
 (``solution_errors``) and ``total`` (all of them). After its timed runs
-it records ``peak_rss_mb``, its peak resident memory. Each stage reports
-the median and quartiles over all timed runs of a tree's processes; the
-per-process readings over its processes.
+it records ``peak_rss_mb``, its peak resident memory, and then makes one
+untimed run under ``tracemalloc``, recording ``<stage>_traced_mb``: the
+most memory each stage held above its own start, in MiB (for ``total``,
+above the run's start; the largest over a case's meshes). Each stage
+reports the median and quartiles over all timed runs of a tree's
+processes; the per-process readings over its processes.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 #: (name, family, level, problem kind, load mode, jitter seed or None)
@@ -44,7 +48,8 @@ CASES += [("jitter-batch", "honeycomb", 0, "poisson", "mean", "batch"),
           ("jittered-honeycomb-L3", "honeycomb", 3, "poisson", "mean", 1)]
 STAGES = ("classes", "degrees", "assemble", "solve", "errors", "total")
 #: Readings taken once per process.
-PROCESS = ("import", "import_rss_mb", "peak_rss_mb")
+PROCESS = ("import", "import_rss_mb", "peak_rss_mb",
+           *(f"{stage}_traced_mb" for stage in STAGES))
 #: Process pairs per case, and timed runs per process.
 PAIRS = 3
 REPS = 3
@@ -90,35 +95,59 @@ def worker(src: str, case: str) -> dict:
         e2vem.solution_errors(e2vem.solve_problem(mesh, "minimal", problem,
                                                   mode, solver=solver))
     inputs = case_meshes(e2vem, np, family, level, jitter)
-    runs = []
-    for _ in range(REPS):
-        times = dict.fromkeys(STAGES, 0.0)
+
+    def run(mark):
+        """One run over the case's meshes; ``mark(None)`` as a mesh's
+        first stage starts, ``mark(stage)`` as each stage ends."""
         for vertices, cells in inputs:
             mesh = e2vem.PolygonalMesh(vertices, cells)
-            clock = time.perf_counter()
-
-            def lap(stage):
-                nonlocal clock
-                now = time.perf_counter()
-                times[stage] += now - clock
-                clock = now
-
+            mark(None)
             mesh.cell_classes
-            lap("classes")
+            mark("classes")
             degrees = assign_degrees(mesh, "minimal")
-            lap("degrees")
+            mark("degrees")
             system = assemble(mesh, degrees, problem, mode)
-            lap("assemble")
+            mark("assemble")
             x, _ = solve(system)
-            lap("solve")
+            mark("solve")
             result = e2vem.SolutionResult(mesh, problem, degrees,
                                           system.expand(x), None)
             e2vem.solution_errors(result)
-            lap("errors")
+            mark("errors")
+
+    runs = []
+    for _ in range(REPS):
+        times = dict.fromkeys(STAGES, 0.0)
+        clock = None
+
+        def lap(stage):
+            nonlocal clock
+            now = time.perf_counter()
+            if stage:
+                times[stage] += now - clock
+            clock = now
+
+        run(lap)
         times["total"] = sum(times[s] for s in STAGES[:-1])
         runs.append(times)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    traced = dict.fromkeys(STAGES, 0)
+    tracemalloc.start()
+    begin = stage_start = tracemalloc.get_traced_memory()[0]
+
+    def trace(stage):
+        nonlocal stage_start
+        now, top = tracemalloc.get_traced_memory()
+        if stage:
+            traced[stage] = max(traced[stage], top - stage_start)
+        traced["total"] = max(traced["total"], top - begin)
+        stage_start = now
+        tracemalloc.reset_peak()
+
+    run(trace)
+    tracemalloc.stop()
     return {**imported, "peak_rss_mb": peak,
+            **{f"{stage}_traced_mb": v / 2**20 for stage, v in traced.items()},
             **{stage: [r[stage] for r in runs] for stage in STAGES}}
 
 
@@ -174,11 +203,14 @@ def main(argv=None) -> int:
                    f"pair; {REPS} timed runs per process. Stages give the "
                    f"median and quartiles of all {PAIRS * REPS} runs of a "
                    f"tree; import, import_rss_mb (after the numpy and "
-                   f"e2vem imports) and peak_rss_mb (after the timed runs) "
-                   f"those of its {PAIRS} processes"),
+                   f"e2vem imports), peak_rss_mb (after the timed runs) "
+                   f"and <stage>_traced_mb (one untimed run under "
+                   f"tracemalloc after those: each stage's peak above its "
+                   f"start, total's above the run's start) those of its "
+                   f"{PAIRS} processes"),
         "trees": {"base": "the src directory given as --base",
                   "change": "this checkout's src"},
-        "unit": "s; import_rss_mb and peak_rss_mb in MiB",
+        "unit": "s; import_rss_mb, peak_rss_mb and *_traced_mb in MiB",
         "cases": results,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

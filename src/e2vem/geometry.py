@@ -9,6 +9,7 @@ intersection linear program.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -496,6 +497,25 @@ class EdgeTable:
     uses: np.ndarray
 
 
+class _CellChains(Sequence):
+    """The cells' vertex chains, sliced from the connectivity arrays on
+    each read: ``len``, int and negative indexing, ``IndexError`` past the
+    end, and iteration, like a tuple of read-only views."""
+
+    def __init__(self, cell_vertices, cell_start):
+        self._vertices, self._start = cell_vertices, cell_start
+
+    def __len__(self):
+        return len(self._start) - 1
+
+    def __getitem__(self, c):
+        return self._vertices[self._start[:-1][c]:self._start[1:][c]]
+
+    def __iter__(self):
+        bounds = self._start.tolist()
+        return (self._vertices[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+
 class PolygonalMesh:
     """Conforming polygonal tessellation described by shared vertices.
 
@@ -549,16 +569,16 @@ class PolygonalMesh:
         return len(self.cell_start) - 1
 
     @cached_property
-    def cells(self) -> tuple:
-        """Per-cell vertex index arrays, read-only views of
-        ``cell_vertices``."""
-        bounds = self.cell_start.tolist()
-        return tuple(self.cell_vertices[a:b]
-                     for a, b in zip(bounds[:-1], bounds[1:]))
+    def cells(self) -> _CellChains:
+        """Per-cell vertex index arrays, as a sequence that keeps nothing
+        of its own: cell ``c`` is sliced from ``cell_vertices`` when it is
+        read, a read-only view."""
+        return _CellChains(self.cell_vertices, self.cell_start)
 
-    @cached_property
+    @property
     def edges(self) -> EdgeTable:
-        """The one edge table of the mesh."""
+        """The mesh's edge table, built on each access and not kept: read
+        it once per use."""
         tail = self.cell_vertices
         head = tail[_successors(self.cell_start)]
         key = np.minimum(tail, head) * self.n_vertices + np.maximum(tail, head)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -530,6 +531,64 @@ def test_mesh_json_roundtrip_bit_exact(tmp_path):
     back = load_mesh(path)
     assert np.array_equal(back.vertices, mesh.vertices)
     assert [list(c) for c in back.cells] == [list(c) for c in mesh.cells]
+
+
+def _views_tuple(mesh):
+    """The per-cell views as a tuple, the form ``mesh.cells`` once had."""
+    bounds = mesh.cell_start.tolist()
+    return tuple(mesh.cell_vertices[a:b]
+                 for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_cells_read_like_a_tuple_of_views(family):
+    for level in range(3):
+        mesh = make_mesh(MeshFamilySpec(family, level=level))
+        cells, old = mesh.cells, _views_tuple(mesh)
+        n = len(old)
+        assert len(cells) == n == mesh.n_cells
+        for c in (0, 1, n // 2, n - 1, -1, -2, -n, np.int64(n - 1)):
+            assert np.array_equal(cells[c], old[c])
+            assert not cells[c].flags.writeable
+            assert np.shares_memory(cells[c], mesh.cell_vertices)
+        for c in (n, -n - 1):
+            with pytest.raises(IndexError):
+                old[c]
+            with pytest.raises(IndexError):
+                cells[c]
+        read = list(cells)
+        assert len(read) == n
+        assert all(np.array_equal(a, b) and not a.flags.writeable
+                   for a, b in zip(read, old))
+        with pytest.raises(ValueError):
+            cells[0][0] = 1
+
+
+def test_solved_mesh_keeps_no_views_or_edge_table(tmp_path):
+    # the per-cell views and the int64 edge table are not kept on the
+    # mesh: on concave_star L4 they held 5.7 and 6.1 MiB to the run's end
+    from e2vem.analysis import solution_errors
+    from e2vem.meshgen import load_mesh, save_mesh
+
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
+    solution_errors(solve_problem(mesh, "minimal",
+                                  sin_sin_problem("diffusion_reaction"), "p1"))
+    validate_mesh(mesh)
+    save_mesh(mesh, tmp_path / "mesh.json")
+    back = load_mesh(tmp_path / "mesh.json")
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.cell_start, mesh.cell_start)
+    assert np.array_equal(back.cell_vertices, mesh.cell_vertices)
+    expected = ",\n".join(json.dumps(c.tolist()) for c in _views_tuple(mesh))
+    assert f'"cells": [\n{expected}\n]' in (tmp_path / "mesh.json").read_text()
+    kept = vars(mesh).values()
+    assert not any(type(v) is tuple for v in kept)   # the old per-cell views
+    assert not any(isinstance(v, geometry.EdgeTable) for v in kept)
+    assert mesh.cells is mesh.cells
+    # the sequence holds the mesh's own arrays and nothing per cell
+    assert all(any(v is arr for arr in (mesh.cell_vertices, mesh.cell_start))
+               for v in vars(mesh.cells).values())
+    assert mesh.edges is not mesh.edges   # built on each access
 
 
 def test_load_mesh_parse_errors(tmp_path):
