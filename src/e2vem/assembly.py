@@ -270,14 +270,10 @@ def _assemble(mesh, degrees, problem, load_mode, dof, lift):
     for local, cls, d in members:
         slabs = starts[head:head + d.size].reshape(d.shape)
         head += d.size
-        # members with no Dirichlet vertex write whole local matrices
-        inner = (d >= 0).all(axis=1)
-        for part, masked in ((np.flatnonzero(inner), False),
-                             (np.flatnonzero(~inner), True)):
-            for start in range(0, len(part), geometry._CHUNK_MEMBERS):
-                chunk = part[start:start + geometry._CHUNK_MEMBERS]
-                _scatter(indices, data, slabs[chunk], d[chunk],
-                         np.take(local, cls[chunk], axis=0), masked)
+        for start in range(0, len(d), geometry._CHUNK_MEMBERS):
+            chunk = slice(start, start + geometry._CHUNK_MEMBERS)
+            _scatter(indices, data, slabs[chunk], d[chunk],
+                     np.take(local, cls[chunk], axis=0))
     matrix = sp.csr_matrix((data, indices, indptr), shape=(size, size))
     matrix.sum_duplicates()
     # the summed entries lead the buffers, still at the slab length:
@@ -309,23 +305,17 @@ def _slab_layout(dofs, size):
     return starts, indptr.astype(index)
 
 
-def _scatter(indices, data, slabs, d, values, masked):
+def _scatter(indices, data, slabs, d, values):
     """Write members' entries ``values`` (m, nv, nv) at DOFs ``d`` (m, nv)
     into their slabs, which start at ``slabs`` (m, nv) in ``indices`` and
-    ``data``: every entry, or (``masked``) those whose row and column are
-    both DOFs, packed in column order."""
-    if not masked:
-        target = slabs[:, :, None] + np.arange(d.shape[1], dtype=slabs.dtype)
-        columns = np.broadcast_to(d[:, None, :], target.shape)
-    else:
-        free = d >= 0
-        rank = np.cumsum(free, axis=1, dtype=slabs.dtype) - 1
-        kept = free[:, :, None] & free[:, None, :]
-        target = (slabs[:, :, None] + rank[:, None, :])[kept]
-        columns = np.broadcast_to(d[:, None, :], kept.shape)[kept]
-        values = values[kept]
-    indices[target] = columns
-    data[target] = values
+    ``data``: the entries whose row and column are both DOFs, packed in
+    column order."""
+    free = d >= 0
+    rank = np.cumsum(free, axis=1, dtype=slabs.dtype) - 1
+    kept = free[:, :, None] & free[:, None, :]
+    target = (slabs[:, :, None] + rank[:, None, :])[kept]
+    indices[target] = np.broadcast_to(d[:, None, :], kept.shape)[kept]
+    data[target] = values[kept]
 
 
 def _assemble_group(mesh, group, l, problem, load_mode, load, dof, lift):

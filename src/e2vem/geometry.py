@@ -485,18 +485,6 @@ def _successors(cell_start):
     return following
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeTable:
-    """The cells' directed edges, one per cell vertex in storage order:
-    from ``tail`` to ``head``, the next vertex of the same cell. ``uses``
-    counts the cells that use the edge in either direction: 1 on the
-    boundary, 2 inside."""
-
-    tail: np.ndarray
-    head: np.ndarray
-    uses: np.ndarray
-
-
 class _CellChains(Sequence):
     """The cells' vertex chains, sliced from the connectivity arrays on
     each read: ``len``, int and negative indexing, ``IndexError`` past the
@@ -531,9 +519,10 @@ class PolygonalMesh:
     The connectivity is stored once, as two read-only int64 arrays:
     ``cell_vertices`` concatenates the cells' chains, and cell ``c`` is
     ``cell_vertices[cell_start[c]:cell_start[c + 1]]``. Every topology
-    question reads them or the :class:`EdgeTable` derived from them.
-    Boundary vertices are inferred: an edge used by exactly one cell is a
-    boundary edge and its endpoints are boundary vertices. Raises
+    question reads them: an edge runs from a cell's vertex to the next
+    vertex of the same cell. Boundary vertices are inferred: an edge used
+    by exactly one cell is a boundary edge and its endpoints are boundary
+    vertices. Raises
     :class:`StructuralDefect`, naming the cell, for a cell with fewer than
     3 vertices or a vertex index out of range.
     """
@@ -575,27 +564,30 @@ class PolygonalMesh:
         read, a read-only view."""
         return _CellChains(self.cell_vertices, self.cell_start)
 
-    @property
-    def edges(self) -> EdgeTable:
-        """The mesh's edge table, built on each access and not kept: read
-        it once per use."""
-        tail = self.cell_vertices
-        head = tail[_successors(self.cell_start)]
-        key = np.minimum(tail, head) * self.n_vertices + np.maximum(tail, head)
-        _, inverse, counts = np.unique(key, return_inverse=True,
-                                       return_counts=True)
-        uses = counts[inverse]
-        for arr in (head, uses):
-            arr.setflags(write=False)
-        return EdgeTable(tail, head, uses)
-
     @cached_property
     def boundary_vertex_flags(self):
-        edges = self.edges
-        once = edges.uses == 1
-        flags = np.zeros(self.n_vertices, dtype=bool)
-        flags[edges.tail[once]] = True
-        flags[edges.head[once]] = True
+        """The endpoints of the edges that one cell uses, the only count of
+        edge use; raises :class:`StructuralDefect`, naming the later cell,
+        for an edge used by more than two cells or twice in one direction,
+        which a conforming mesh never has."""
+        n, tail = self.n_vertices, self.cell_vertices
+        head = tail[_successors(self.cell_start)]
+        key = np.minimum(tail, head) * n + np.maximum(tail, head)
+        _, inverse, uses = np.unique(key, return_inverse=True,
+                                     return_counts=True)
+        # each way once: an edge that two cells use sums to 0
+        sign = np.bincount(inverse, np.where(tail < head, 1.0, -1.0))
+        if np.any((uses > 2) | (np.abs(sign) > 1)):
+            k, j = _first_repeat(tail * n + head)
+            cell_of = np.searchsorted(self.cell_start, [k, j], side="right") - 1
+            raise StructuralDefect(
+                f"edge {(int(tail[k]), int(head[k]))} already used with the "
+                f"same orientation by cell {int(cell_of[1])}",
+                cell=int(cell_of[0]))
+        once = (uses == 1)[inverse]
+        flags = np.zeros(n, dtype=bool)
+        flags[tail[once]] = True
+        flags[head[once]] = True
         flags.setflags(write=False)
         return flags
 
@@ -662,9 +654,10 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
 
     Raises :class:`StructuralDefect` (naming the offending cell) when the
     tessellation is broken: no cells at all, repeated vertices inside a
-    cell, an edge used twice with the same orientation, non-CCW or invalid
-    cell polygons, or cells that overlap, so that their interior angles at
-    some vertex sum to more than a full turn. After these per-cell checks,
+    cell, an edge used twice with the same orientation (the check of
+    ``mesh.boundary_vertex_flags``), non-CCW or invalid cell polygons, or
+    cells that overlap, so that their interior angles at some vertex sum
+    to more than a full turn. After these per-cell checks,
     it raises one naming the vertex for a vertex that no cell uses. Bad
     vertex counts and indices are refused when the mesh is built.
     ``mesh.cell_classes`` validates the polygons once per class; the
@@ -672,35 +665,30 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
     """
     if mesh.n_cells == 0:
         raise StructuralDefect("the mesh has no cells")
-    n = mesh.n_vertices
-    edges = mesh.edges
+    n, tail = mesh.n_vertices, mesh.cell_vertices
     cell_of = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_start))
-    repeat = _first_repeat(cell_of * n + edges.tail)
+    repeat = _first_repeat(cell_of * n + tail)
     if repeat is not None:
         raise StructuralDefect("repeated vertex inside cell",
                                cell=int(cell_of[repeat[0]]))
-    again = _first_repeat(edges.tail * n + edges.head)
-    if again is not None:
-        k, j = again
-        raise StructuralDefect(
-            f"edge {(int(edges.tail[k]), int(edges.head[k]))} already used "
-            f"with the same orientation by cell {int(cell_of[j])}",
-            cell=int(cell_of[k]))
+    mesh.boundary_vertex_flags  # refuses an edge reused in one direction
     polys = mesh.cell_classes
     # each cell's interior angle at every edge's head, from the next edge
     # round to this one reversed; CCW simple cells give angles in (0, 2 pi)
-    d = mesh.vertices[edges.head] - mesh.vertices[edges.tail]
-    out = d[_successors(mesh.cell_start)]
+    following = _successors(mesh.cell_start)
+    head = tail[following]
+    d = mesh.vertices[head] - mesh.vertices[tail]
+    out = d[following]
     angles = np.mod(np.arctan2(d[:, 0] * out[:, 1] - d[:, 1] * out[:, 0],
                                -(d * out).sum(axis=1)), 2.0 * np.pi)
-    turn = np.bincount(edges.head, angles, minlength=n)
+    turn = np.bincount(head, angles, minlength=n)
     over = np.flatnonzero(turn > _FULL_TURN)
     if len(over):
         v = int(over[0])
         raise StructuralDefect(
             f"cells overlap at vertex {v}: their interior angles there sum "
             f"to {float(turn[v])!r}, more than 2 pi",
-            cell=int(cell_of[edges.head == v].max()))
+            cell=int(cell_of[head == v].max()))
     check_vertices_used(mesh)
     rho, shortest, diameter, area = (np.array(v) for v in zip(*(
         (p.kernel_inradius, p.edge_lengths.min(), p.diameter, p.area)

@@ -248,21 +248,36 @@ def test_reruns_identical_modulo_timestamp(tmp_path):
     assert outs[0] == outs[1]
 
 
+#: six 65-degree triangles round vertex 0: they turn 390 degrees there
+FAN = ([(0.0, 0.0)] + [(np.cos(a), np.sin(a))
+                       for a in np.radians(65.0 * np.arange(7))],
+       [[0, k, k + 1] for k in range(1, 7)])
+
+
 def test_invalid_cell_named_by_validate_and_solve(tmp_path, capsys):
     from e2vem.geometry import PolygonalMesh
     from e2vem.meshgen import save_mesh
 
-    # a 2 x 2 square grid with cell 2 in clockwise order
-    vertices = [(x, y) for y in range(3) for x in range(3)]
-    cells = [[0, 1, 4, 3], [1, 2, 5, 4], [6, 7, 4, 3], [4, 5, 8, 7]]
-    mesh_path = tmp_path / "clockwise.json"
-    save_mesh(PolygonalMesh(vertices, cells), mesh_path)
-    capsys.readouterr()
-    for argv in (("validate", "--mesh", str(mesh_path)),
-                 ("solve", "--mesh", str(mesh_path),
-                  "--out", str(tmp_path / "x.json"))):
-        assert run_cli(*argv) == 2
-        assert "cell 2" in capsys.readouterr().err
+    grid = [(x, y) for y in range(3) for x in range(3)]
+    square = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
+    for vertices, cells, message in (
+            # a 2 x 2 square grid with cell 2 in clockwise order
+            (grid, [[0, 1, 4, 3], [1, 2, 5, 4], [6, 7, 4, 3], [4, 5, 8, 7]],
+             "cell 2"),
+            # four triangles round the square's center, the first twice
+            (square, [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [0, 1, 4]],
+             "cell 4: edge (0, 1) already used with the same orientation "
+             "by cell 0"),
+            (*FAN, "cells overlap at vertex 0")):
+        mesh_path = tmp_path / "defective.json"
+        save_mesh(PolygonalMesh(vertices, cells), mesh_path)
+        capsys.readouterr()
+        for argv in (("validate", "--mesh", str(mesh_path)),
+                     ("solve", "--mesh", str(mesh_path),
+                      "--out", str(tmp_path / "x.json"))):
+            assert run_cli(*argv) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 def test_missing_mesh_file(tmp_path):

@@ -25,7 +25,7 @@ from e2vem.meshgen import (
     regular_polygon,
 )
 
-from e2vem.assembly import sin_sin_problem, solve_problem
+from e2vem.assembly import assemble, sin_sin_problem, solve_problem
 from e2vem.degree import assign_degrees
 
 from oracles import (boundary_flags_by_edge_walk, class_cells, exact_polygon_integral,
@@ -223,6 +223,31 @@ def test_validate_names_oracle_invalid_cell(cells, cell):
     # every polygon is valid and the structural or overlap checks name it
     first_invalid = per_cell_quality(PolygonalMesh(GRID_VERTICES, cells))[3]
     assert first_invalid in (cell, None)
+
+
+#: four triangles round the center 4 of the unit square, with cell 0
+#: listed again as cell 4: boundary edge (0, 1) is used twice, one way
+DOUBLED_SQUARE = ([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)],
+                  [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [0, 1, 4]])
+
+
+@pytest.mark.parametrize("vertices, cells", [
+    DOUBLED_SQUARE, (GRID_VERTICES, GRID_CELLS + [GRID_CELLS[0]])],
+    ids=["doubled_square", "duplicated_grid_cell"])
+def test_reused_edge_refused_before_solving(vertices, cells):
+    # counted as interior, the doubled boundary edge would make vertices
+    # 0 and 1 unknowns: every entry point refuses it as validate_mesh does
+    problem = sin_sin_problem("poisson")
+    message = ("cell 4: edge (0, 1) already used with the same orientation "
+               "by cell 0")
+    for run in (validate_mesh,
+                lambda mesh: solve_problem(mesh, "minimal", problem),
+                lambda mesh: assemble(mesh, assign_degrees(mesh, "minimal"),
+                                      problem),
+                lambda mesh: mesh.boundary_vertex_flags):
+        with pytest.raises(StructuralDefect) as exc:
+            run(PolygonalMesh(vertices, cells))
+        assert str(exc.value) == message and exc.value.cell == 4
 
 
 def grid_with_unused_vertex():
@@ -565,8 +590,8 @@ def test_cells_read_like_a_tuple_of_views(family):
 
 
 def test_solved_mesh_keeps_no_views_or_edge_table(tmp_path):
-    # the per-cell views and the int64 edge table are not kept on the
-    # mesh: on concave_star L4 they held 5.7 and 6.1 MiB to the run's end
+    # the per-cell views are not kept on the mesh: on concave_star L4
+    # they held 5.7 MiB to the run's end
     from e2vem.analysis import solution_errors
     from e2vem.meshgen import load_mesh, save_mesh
 
@@ -583,12 +608,10 @@ def test_solved_mesh_keeps_no_views_or_edge_table(tmp_path):
     assert f'"cells": [\n{expected}\n]' in (tmp_path / "mesh.json").read_text()
     kept = vars(mesh).values()
     assert not any(type(v) is tuple for v in kept)   # the old per-cell views
-    assert not any(isinstance(v, geometry.EdgeTable) for v in kept)
     assert mesh.cells is mesh.cells
     # the sequence holds the mesh's own arrays and nothing per cell
     assert all(any(v is arr for arr in (mesh.cell_vertices, mesh.cell_start))
                for v in vars(mesh.cells).values())
-    assert mesh.edges is not mesh.edges   # built on each access
 
 
 def test_load_mesh_parse_errors(tmp_path):
