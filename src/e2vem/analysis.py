@@ -12,7 +12,6 @@ import json
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from .errors import DegenerateData, MissingExactSolution
@@ -101,21 +100,12 @@ def _recombine(vander, weights):
     c, size, k = vander.shape
     tilt = 1.0 - _TIE_TILT * np.arange(size) / size
     root = np.sqrt(weights) * tilt
-    order = np.empty((c, size), dtype=int)
-    inverse = np.empty((c, k, k))     # of the basis nodes' moment rows
-    cand = np.empty((c, size - k, k))  # the candidates' moment rows
-    for i in range(c):
-        lu, piv, _ = lapack.dgetrf(vander[i] * root[i, :, None])
-        perm = list(range(size))
-        for a, b in enumerate(piv.tolist()):
-            perm[a], perm[b] = perm[b], perm[a]
-        order[i] = perm
-        # in the coordinates of U, a node's moment row is its row of the
-        # unit lower L over its root weight
-        inverse[i] = np.tril(lapack.dtrtri(lu[:k], lower=1, unitdiag=1)[0],
-                             -1).T
-        cand[i] = lu[k:]
-    inverse += np.eye(k)
+    lu, order = _lu_rows(vander * root[:, :, None])
+    # in the coordinates of U, a node's moment row is its row of the unit
+    # lower L over its root weight
+    lower = np.tril(lu[:, :k], -1) + np.eye(k)
+    # the inverse of the basis nodes' moment rows, and the candidates' rows
+    inverse, cand = np.linalg.inv(np.swapaxes(lower, 1, 2)), lu[:, k:]
     basis, nodes = order[:, :k].copy(), order[:, k:]
     inverse *= np.take_along_axis(root, basis, 1)[:, :, None]
     cand *= 1.0 / np.take_along_axis(root, nodes, 1)[..., None]
@@ -162,6 +152,29 @@ def _recombine(vander, weights):
             off[ar, j] = 0.0
             basis[ar, p] = nodes[ar, j]
     return out_nodes, out_weights
+
+
+def _lu_rows(a):
+    """LU factors with partial pivoting of a stack of tall matrices
+    (c, N, K), K steps at once across the stack: the factors packed as
+    LAPACK's ``dgetrf`` packs them, unit lower L below the diagonal and U
+    on and above it, and each row's original index. A step pivots on the
+    first row of largest magnitude in its column, as ``dgetrf`` does. The
+    steps work on the transposes, so that the updates run along the N
+    rows, not the K columns."""
+    t = np.swapaxes(a, 1, 2).copy()   # (c, K, N)
+    c, k, size = t.shape
+    order = np.tile(np.arange(size), (c, 1))
+    rows = np.arange(c)[:, None]
+    swap = np.empty((c, 2), dtype=np.intp)  # step j's rows j and pivot
+    for j in range(k):
+        swap[:, 0] = j
+        swap[:, 1] = j + np.abs(t[:, j, j:]).argmax(1)
+        t[rows, :, swap] = t[rows, :, swap[:, ::-1]]
+        order[rows, swap] = order[rows, swap[:, ::-1]]
+        t[:, j, j + 1:] /= t[:, j, j, None]
+        t[:, j + 1:, j + 1:] -= t[:, j + 1:, j, None] * t[:, j, None, j + 1:]
+    return np.ascontiguousarray(np.swapaxes(t, 1, 2)), order
 
 
 def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,

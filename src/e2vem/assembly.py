@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
 
 from .degree import DegreeAssignment, assign_degrees
 from . import geometry
@@ -370,11 +369,52 @@ class SolveStats:
 _DENSE_ROWS = 1200
 
 
+#: Row block of the dense triangular solves: each block's inverse comes
+#: from one stacked ``np.linalg.inv``, the rest are matrix products. At
+#: 540 rows, blocks of 16-32 solve in 0.7-1.2 ms, against 0.6-0.7 ms for
+#: LAPACK's ``potrs`` through scipy, blocks of 64 in 1.1-1.9 ms and of
+#: 128 in 3.1-3.7 ms (medians of interleaved runs, shared 2-core VM).
+_SOLVE_BLOCK = 32
+
+
 def _dense_factor(a):
+    """The lower Cholesky factor of the sparse SPD matrix ``a``,
+    densified; a failed factor raises :class:`NotSPD`, and so does a
+    non-finite entry of ``a``, which reaches the factor's diagonal."""
     try:
-        return cho_factor(a.toarray())
+        factor = np.linalg.cholesky(a.toarray())
     except np.linalg.LinAlgError as exc:
         raise NotSPD(f"Cholesky breakdown: {exc}") from exc
+    if not np.isfinite(np.diagonal(factor)).all():
+        raise NotSPD("Cholesky breakdown: non-finite matrix entry")
+    return factor
+
+
+def _cho_solve(factor, b):
+    """``x`` with ``L L^T x = b`` for the lower Cholesky factor ``L``, by
+    forward and back substitution over row blocks of ``_SOLVE_BLOCK``;
+    ``b`` is (n,) or (n, k)."""
+    n = len(factor)
+    bounds = [(s, min(s + _SOLVE_BLOCK, n)) for s in range(0, n, _SOLVE_BLOCK)]
+    # the diagonal blocks, the last one padded by the identity
+    blocks = np.tile(np.eye(_SOLVE_BLOCK), (len(bounds), 1, 1))
+    for block, (s, e) in zip(blocks, bounds):
+        block[:e - s, :e - s] = factor[s:e, s:e]
+    inverses = [inverse[:e - s, :e - s] for inverse, (s, e)
+                in zip(np.linalg.inv(blocks), bounds)]
+    x = np.array(b, dtype=float)
+    for inverse, (s, e) in zip(inverses, bounds):
+        x[s:e] = inverse @ (x[s:e] - factor[s:e, :s] @ x[:s])
+    for inverse, (s, e) in reversed(list(zip(inverses, bounds))):
+        x[s:e] = inverse.T @ (x[s:e] - factor[e:, s:e].T @ x[e:])
+    return x
+
+
+def _coarse_inverse(a):
+    """The inverse of the coarsest matrix ``a``, from its Cholesky factor,
+    made exactly symmetric, so that the V-cycle stays symmetric."""
+    inverse = _cho_solve(_dense_factor(a), np.eye(a.shape[0]))
+    return 0.5 * (inverse + inverse.T)
 
 
 def _priorities(n: int) -> np.ndarray:
@@ -469,9 +509,10 @@ def _hierarchy(a: sp.csr_matrix):
 
 def _vcycle(levels, coarse, r):
     """One symmetric V-cycle on ``r``: a damped-Jacobi sweep before and
-    after each coarse correction, the coarsest level solved exactly."""
+    after each coarse correction, the coarsest level solved exactly by
+    its inverse ``coarse``."""
     if not levels:
-        return cho_solve(coarse, r)
+        return coarse @ r
     (a, w, pt, pta), rest = levels[0], levels[1:]
     x = w * r
     s = a @ x
@@ -491,14 +532,15 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     ``cholesky`` factors the densified matrix. ``cg`` runs conjugate
     gradients until the recursively updated residual r satisfies
     ``|r| <= tol |b|``, preconditioned by one smoothed-aggregation
-    multigrid V-cycle whose coarsest level is factored densely; the
-    cycle has no options. ``SolveStats.residual`` is ``|A x - b| / |b|``
-    recomputed from the returned ``x``, so it can exceed ``tol`` by
-    rounding drift in r. ``auto`` picks
+    multigrid V-cycle whose coarsest level is solved by its dense
+    inverse; the cycle has no options. ``SolveStats.residual`` is
+    ``|A x - b| / |b|`` recomputed from the returned ``x``, so it can
+    exceed ``tol`` by rounding drift in r. ``auto`` picks
     ``cholesky`` up to ``_DENSE_ROWS`` (1200) free DOFs and ``cg`` above.
-    A failed Cholesky factor, a non-positive diagonal or CG curvature,
-    or CG not converging in ``max(500, 4 n)`` iterations raise
-    :class:`NotSPD`; ``tol`` must be finite and positive.
+    A failed Cholesky factor, a non-positive diagonal, CG curvature or
+    preconditioned residual product r.z, or CG not converging in
+    ``max(500, 4 n)`` iterations raise :class:`NotSPD`; ``tol`` must be
+    finite and positive, and so must every entry of the right-hand side.
     """
     a, b = system.matrix, system.rhs
     n = system.n_free
@@ -511,21 +553,28 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     if n == 0:
         return np.zeros(0), SolveStats(method, 0, 0.0, ())
     bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise ValueError("the right-hand side has a non-finite entry")
     if method == "cholesky":
-        x = cho_solve(_dense_factor(a), b)
+        x = _cho_solve(_dense_factor(a), b)
         res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
         return x, SolveStats("cholesky", 0, res, (n,))
     levels, coarse = _hierarchy(a)
-    factor = _dense_factor(coarse)
+    inverse = _coarse_inverse(coarse)
     limit = max(500, 4 * n)
     x, r, step = np.zeros(n), b.copy(), np.empty(n)
-    z = _vcycle(levels, factor, r)
+    z = _vcycle(levels, inverse, r)
     d, rz = z, r @ z
     count = 0
     while not np.linalg.norm(r) <= tol * bnorm:
         if count == limit:
             raise NotSPD(f"CG failed to converge (info={limit}) after "
                          f"{count} iterations")
+        if not rz > 0.0:
+            # a V-cycle that is SPD gives r.z > 0 for every r != 0
+            raise NotSPD(f"CG iteration {count}: preconditioned residual "
+                         f"with r.z = {rz:.3e}; the V-cycle is not "
+                         f"positive definite")
         ad = a @ d
         curvature = d @ ad
         if not curvature > 0.0:
@@ -534,7 +583,7 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
         alpha = rz / curvature
         x += np.multiply(alpha, d, out=step)
         r -= np.multiply(alpha, ad, out=ad)
-        z = _vcycle(levels, factor, r)
+        z = _vcycle(levels, inverse, r)
         rz, rz_old = r @ z, rz
         d *= rz / rz_old                # d = z + beta d, in place
         d += z

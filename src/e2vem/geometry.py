@@ -434,28 +434,42 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> _ClassIndex:
     failures, polys = [], {}
     for n in np.unique(sizes):
         ids = np.flatnonzero(sizes == n)
-        pts = vertices[cell_vertices[cell_start[ids, None] + np.arange(n)]]
-        rel = pts - pts[:, :1]
-        # chunks keep the pair differences' memory small
-        diam = np.concatenate([_diameters(rel[k:k + _CHUNK_MEMBERS])
-                               for k in range(0, len(ids), _CHUNK_MEMBERS)])
-        diameters[ids] = diam
+        corners = np.arange(n)
+
+        def points(rows):
+            return vertices[cell_vertices[cell_start[ids[rows], None]
+                                          + corners]]
+
+        rel = points(slice(None))
+        rel -= rel[:, :1]
+        # chunks keep the pair differences' and the keys' memory small;
         # degenerate or non-finite cells get garbage keys, fail the check
         # below and are rejected when their polygon is built
-        with np.errstate(divide="ignore", invalid="ignore"):
-            key = np.rint(rel / (_CLASS_QUANTUM * diam)[:, None, None])
-            key = key.astype(np.int64).reshape(len(ids), -1)
+        key = np.empty((len(ids), 2 * n), dtype=np.int64)
+        chunks = [slice(k, k + _CHUNK_MEMBERS)
+                  for k in range(0, len(ids), _CHUNK_MEMBERS)]
+        for chunk in chunks:
+            diam = _diameters(rel[chunk])
+            diameters[ids[chunk]] = diam
+            with np.errstate(divide="ignore", invalid="ignore"):
+                key[chunk] = np.rint(rel[chunk] / (_CLASS_QUANTUM * diam)[
+                    :, None, None]).reshape(len(diam), -1)
+        diam = diameters[ids]
         order = np.lexsort(key.T[::-1])  # stable: cells ascend within a key
+        key = key[order]
         first = np.ones(len(ids), dtype=bool)
-        first[1:] = (key[order[1:]] != key[order[:-1]]).any(1)
+        first[1:] = (key[1:] != key[:-1]).any(1)
+        del key
         rep = np.empty_like(order)
         rep[order] = order[first][np.cumsum(first) - 1]
-        deviation = np.abs(rel - rel[rep]).reshape(len(ids), -1).max(1)
+        deviation = np.concatenate([
+            np.abs(rel[chunk] - rel[rep[chunk]]).reshape(-1, 2 * n).max(1)
+            for chunk in chunks])
         own = np.arange(len(ids))
         rep = np.where(deviation <= _CLASS_TOLERANCE * diam[rep], rep, own)
         heads = np.flatnonzero(rep == own)
         built = dict(zip(heads.tolist(),
-                         _valid_rows(pts[heads], ids[heads], failures)))
+                         _valid_rows(points(heads), ids[heads], failures)))
         # the members of a low-kappa representative become their own class
         shared = np.bincount(rep, minlength=len(ids)) > 1
         low = [k for k in heads[shared[heads]].tolist() if k in built
@@ -465,7 +479,7 @@ def _cell_classes(vertices, cell_vertices, cell_start) -> _ClassIndex:
         if len(loose):
             rep[loose] = loose
             built.update(zip(loose.tolist(),
-                             _valid_rows(pts[loose], ids[loose], failures)))
+                             _valid_rows(points(loose), ids[loose], failures)))
         rep_cell[ids] = ids[rep]
         polys.update(zip(ids[list(built)].tolist(), built.values()))
     if failures:

@@ -1,9 +1,10 @@
 """Gaussian quadrature on the reference triangle and the unit segment.
 
 Triangle rules are conical products of a Gauss-Jacobi rule (absorbing the
-collapsed-coordinate Jacobian) and a Gauss-Legendre rule; a rule built for
-exactness ``d`` uses ``ceil((d+1)/2)**2`` points and integrates every
-bivariate polynomial of total degree ``<= 2*ceil((d+1)/2) - 1`` exactly.
+collapsed-coordinate Jacobian) and a Gauss-Legendre rule, both from numpy
+alone; a rule built for exactness ``d`` uses ``ceil((d+1)/2)**2`` points
+and integrates every bivariate polynomial of total degree
+``<= 2*ceil((d+1)/2) - 1`` exactly.
 Segment rules are plain Gauss-Legendre mapped to [0, 1].
 """
 from __future__ import annotations
@@ -13,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import UnsupportedDegree
 
@@ -55,11 +55,27 @@ def segment_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
 
 
+def _gauss_jacobi(n: int):
+    """The n-point Gauss-Jacobi rule on [-1, 1] for the weight 1 - x
+    (alpha = 1, beta = 0), by the Golub-Welsch method (Math. Comp. 23,
+    1969): the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the weight's orthonormal polynomials, and each weight
+    is the weight's integral, 2, times the squared first component of the
+    node's unit eigenvector."""
+    k = np.arange(n)
+    # the recurrence coefficients of the Jacobi polynomials at (1, 0)
+    diagonal = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1)
+                                    + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Conical-product rule on the unit triangle."""
     n = _node_count(degree)
-    tj, wj = roots_jacobi(n, 1, 0)
+    tj, wj = _gauss_jacobi(n)
     tl, wl = leggauss(n)
     # xi carries the (1 - xi) Jacobian weight, eta runs along cross sections
     xi = 0.5 * (tj + 1.0)

@@ -250,6 +250,56 @@ def test_compressed_rules_keep_fan_moments(family, shift):
         assert 0 < np.count_nonzero(w) <= k
 
 
+def _getrf_rows(a):
+    """The oracle of ``analysis._lu_rows``: LAPACK's ``dgetrf`` on each
+    matrix of the stack, its row swaps turned into each row's original
+    index."""
+    from scipy.linalg import lapack
+
+    lus, orders = [], []
+    for m in a:
+        lu, piv, info = lapack.dgetrf(m)
+        assert info == 0
+        order = list(range(len(m)))
+        for i, p in enumerate(piv.tolist()):
+            order[i], order[p] = order[p], order[i]
+        lus.append(lu)
+        orders.append(order)
+    return np.array(lus), np.array(orders)
+
+
+@pytest.mark.parametrize("family, level", [("honeycomb", 3),
+                                           ("concave_star", 4)])
+def test_stacked_lu_pivots_as_lapack(family, level, monkeypatch):
+    # the recombination's LU, stacked over the large classes of each
+    # vertex count, and the nodes recombined from its factors
+    mesh = make_mesh(MeshFamilySpec(family, level=level))
+    large = _compressed_classes(mesh)
+    stacks = [stack_polygons([p for p in large if p.n_vertices == n])
+              for n in sorted({p.n_vertices for p in large})]
+    seen, lu_rows = [], analysis._lu_rows
+
+    def recorded(a):
+        lu, order = lu_rows(a)
+        seen.append((a, lu.copy(), order))  # the caller scales lu in place
+        return lu, order
+
+    monkeypatch.setattr(analysis, "_lu_rows", recorded)
+    rules = [analysis.compressed_rules(s) for s in stacks]
+    assert len(seen) == len(stacks) and len(seen[0][0]) > 1
+    for a, lu, order in seen:
+        want_lu, want_order = _getrf_rows(a)
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_allclose(lu, want_lu, rtol=0, atol=1e-12)
+    monkeypatch.setattr(analysis, "_lu_rows", _getrf_rows)
+    for s, got in zip(stacks, rules):
+        for (pts, w), (want_pts, want_w) in zip(got,
+                                                analysis.compressed_rules(s)):
+            np.testing.assert_array_equal(pts, want_pts)
+            np.testing.assert_allclose(w, want_w, rtol=0,
+                                       atol=1e-12 * want_w.max())
+
+
 def _fan_rule_errors(result):
     """(l2, h1) of a solution on each class's fan rule from
     ``stack_quadrature``, moved onto the members by their offsets."""

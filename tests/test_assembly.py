@@ -3,7 +3,6 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from scipy.linalg import cho_solve
 
 from e2vem import analysis
 from e2vem.analysis import solution_errors
@@ -449,10 +448,79 @@ def test_solve_not_spd():
         solve(sys2, method="cg")
 
 
+@pytest.mark.parametrize("method", ["cholesky", "cg"])
+def test_solve_refuses_a_non_finite_load(method):
+    # numpy's Cholesky factor and the substitutions run through NaN, so a
+    # load that is NaN somewhere would give a NaN solution
+    system = _system(np.array([[4.0, 1.0], [1.0, 3.0]]), [np.nan, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(system, method=method)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+def test_cholesky_refuses_a_non_finite_matrix(entry):
+    # LAPACK's factor runs through NaN, which then reaches the diagonal
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    a[entry] = np.nan
+    with pytest.raises(NotSPD, match="non-finite"):
+        solve(_system(a, [1.0, 2.0]), method="cholesky")
+
+
 def _system(matrix, rhs):
     n = len(rhs)
     return LinearSystem(sps.csr_matrix(matrix), np.asarray(rhs, dtype=float),
                         np.arange(n), np.array([], dtype=int), np.array([]), n)
+
+
+@pytest.mark.parametrize("flip", [0, 3])
+def test_cg_refuses_a_preconditioner_that_is_not_spd(flip, monkeypatch):
+    # a preconditioner that is not positive definite shows as r.z <= 0,
+    # and the iteration is named: here the identity for the first ``flip``
+    # applications, minus the identity from then on
+    from e2vem import assembly
+
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=1))
+    system = assemble(mesh, assign_degrees(mesh, "minimal"),
+                      sin_sin_problem("poisson"))
+    calls = []
+
+    def flipped(levels, coarse, r):
+        calls.append(None)
+        return -r if len(calls) > flip else r.copy()
+
+    monkeypatch.setattr(assembly, "_vcycle", flipped)
+    with pytest.raises(NotSPD, match=f"CG iteration {flip}: .* not positive"):
+        solve(system, method="cg")
+    assert len(calls) == flip + 1
+
+
+@pytest.mark.parametrize("n", [1, 32, 67])
+def test_cholesky_solve_matches_dense_solve(n):
+    # row blocks of 32: one short block, exactly one, and a padded last one
+    from e2vem.assembly import _cho_solve, _dense_factor
+
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    a = m @ m.T + n * np.eye(n)
+    factor = _dense_factor(sps.csr_matrix(a))
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        np.testing.assert_allclose(_cho_solve(factor, b),
+                                   np.linalg.solve(a, b), rtol=1e-12,
+                                   atol=1e-14)
+
+
+def test_coarse_inverse_is_exactly_symmetric():
+    # the V-cycle is symmetric only if its coarse solve is
+    from e2vem.assembly import _coarse_inverse, _hierarchy
+
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
+    system = assemble(mesh, assign_degrees(mesh, "minimal"),
+                      sin_sin_problem("poisson"))
+    _, coarse = _hierarchy(system.matrix)
+    inverse = _coarse_inverse(coarse)
+    np.testing.assert_array_equal(inverse, inverse.T)
+    np.testing.assert_allclose(inverse @ coarse.toarray(),
+                               np.eye(coarse.shape[0]), rtol=0, atol=1e-10)
 
 
 def test_cg_refuses_indefinite_systems():
@@ -522,17 +590,17 @@ def test_cg_matches_cholesky_through_the_hierarchy(kind):
 
 def test_vcycle_is_symmetric_positive_definite():
     # plain CG is valid only with an SPD preconditioner
-    from e2vem.assembly import _dense_factor, _hierarchy, _vcycle
+    from e2vem.assembly import _coarse_inverse, _hierarchy, _vcycle
 
     mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
     system = assemble(mesh, assign_degrees(mesh, "minimal"),
                       sin_sin_problem("poisson"))
     levels, coarse = _hierarchy(system.matrix)
-    factor = _dense_factor(coarse)
+    inverse = _coarse_inverse(coarse)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x, y = rng.standard_normal((2, system.n_free))
-        mx, my = _vcycle(levels, factor, x), _vcycle(levels, factor, y)
+        mx, my = _vcycle(levels, inverse, x), _vcycle(levels, inverse, y)
         assert x @ mx > 0 and y @ my > 0
         assert abs(y @ mx - x @ my) <= 1e-12 * np.sqrt((x @ mx) * (y @ my))
 
@@ -563,18 +631,18 @@ def test_cg_is_bitwise_repeatable():
 def test_cg_in_place_matches_allocating_form():
     # the CG loop and the V-cycle sum into preallocated buffers in the
     # order of the textbook form below, so the iterates match it bitwise
-    from e2vem.assembly import _dense_factor, _hierarchy
+    from e2vem.assembly import _coarse_inverse, _hierarchy
 
     mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
     system = assemble(mesh, assign_degrees(mesh, "minimal"),
                       sin_sin_problem("poisson"))
     a, b = system.matrix, system.rhs
     levels, coarse = _hierarchy(a)
-    factor = _dense_factor(coarse)
+    inverse = _coarse_inverse(coarse)
 
     def vcycle(levels, r):
         if not levels:
-            return cho_solve(factor, r)
+            return inverse @ r
         (a, w, pt, pta), rest = levels[0], levels[1:]
         x = w * r
         r = r - a @ x

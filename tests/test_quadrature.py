@@ -3,7 +3,21 @@ import pytest
 
 from e2vem.errors import UnsupportedDegree
 from e2vem.geometry import build_polygon, stack_polygons, stack_quadrature
-from e2vem.quadrature import segment_rule, triangle_rule
+from e2vem.quadrature import (MAX_DEGREE, _gauss_jacobi, _node_count,
+                              segment_rule, triangle_rule)
+
+
+@pytest.mark.parametrize("n", range(1, _node_count(MAX_DEGREE) + 1))
+def test_gauss_jacobi_matches_scipy(n):
+    # the Golub-Welsch rule against scipy's, relative to the largest node
+    # and weight: scipy's own smallest weights miss the exact ones by up
+    # to 1.7e-13 of themselves at n = 16
+    from scipy.special import roots_jacobi
+
+    x, w = _gauss_jacobi(n)
+    want_x, want_w = roots_jacobi(n, 1, 0)
+    assert np.abs(x - want_x).max() <= 1e-13 * np.abs(want_x).max()
+    assert np.abs(w - want_w).max() <= 1e-13 * want_w.max()
 
 
 @pytest.mark.parametrize("degree", range(9))
