@@ -14,9 +14,12 @@ peak resident memory right after them, in MiB), warms up on the family's
 level-0 mesh (through the Cholesky and the CG path), and then times
 ``REPS`` runs, each on a ``PolygonalMesh`` built afresh from the case's
 arrays, with in-process ``perf_counter`` timers around the stages:
-``classes`` (the cell-class index), ``degrees`` (``assign_degrees``),
-``assemble`` (``assemble``), ``solve`` (``solve``), ``errors``
-(``solution_errors``) and ``total`` (all of them). After its timed runs
+``classes`` (``mesh.cell_classes``: the mesh's whole validity decision,
+which builds the cell-class index; a tree whose ``assemble`` still
+counted edge use times that count under ``assemble``), ``degrees``
+(``assign_degrees``), ``assemble`` (``assemble``), ``solve``
+(``solve``), ``errors`` (``solution_errors``) and ``total`` (all of
+them). After its timed runs
 it records ``peak_rss_mb``, its peak resident memory, and then makes one
 untimed run under ``tracemalloc``, recording ``<stage>_traced_mb``: the
 most memory each stage held above its own start, in MiB (for ``total``,

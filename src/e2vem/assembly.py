@@ -19,9 +19,9 @@ import scipy.sparse as sp
 from .degree import DegreeAssignment, assign_degrees
 from . import geometry
 from .errors import InadmissibleDegrees, NotSPD
-from .geometry import (PolygonalMesh, at_points, check_vertices_used,
-                       class_groups, class_members, member_points,
-                       stack_polygons, stack_quadrature)
+from .geometry import (PolygonalMesh, at_points, class_groups,
+                       class_members, member_points, stack_polygons,
+                       stack_quadrature)
 from .meshgen import SplitMix64
 from .polyspace import stack_monomials
 from .projectors import build_projectors, compute_pinabla
@@ -206,6 +206,7 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
     are scattered together, from stacks of their kernels; a member's
     load is its source values at its class's quadrature points, moved
     onto the member, against the class's load weights."""
+    _check_admissible(mesh, degrees)
     n = mesh.n_vertices
     return _assemble(mesh, degrees, problem, load_mode, np.arange(n),
                      np.zeros(n))
@@ -215,9 +216,8 @@ def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
              problem: ProblemSpec, load_mode: str = "mean") -> LinearSystem:
     """Assemble the system over the non-Dirichlet vertices: values
     interpolated from ``problem.dirichlet_data`` move to the right-hand
-    side member by member, and no Dirichlet row or column is stored.
-    Raises :class:`StructuralDefect` for a vertex that no cell uses."""
-    check_vertices_used(mesh)
+    side member by member, and no Dirichlet row or column is stored."""
+    _check_admissible(mesh, degrees)
     flags = mesh.boundary_vertex_flags
     boundary = np.flatnonzero(flags)
     free = np.flatnonzero(~flags)
@@ -243,7 +243,6 @@ def _assemble(mesh, degrees, problem, load_mode, dof, lift):
     the slabs out row by row in buffers of the summed slab length; each
     row's columns are then sorted and its duplicates summed in place,
     and the buffers shrunk in place to the entries that remain."""
-    _check_admissible(mesh, degrees)
     if load_mode not in ("mean", "p1"):
         raise ValueError(f"unknown load mode {load_mode!r}")
     n, size = mesh.n_vertices, int(dof.max(initial=-1)) + 1

@@ -128,7 +128,6 @@ def cmd_convergence(args) -> int:
 def cmd_solve(args) -> int:
     config = resolve_config(args)
     mesh = load_mesh(args.mesh)
-    validate_mesh(mesh)
     problem = _problem(args.problem)
     result = solve_problem(mesh, args.strategy, problem,
                            load_mode=args.load_mode, solver=args.solver,

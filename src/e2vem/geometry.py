@@ -499,6 +499,20 @@ def _successors(cell_start):
     return following
 
 
+def _first_repeat(keys):
+    """Positions ``(k, j)`` of the first key equal to an earlier one and of
+    that earlier one, among keys that are not distinct."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    earlier = first[inverse]
+    k = np.flatnonzero(earlier != np.arange(len(keys)))[0]
+    return k, earlier[k]
+
+
+#: Largest sum of the cells' interior angles at one vertex: a full turn,
+#: plus rounding. A larger sum means cells overlap at that vertex.
+_FULL_TURN = 2.0 * np.pi + 1e-9
+
+
 class _CellChains(Sequence):
     """The cells' vertex chains, sliced from the connectivity arrays on
     each read: ``len``, int and negative indexing, ``IndexError`` past the
@@ -607,15 +621,59 @@ class PolygonalMesh:
 
     @cached_property
     def _class_index(self) -> _ClassIndex:
-        return _cell_classes(self.vertices, self.cell_vertices,
-                             self.cell_start)
+        """The cell-class index, behind the mesh's one validity decision,
+        which every path reads first: raises :class:`StructuralDefect` for
+        the first of no cells; a vertex repeated inside a cell (the lowest
+        such cell); an edge used twice one way (``boundary_vertex_flags``);
+        an invalid cell polygon (the lowest); cells that overlap, their
+        interior angles at a vertex summing to more than a full turn (the
+        highest cell at the lowest such vertex); a vertex no cell uses.
+        Polygons are tested first: a clockwise cell, whose angles read as
+        their complements, is named as clockwise, not as an overlap."""
+        if self.n_cells == 0:
+            raise StructuralDefect("the mesh has no cells")
+        n, tail, start = self.n_vertices, self.cell_vertices, self.cell_start
+        # keyed cell by cell, so sorted keys meet their first equal
+        # neighbour in the lowest cell that repeats a vertex
+        keys = np.sort(np.repeat(np.arange(self.n_cells) * n, np.diff(start))
+                       + tail)
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(repeat):
+            raise StructuralDefect("repeated vertex inside cell",
+                                   cell=int(keys[repeat[0]] // n))
+        del keys
+        self.boundary_vertex_flags  # refuses an edge reused in one direction
+        index = _cell_classes(self.vertices, tail, start)
+        # each cell's interior angle at every edge's head, from the next edge
+        # round to this one reversed; CCW simple cells give angles in (0, 2 pi)
+        following = _successors(start)
+        head = tail[following]
+        x, y = self.vertices.T
+        dx = x[head] - x[tail]
+        dy = y[head] - y[tail]
+        ox, oy = dx[following], dy[following]
+        angles = np.arctan2(dx * oy - dy * ox, -(dx * ox + dy * oy))
+        angles[angles < 0.0] += 2.0 * np.pi
+        turn = np.bincount(head, angles, minlength=n)
+        over = np.flatnonzero(turn > _FULL_TURN)
+        if len(over):
+            v = int(over[0])
+            last = np.flatnonzero(head == v)[-1]
+            raise StructuralDefect(
+                f"cells overlap at vertex {v}: their interior angles there sum "
+                f"to {float(turn[v])!r}, more than 2 pi",
+                cell=int(np.searchsorted(start, last, side="right") - 1))
+        unused = np.flatnonzero(np.bincount(tail, minlength=n) == 0)
+        if len(unused):
+            raise StructuralDefect(f"vertex {int(unused[0])} is used by no cell")
+        return index
 
     @property
     def cell_classes(self) -> tuple:
         """The one index of cells that share shape data, read by every
         stage: each class's representative :class:`Polygon`, ordered by
-        its lowest cell, which it is built from; raises
-        :class:`StructuralDefect` naming the first invalid cell polygon."""
+        its lowest cell, which it is built from; raises the
+        :class:`StructuralDefect` of the mesh's one validity decision."""
         return self._class_index.polygons
 
     @property
@@ -625,7 +683,7 @@ class PolygonalMesh:
 
     @cached_property
     def h(self) -> float:
-        return float(self._class_index.diameters.max(initial=0.0))
+        return float(self._class_index.diameters.max())
 
 
 @dataclass(frozen=True)
@@ -640,70 +698,13 @@ class MeshQuality:
     total_area: float
 
 
-#: Largest sum of the cells' interior angles at one vertex: a full turn,
-#: plus rounding. A larger sum means cells overlap at that vertex.
-_FULL_TURN = 2.0 * np.pi + 1e-9
-
-
-def _first_repeat(keys):
-    """Positions ``(k, j)`` of the first key equal to an earlier one and of
-    that earlier one, or None when the keys are distinct."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    earlier = first[inverse]
-    repeats = np.flatnonzero(earlier != np.arange(len(keys)))
-    return (repeats[0], earlier[repeats[0]]) if len(repeats) else None
-
-
-def check_vertices_used(mesh: PolygonalMesh) -> None:
-    """Raise :class:`StructuralDefect` naming the lowest-index vertex that
-    no cell uses: it has no equation, so a solve could not succeed."""
-    unused = np.flatnonzero(np.bincount(mesh.cell_vertices,
-                                        minlength=mesh.n_vertices) == 0)
-    if len(unused):
-        raise StructuralDefect(f"vertex {int(unused[0])} is used by no cell")
-
-
 def validate_mesh(mesh: PolygonalMesh) -> MeshQuality:
-    """Check structural validity and report shape-regularity numbers.
-
-    Raises :class:`StructuralDefect` (naming the offending cell) when the
-    tessellation is broken: no cells at all, repeated vertices inside a
-    cell, an edge used twice with the same orientation (the check of
-    ``mesh.boundary_vertex_flags``), non-CCW or invalid cell polygons, or
-    cells that overlap, so that their interior angles at some vertex sum
-    to more than a full turn. After these per-cell checks,
-    it raises one naming the vertex for a vertex that no cell uses. Bad
-    vertex counts and indices are refused when the mesh is built.
-    ``mesh.cell_classes`` validates the polygons once per class; the
-    per-cell ratios are class values.
+    """The shape-regularity report of a mesh. It reads
+    ``mesh.cell_classes``, and so raises the :class:`StructuralDefect` of
+    the mesh's one validity decision, as every path does. The per-cell
+    ratios are class values: the index validates one polygon per class.
     """
-    if mesh.n_cells == 0:
-        raise StructuralDefect("the mesh has no cells")
-    n, tail = mesh.n_vertices, mesh.cell_vertices
-    cell_of = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_start))
-    repeat = _first_repeat(cell_of * n + tail)
-    if repeat is not None:
-        raise StructuralDefect("repeated vertex inside cell",
-                               cell=int(cell_of[repeat[0]]))
-    mesh.boundary_vertex_flags  # refuses an edge reused in one direction
     polys = mesh.cell_classes
-    # each cell's interior angle at every edge's head, from the next edge
-    # round to this one reversed; CCW simple cells give angles in (0, 2 pi)
-    following = _successors(mesh.cell_start)
-    head = tail[following]
-    d = mesh.vertices[head] - mesh.vertices[tail]
-    out = d[following]
-    angles = np.mod(np.arctan2(d[:, 0] * out[:, 1] - d[:, 1] * out[:, 0],
-                               -(d * out).sum(axis=1)), 2.0 * np.pi)
-    turn = np.bincount(head, angles, minlength=n)
-    over = np.flatnonzero(turn > _FULL_TURN)
-    if len(over):
-        v = int(over[0])
-        raise StructuralDefect(
-            f"cells overlap at vertex {v}: their interior angles there sum "
-            f"to {float(turn[v])!r}, more than 2 pi",
-            cell=int(cell_of[head == v].max()))
-    check_vertices_used(mesh)
     rho, shortest, diameter, area = (np.array(v) for v in zip(*(
         (p.kernel_inradius, p.edge_lengths.min(), p.diameter, p.area)
         for p in polys)))

@@ -252,6 +252,11 @@ def test_reruns_identical_modulo_timestamp(tmp_path):
 FAN = ([(0.0, 0.0)] + [(np.cos(a), np.sin(a))
                        for a in np.radians(65.0 * np.arange(7))],
        [[0, k, k + 1] for k in range(1, 7)])
+#: seven triangles round vertex 0, with rim vertices every 720/7 degrees:
+#: every spoke is used once each way, yet they cover the disc twice
+DOUBLE_DISC = ([(0.0, 0.0)] + [(np.cos(a), np.sin(a))
+                               for a in np.radians(720.0 / 7 * np.arange(7))],
+               [[0, k, k % 7 + 1] for k in range(1, 8)])
 
 
 def test_invalid_cell_named_by_validate_and_solve(tmp_path, capsys):
@@ -268,7 +273,8 @@ def test_invalid_cell_named_by_validate_and_solve(tmp_path, capsys):
             (square, [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [0, 1, 4]],
              "cell 4: edge (0, 1) already used with the same orientation "
              "by cell 0"),
-            (*FAN, "cells overlap at vertex 0")):
+            (*FAN, "cells overlap at vertex 0"),
+            (*DOUBLE_DISC, "cell 6: cells overlap at vertex 0")):
         mesh_path = tmp_path / "defective.json"
         save_mesh(PolygonalMesh(vertices, cells), mesh_path)
         capsys.readouterr()

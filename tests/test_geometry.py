@@ -231,25 +231,6 @@ DOUBLED_SQUARE = ([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)],
                   [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [0, 1, 4]])
 
 
-@pytest.mark.parametrize("vertices, cells", [
-    DOUBLED_SQUARE, (GRID_VERTICES, GRID_CELLS + [GRID_CELLS[0]])],
-    ids=["doubled_square", "duplicated_grid_cell"])
-def test_reused_edge_refused_before_solving(vertices, cells):
-    # counted as interior, the doubled boundary edge would make vertices
-    # 0 and 1 unknowns: every entry point refuses it as validate_mesh does
-    problem = sin_sin_problem("poisson")
-    message = ("cell 4: edge (0, 1) already used with the same orientation "
-               "by cell 0")
-    for run in (validate_mesh,
-                lambda mesh: solve_problem(mesh, "minimal", problem),
-                lambda mesh: assemble(mesh, assign_degrees(mesh, "minimal"),
-                                      problem),
-                lambda mesh: mesh.boundary_vertex_flags):
-        with pytest.raises(StructuralDefect) as exc:
-            run(PolygonalMesh(vertices, cells))
-        assert str(exc.value) == message and exc.value.cell == 4
-
-
 def grid_with_unused_vertex():
     """The 4 x 4 square grid with one more vertex, 25, that no cell uses."""
     mesh = make_mesh(MeshFamilySpec("square_grid", level=0))
@@ -268,6 +249,61 @@ def test_solve_refuses_unused_vertex(solver):
     with pytest.raises(StructuralDefect, match="vertex 25"):
         solve_problem(grid_with_unused_vertex(), "minimal",
                       sin_sin_problem("poisson"), solver=solver)
+
+
+#: seven triangles round vertex 0, with rim vertices every 720/7 degrees:
+#: every spoke is used once each way, yet they cover the disc twice
+DOUBLE_DISC = ([(0.0, 0.0)] + [(np.cos(a), np.sin(a))
+                               for a in np.radians(720.0 / 7 * np.arange(7))],
+               [[0, k, k % 7 + 1] for k in range(1, 8)])
+UNUSED_VERTEX = grid_with_unused_vertex()
+CLOCKWISE_AT_A_VERTEX = ([(0.0, 0.0)] + [(np.cos(a), np.sin(a)) for a in
+                                         np.radians([0, 100, 180, 240])],
+                         [[0, 1, 2], [0, 4, 3]])
+
+
+@pytest.mark.parametrize("vertices, cells, message, cell", [
+    # cell 2 reversed uses edge (4, 3) in cell 0's direction
+    (GRID_VERTICES, CLOCKWISE_CELLS,
+     "cell 2: edge (4, 3) already used with the same orientation by cell 0",
+     2),
+    # a clockwise cell meeting cell 0 only at vertex 0, where the two turn
+    # 100 + 300 degrees: named as clockwise, not as an overlap
+    (*CLOCKWISE_AT_A_VERTEX, "cell 1: vertices are ordered clockwise", 1),
+    (*DOUBLE_DISC, "cell 6: cells overlap at vertex 0: ", 6),
+    (GRID_VERTICES, GRID_CELLS[:2] + [[3, 4, 7, 4]] + GRID_CELLS[3:],
+     "cell 2: repeated vertex inside cell", 2),
+    (np.zeros((0, 2)), [], "the mesh has no cells", None),
+    (UNUSED_VERTEX.vertices, UNUSED_VERTEX.cells,
+     "vertex 25 is used by no cell", None),
+    # counted as interior, the doubled boundary edge would make vertices
+    # 0 and 1 unknowns
+    (*DOUBLED_SQUARE,
+     "cell 4: edge (0, 1) already used with the same orientation by cell 0",
+     4),
+    (GRID_VERTICES, GRID_CELLS + [GRID_CELLS[0]],
+     "cell 4: edge (0, 1) already used with the same orientation by cell 0",
+     4),
+], ids=["clockwise_grid", "clockwise_at_a_vertex", "double_covered_disc",
+        "repeated_vertex", "no_cells", "unused_vertex", "doubled_square",
+        "duplicated_grid_cell"])
+def test_defective_mesh_refused_alike_on_every_path(vertices, cells, message,
+                                                   cell):
+    problem = sin_sin_problem("poisson")
+    refusals = []
+    for path in (validate_mesh, lambda mesh: mesh.h, assign_degrees,
+                 lambda mesh: assemble(mesh, assign_degrees(mesh, "minimal"),
+                                       problem),
+                 lambda mesh: solve_problem(mesh, "minimal", problem)):
+        with pytest.raises(StructuralDefect) as exc:
+            path(PolygonalMesh(vertices, cells))
+        refusals.append((str(exc.value), exc.value.cell))
+    assert refusals == [refusals[0]] * 5
+    assert refusals[0][0].startswith(message) and refusals[0][1] == cell
+    if "already used" in message:  # the edge count refuses it on its own
+        with pytest.raises(StructuralDefect) as exc:
+            PolygonalMesh(vertices, cells).boundary_vertex_flags
+        assert (str(exc.value), exc.value.cell) == refusals[0]
 
 
 @pytest.mark.parametrize("family", ["square_grid", "honeycomb",
@@ -400,15 +436,6 @@ def test_class_index_rules(case):
                 np.arange(len(part)), [len(members[k]) for k in part]))
             assert np.array_equal(offsets, mesh.vertices[want[:, 0]]
                                   - [polys[part[k]].vertices[0] for k in cls])
-
-
-def test_invalid_cell_named_on_every_path():
-    for path in (lambda m: solve_problem(m, "minimal", sin_sin_problem()),
-                 lambda m: assign_degrees(m), lambda m: m.h,
-                 validate_mesh):
-        with pytest.raises(StructuralDefect) as exc:
-            path(PolygonalMesh(GRID_VERTICES, CLOCKWISE_CELLS))
-        assert exc.value.cell == 2
 
 
 #: cell chains for the invalid-stack cases, 3 apart so no two touch
