@@ -25,7 +25,10 @@ untimed run under ``tracemalloc``, recording ``<stage>_traced_mb``: the
 most memory each stage held above its own start, in MiB (for ``total``,
 above the run's start; the largest over a case's meshes). Each stage
 reports the median and quartiles over all timed runs of a tree's
-processes; the per-process readings over its processes.
+processes; the per-process readings over its processes. The report
+names the ``OPENBLAS_NUM_THREADS`` the workers inherited (``unset`` for
+none), since results can differ in their last bits between thread
+counts.
 """
 from __future__ import annotations
 
@@ -199,6 +202,8 @@ def main(argv=None) -> int:
         "command": (f"python3 scripts/bench_stages.py --base <base>/src "
                     f"--out {args.out}"),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS",
+                                               "unset"),
         "python": platform.python_version(),
         "method": (f"in-process perf_counter stage timers after a level-0 "
                    f"warm-up; {PAIRS} pairs of fresh processes per case, one "

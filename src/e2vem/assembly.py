@@ -368,50 +368,82 @@ class SolveStats:
 _DENSE_ROWS = 1200
 
 
-#: Row block of the dense triangular solves: each block's inverse comes
-#: from one stacked ``np.linalg.inv``, the rest are matrix products. At
-#: 540 rows, blocks of 16-32 solve in 0.7-1.2 ms, against 0.6-0.7 ms for
-#: LAPACK's ``potrs`` through scipy, blocks of 64 in 1.1-1.9 ms and of
-#: 128 in 3.1-3.7 ms (medians of interleaved runs, shared 2-core VM).
+#: Row block of the dense factor and its substitutions: each diagonal
+#: block is factored by ``np.linalg.cholesky`` and inverted once, the rest
+#: are matrix products. On the 540-row honeycomb L0 Poisson system (lattice
+#: order, envelope 32) the factor takes 1.45-1.58 ms at blocks of 32,
+#: 1.6-1.7 ms at 64, 1.9-2.1 ms at 16 and 3.8-4.1 ms at 128, against
+#: 5.1-5.7 ms for ``np.linalg.cholesky`` on the whole matrix; the
+#: substitutions then take 0.19-0.23 ms at 32 and 0.14-0.16 ms at 64-128
+#: (quartiles of 60 interleaved runs, shared 2-core VM). A randomly
+#: permuted five-point Laplacian, whose envelope spans the matrix, takes
+#: 34-36 ms against 29-33 ms at 1,200 rows and 4.3-4.5 ms against 2.9 ms
+#: at 540 (medians of 21 runs under 1 and 2 BLAS threads).
 _SOLVE_BLOCK = 32
 
 
 def _dense_factor(a):
-    """The lower Cholesky factor of the sparse SPD matrix ``a``,
-    densified; a failed factor raises :class:`NotSPD`, and so does a
-    non-finite entry of ``a``, which reaches the factor's diagonal."""
-    try:
-        factor = np.linalg.cholesky(a.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD(f"Cholesky breakdown: {exc}") from exc
-    if not np.isfinite(np.diagonal(factor)).all():
-        raise NotSPD("Cholesky breakdown: non-finite matrix entry")
-    return factor
+    """The lower Cholesky factor ``L`` of the sparse SPD matrix ``a`` and
+    the inverses of its diagonal blocks of ``_SOLVE_BLOCK`` rows, as the
+    pair ``(L, inverses)``.
+
+    ``L`` overwrites the one densified copy of ``a``, block by block: a
+    diagonal block is factored by ``np.linalg.cholesky``, its column panel
+    below is scaled by the block's inverse, and the trailing matrix is
+    updated only up to the panel's last nonzero row (the envelope, read
+    after earlier updates, so fill-in counts; a row left out is zero in
+    the panel and its update would change no bit), and only on and below
+    its diagonal blocks, one block column at a time, so a badly numbered
+    matrix computes no upper half and holds no square temporary. The
+    strict upper triangle is zeroed. A failed block factor raises
+    :class:`NotSPD`, and so does a non-finite entry of ``a``, which
+    reaches a block's diagonal."""
+    factor = a.toarray()
+    n = len(factor)
+    inverses = []
+    for s in range(0, n, _SOLVE_BLOCK):
+        e = min(s + _SOLVE_BLOCK, n)
+        try:
+            block = np.linalg.cholesky(factor[s:e, s:e])
+        except np.linalg.LinAlgError as exc:
+            raise NotSPD(f"Cholesky breakdown: {exc}") from exc
+        if not np.isfinite(np.diagonal(block)).all():
+            raise NotSPD("Cholesky breakdown: non-finite matrix entry")
+        factor[s:e, s:e] = block
+        factor[s:e, e:] = 0.0
+        inverses.append(np.linalg.inv(block))
+        rows = np.flatnonzero(factor[e:, s:e].any(axis=1))
+        if len(rows):
+            last = e + int(rows[-1]) + 1
+            panel = factor[e:last, s:e] @ inverses[-1].T
+            factor[e:last, s:e] = panel
+            for j in range(e, last, _SOLVE_BLOCK):
+                k = min(j + _SOLVE_BLOCK, last)
+                factor[j:last, j:k] -= panel[j - e:] @ panel[j - e:k - e].T
+    return factor, inverses
 
 
 def _cho_solve(factor, b):
-    """``x`` with ``L L^T x = b`` for the lower Cholesky factor ``L``, by
-    forward and back substitution over row blocks of ``_SOLVE_BLOCK``;
+    """``x`` with ``L L^T x = b`` for the pair ``(L, inverses)`` that
+    :func:`_dense_factor` returns, by forward and back substitution over
+    row blocks of ``_SOLVE_BLOCK``, each solved by its block's inverse;
     ``b`` is (n,) or (n, k)."""
-    n = len(factor)
-    bounds = [(s, min(s + _SOLVE_BLOCK, n)) for s in range(0, n, _SOLVE_BLOCK)]
-    # the diagonal blocks, the last one padded by the identity
-    blocks = np.tile(np.eye(_SOLVE_BLOCK), (len(bounds), 1, 1))
-    for block, (s, e) in zip(blocks, bounds):
-        block[:e - s, :e - s] = factor[s:e, s:e]
-    inverses = [inverse[:e - s, :e - s] for inverse, (s, e)
-                in zip(np.linalg.inv(blocks), bounds)]
+    lower, inverses = factor
+    starts = range(0, len(lower), _SOLVE_BLOCK)
     x = np.array(b, dtype=float)
-    for inverse, (s, e) in zip(inverses, bounds):
-        x[s:e] = inverse @ (x[s:e] - factor[s:e, :s] @ x[:s])
-    for inverse, (s, e) in reversed(list(zip(inverses, bounds))):
-        x[s:e] = inverse.T @ (x[s:e] - factor[e:, s:e].T @ x[e:])
+    for inverse, s in zip(inverses, starts):
+        e = s + len(inverse)
+        x[s:e] = inverse @ (x[s:e] - lower[s:e, :s] @ x[:s])
+    for inverse, s in reversed(list(zip(inverses, starts))):
+        e = s + len(inverse)
+        x[s:e] = inverse.T @ (x[s:e] - lower[e:, s:e].T @ x[e:])
     return x
 
 
 def _coarse_inverse(a):
-    """The inverse of the coarsest matrix ``a``, from its Cholesky factor,
-    made exactly symmetric, so that the V-cycle stays symmetric."""
+    """The inverse of the coarsest matrix ``a``, by substitution on the
+    identity from the blocked factor of :func:`_dense_factor`, made
+    exactly symmetric, so that the V-cycle stays symmetric."""
     inverse = _cho_solve(_dense_factor(a), np.eye(a.shape[0]))
     return 0.5 * (inverse + inverse.T)
 
@@ -528,13 +560,15 @@ def _vcycle(levels, coarse, r):
 def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     """Solve the reduced system; returns ``(x, SolveStats)``.
 
-    ``cholesky`` factors the densified matrix. ``cg`` runs conjugate
+    ``cholesky`` factors the densified matrix in place, in row blocks
+    inside its envelope (:func:`_dense_factor`), and substitutes with the
+    inverses of the factor's diagonal blocks. ``cg`` runs conjugate
     gradients until the recursively updated residual r satisfies
     ``|r| <= tol |b|``, preconditioned by one smoothed-aggregation
     multigrid V-cycle whose coarsest level is solved by its dense
-    inverse; the cycle has no options. ``SolveStats.residual`` is
-    ``|A x - b| / |b|`` recomputed from the returned ``x``, so it can
-    exceed ``tol`` by rounding drift in r. ``auto`` picks
+    inverse, from the same factor; the cycle has no options.
+    ``SolveStats.residual`` is ``|A x - b| / |b|`` recomputed from the
+    returned ``x``, so it can exceed ``tol`` by rounding drift in r. ``auto`` picks
     ``cholesky`` up to ``_DENSE_ROWS`` (1200) free DOFs and ``cg`` above.
     A failed Cholesky factor, a non-positive diagonal, CG curvature or
     preconditioned residual product r.z, or CG not converging in

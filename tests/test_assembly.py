@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,19 +499,115 @@ def test_cg_refuses_a_preconditioner_that_is_not_spd(flip, monkeypatch):
     assert len(calls) == flip + 1
 
 
-@pytest.mark.parametrize("n", [1, 32, 67])
-def test_cholesky_solve_matches_dense_solve(n):
-    # row blocks of 32: one short block, exactly one, and a padded last one
+def _spd_case(case):
+    """An SPD test matrix: for an int n, a dense random one of n rows;
+    ``laplacian``, the five-point Laplacian of a 15 x 36 lattice in
+    lattice order (540 rows, envelope 36); ``permuted``, that Laplacian
+    in a random order (envelope near 540); ``empty_panel``, two dense
+    random blocks, of 32 and 45 rows, that do not couple."""
+    if case == "permuted":
+        order = np.random.default_rng(0).permutation(540)
+        return _spd_case("laplacian")[np.ix_(order, order)]
+    if case == "laplacian":
+        def path(k):
+            return sps.diags([-np.ones(k - 1), 2.0 * np.ones(k),
+                              -np.ones(k - 1)], [-1, 0, 1])
+        return (sps.kron(sps.identity(15), path(36))
+                + sps.kron(path(15), sps.identity(36))).toarray()
+    if case == "empty_panel":
+        return sps.block_diag([_spd_case(32), _spd_case(45)]).toarray()
+    rng = np.random.default_rng(case)
+    m = rng.standard_normal((case, case))
+    return m @ m.T + case * np.eye(case)
+
+
+@pytest.mark.parametrize("case", [1, 32, 33, 67, "laplacian", "permuted",
+                                  "empty_panel"])
+def test_cholesky_solve_matches_dense_solve(case):
+    # row blocks of 32: one short block, exactly one, a full one and one
+    # row, a short last one, an envelope across more than one block, one
+    # across the whole matrix, and a first block whose panel is empty
     from e2vem.assembly import _cho_solve, _dense_factor
 
-    rng = np.random.default_rng(n)
-    m = rng.standard_normal((n, n))
-    a = m @ m.T + n * np.eye(n)
+    a = _spd_case(case)
+    n = len(a)
     factor = _dense_factor(sps.csr_matrix(a))
+    lower = factor[0]
+    np.testing.assert_allclose(lower, np.linalg.cholesky(a), rtol=1e-12,
+                               atol=1e-14)
+    assert not np.triu(lower, 1).any()
+    rng = np.random.default_rng(n)
     for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         np.testing.assert_allclose(_cho_solve(factor, b),
                                    np.linalg.solve(a, b), rtol=1e-12,
                                    atol=1e-14)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_dense_factor_holds_one_dense_copy(shuffled):
+    # the factor works in the one dense copy it returns; numpy's
+    # whole-matrix Cholesky held two more, LAPACK's Fortran-order copy
+    # and its output. In a random vertex order the envelope spans the
+    # matrix, and the trailing updates must still hold no square temporary
+    from e2vem.assembly import _dense_factor
+
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=0))
+    a = assemble(mesh, assign_degrees(mesh, "minimal"),
+                 sin_sin_problem("poisson")).matrix.tocsr()
+    n = a.shape[0]
+    if shuffled:
+        order = np.random.default_rng(0).permutation(n)
+        a = a[order][:, order]
+    _dense_factor(a)                    # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        _dense_factor(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 540 and peak <= 1.25 * n * n * 8
+
+
+#: Solves four honeycomb L0 meshes, interior vertices moved by up to
+#: 0.05 h from one stream, by Cholesky; prints a hash of the vertex
+#: values' bytes.
+JITTERED_CHOLESKY = """
+import hashlib
+import numpy as np
+import e2vem
+
+base = e2vem.make_mesh(e2vem.MeshFamilySpec("honeycomb", level=0))
+interior = ~np.asarray(base.boundary_vertex_flags)
+rng = np.random.default_rng((0, 0))
+digest = hashlib.sha256()
+for _ in range(4):
+    verts = base.vertices.copy()
+    verts[interior] += base.h * rng.uniform(-0.05, 0.05,
+                                            size=(int(interior.sum()), 2))
+    result = e2vem.solve_problem(e2vem.PolygonalMesh(verts, base.cells),
+                                 "minimal", e2vem.sin_sin_problem("poisson"),
+                                 solver="cholesky")
+    digest.update(result.vertex_values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_cholesky_bits_do_not_depend_on_the_blas_thread_count():
+    # Nothing in the factor forbids a thread-dependent sum: this holds for
+    # these 540-row systems (envelope 32) under numpy's bundled OpenBLAS,
+    # whose products of this size run on one thread. A failure under
+    # another BLAS build says that build threads them, not that the
+    # factor is wrong.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        digests.append(subprocess.run(
+            [sys.executable, "-c", JITTERED_CHOLESKY], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    assert digests[0] == digests[1]
 
 
 def test_coarse_inverse_is_exactly_symmetric():
