@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .degree import DegreeAssignment, assign_degrees
 from . import geometry
@@ -26,6 +25,12 @@ from .meshgen import SplitMix64
 from .polyspace import stack_monomials
 from .projectors import build_projectors, compute_pinabla
 
+
+#: Largest system stored dense: ``_assemble`` sums a system of at most this
+#: many rows into an ndarray and a larger one into CSR, ``auto`` picks
+#: Cholesky up to it, and the CG preconditioner's hierarchy coarsens down
+#: to it. Only the CSR systems above it load ``scipy.sparse``.
+_DENSE_ROWS = 1200
 
 #: The exact-solution self-check: sample count, relative bound and stream seed.
 _RESIDUAL_POINTS = 20
@@ -149,9 +154,11 @@ def linear_problem(a: float, b: float, c: float,
 
 @dataclass(eq=False)
 class LinearSystem:
-    """Reduced SPD system over non-Dirichlet vertices."""
+    """Reduced SPD system over non-Dirichlet vertices. ``matrix`` is a
+    dense ndarray up to ``_DENSE_ROWS`` rows, and a canonical
+    ``scipy.sparse`` CSR matrix above."""
 
-    matrix: sp.csr_matrix
+    matrix: object
     rhs: np.ndarray
     free: np.ndarray
     boundary: np.ndarray
@@ -201,11 +208,12 @@ def _check_admissible(mesh: PolygonalMesh, degrees: DegreeAssignment):
 def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
                   problem: ProblemSpec, load_mode: str = "mean"):
     """Assemble the global matrix and load over all vertices, before any
-    boundary treatment. Returns ``(A, F)`` with A sparse CSR symmetric,
-    constants in its kernel. The classes of each (vertex count, degree)
-    are scattered together, from stacks of their kernels; a member's
-    load is its source values at its class's quadrature points, moved
-    onto the member, against the class's load weights."""
+    boundary treatment. Returns ``(A, F)`` with A symmetric, constants in
+    its kernel, and stored as :class:`LinearSystem` stores its matrix. The
+    classes of each (vertex count, degree) are scattered together, from
+    stacks of their kernels; a member's load is its source values at its
+    class's quadrature points, moved onto the member, against the class's
+    load weights."""
     _check_admissible(mesh, degrees)
     n = mesh.n_vertices
     return _assemble(mesh, degrees, problem, load_mode, np.arange(n),
@@ -233,16 +241,17 @@ def assemble(mesh: PolygonalMesh, degrees: DegreeAssignment,
 
 
 def _assemble(mesh, degrees, problem, load_mode, dof, lift):
-    """The CSR matrix, canonical and exact-size, over the DOFs that
-    ``dof`` numbers (vertex to DOF, -1 for none), and the load over all
-    vertices, less ``K_E lift`` for every member E with a vertex that is
-    not a DOF.
+    """The matrix over the DOFs that ``dof`` numbers (vertex to DOF, -1
+    for none), dense up to ``_DENSE_ROWS`` rows and canonical,
+    exact-size CSR above, and the load over all vertices, less
+    ``K_E lift`` for every member E with a vertex that is not a DOF.
 
     A (member, local row) "slab" holds the member's entries of one row
     in the columns that are DOFs. One stable sort of the slab rows lays
-    the slabs out row by row in buffers of the summed slab length; each
-    row's columns are then sorted and its duplicates summed in place,
-    and the buffers shrunk in place to the entries that remain."""
+    the slabs out row by row in buffers of the summed slab length. A
+    dense matrix sums them by one ``np.bincount``; for CSR each row's
+    columns are sorted and its duplicates summed in place, and the
+    buffers shrunk in place to the entries that remain."""
     if load_mode not in ("mean", "p1"):
         raise ValueError(f"unknown load mode {load_mode!r}")
     n, size = mesh.n_vertices, int(dof.max(initial=-1)) + 1
@@ -272,6 +281,12 @@ def _assemble(mesh, degrees, problem, load_mode, dof, lift):
             chunk = slice(start, start + geometry._CHUNK_MEMBERS)
             _scatter(indices, data, slabs[chunk], d[chunk],
                      np.take(local, cls[chunk], axis=0))
+    if size <= _DENSE_ROWS:
+        flat = np.repeat(np.arange(size, dtype=indices.dtype) * size,
+                         np.diff(indptr))
+        flat += indices
+        return np.bincount(flat, data, size * size).reshape(size, size), load
+    import scipy.sparse as sp
     matrix = sp.csr_matrix((data, indices, indptr), shape=(size, size))
     matrix.sum_duplicates()
     # the summed entries lead the buffers, still at the slab length:
@@ -363,11 +378,6 @@ class SolveStats:
     levels: tuple
 
 
-# Largest matrix factored densely: ``auto`` picks Cholesky up to this many
-# rows, and the CG preconditioner's hierarchy coarsens down to it.
-_DENSE_ROWS = 1200
-
-
 #: Row block of the dense factor and its substitutions: each diagonal
 #: block is factored by ``np.linalg.cholesky`` and inverted once, the rest
 #: are matrix products. On the 540-row honeycomb L0 Poisson system (lattice
@@ -383,11 +393,11 @@ _SOLVE_BLOCK = 32
 
 
 def _dense_factor(a):
-    """The lower Cholesky factor ``L`` of the sparse SPD matrix ``a`` and
-    the inverses of its diagonal blocks of ``_SOLVE_BLOCK`` rows, as the
-    pair ``(L, inverses)``.
+    """The lower Cholesky factor ``L`` of the SPD matrix ``a`` (an ndarray,
+    or a CSR matrix, which is densified) and the inverses of its diagonal
+    blocks of ``_SOLVE_BLOCK`` rows, as the pair ``(L, inverses)``.
 
-    ``L`` overwrites the one densified copy of ``a``, block by block: a
+    ``L`` overwrites the one dense copy of ``a``, block by block: a
     diagonal block is factored by ``np.linalg.cholesky``, its column panel
     below is scaled by the block's inverse, and the trailing matrix is
     updated only up to the panel's last nonzero row (the envelope, read
@@ -398,7 +408,8 @@ def _dense_factor(a):
     strict upper triangle is zeroed. A failed block factor raises
     :class:`NotSPD`, and so does a non-finite entry of ``a``, which
     reaches a block's diagonal."""
-    factor = a.toarray()
+    factor = (np.array(a, dtype=float) if isinstance(a, np.ndarray)
+              else a.toarray())
     n = len(factor)
     inverses = []
     for s in range(0, n, _SOLVE_BLOCK):
@@ -423,14 +434,14 @@ def _dense_factor(a):
     return factor, inverses
 
 
-def _cho_solve(factor, b):
-    """``x`` with ``L L^T x = b`` for the pair ``(L, inverses)`` that
-    :func:`_dense_factor` returns, by forward and back substitution over
-    row blocks of ``_SOLVE_BLOCK``, each solved by its block's inverse;
-    ``b`` is (n,) or (n, k)."""
+def _cho_solve(factor, x):
+    """``x`` overwritten with the solution of ``L L^T x = x``, for the pair
+    ``(L, inverses)`` that :func:`_dense_factor` returns, by forward and
+    back substitution over row blocks of ``_SOLVE_BLOCK``, each solved by
+    its block's inverse; ``x`` is a float (n,) or (n, k) array that the
+    caller hands over, and is returned."""
     lower, inverses = factor
     starts = range(0, len(lower), _SOLVE_BLOCK)
-    x = np.array(b, dtype=float)
     for inverse, s in zip(inverses, starts):
         e = s + len(inverse)
         x[s:e] = inverse @ (x[s:e] - lower[s:e, :s] @ x[:s])
@@ -443,9 +454,13 @@ def _cho_solve(factor, b):
 def _coarse_inverse(a):
     """The inverse of the coarsest matrix ``a``, by substitution on the
     identity from the blocked factor of :func:`_dense_factor`, made
-    exactly symmetric, so that the V-cycle stays symmetric."""
+    exactly symmetric, so that the V-cycle stays symmetric. The
+    substitution overwrites the identity and the symmetrization the
+    inverse, so no more than two dense copies are held at once."""
     inverse = _cho_solve(_dense_factor(a), np.eye(a.shape[0]))
-    return 0.5 * (inverse + inverse.T)
+    inverse += inverse.T                # numpy buffers the overlapping operand
+    inverse *= 0.5
+    return inverse
 
 
 def _priorities(n: int) -> np.ndarray:
@@ -460,8 +475,9 @@ def _priorities(n: int) -> np.ndarray:
     return ranks
 
 
-def _aggregates(a: sp.csr_matrix, prio: np.ndarray) -> np.ndarray:
-    """Aggregate index of every row, from the sparsity graph of ``a``.
+def _aggregates(a, prio: np.ndarray) -> np.ndarray:
+    """Aggregate index of every row, from the sparsity graph of the CSR
+    matrix ``a``.
 
     The roots are a distance-2 maximal independent set, found by Luby
     rounds on ``prio``: a live row whose priority is the largest within
@@ -472,6 +488,8 @@ def _aggregates(a: sp.csr_matrix, prio: np.ndarray) -> np.ndarray:
     gather by fancy indexing with the int32 pattern indices, whose cast
     numpy buffers, so no int64 copy of length nnz is made: the traced
     peak is about 8.6 B per stored entry of ``a``."""
+    import scipy.sparse as sp
+
     n = len(prio)
     # the rounds read the pattern only: share its index arrays under
     # 1-byte data, so that the row slices copy 5 B per entry, not 12
@@ -505,9 +523,10 @@ def _aggregates(a: sp.csr_matrix, prio: np.ndarray) -> np.ndarray:
     return (np.cumsum(used) - 1)[owner]
 
 
-def _hierarchy(a: sp.csr_matrix):
+def _hierarchy(a):
     """Smoothed-aggregation levels ``(a, w, pt, pta)`` from ``a`` down
-    to at most ``_DENSE_ROWS`` rows, and the coarsest matrix.
+    to at most ``_DENSE_ROWS`` rows, and the coarsest matrix; ``a`` may
+    be dense or CSR, and only building a level imports ``scipy.sparse``.
 
     The prolongator P, kept as its transpose ``pt``, is the
     piecewise-constant one smoothed by one Jacobi step of weight
@@ -521,6 +540,7 @@ def _hierarchy(a: sp.csr_matrix):
         n = a.shape[0]
         if n <= _DENSE_ROWS:
             return levels, a
+        import scipy.sparse as sp
         prio = _priorities(n)
         v = prio - 0.5 * n
         for _ in range(10):
@@ -560,13 +580,16 @@ def _vcycle(levels, coarse, r):
 def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     """Solve the reduced system; returns ``(x, SolveStats)``.
 
-    ``cholesky`` factors the densified matrix in place, in row blocks
+    ``cholesky`` factors a dense copy of the matrix in place (a CSR
+    matrix, above ``_DENSE_ROWS`` rows, is densified), in row blocks
     inside its envelope (:func:`_dense_factor`), and substitutes with the
-    inverses of the factor's diagonal blocks. ``cg`` runs conjugate
-    gradients until the recursively updated residual r satisfies
-    ``|r| <= tol |b|``, preconditioned by one smoothed-aggregation
-    multigrid V-cycle whose coarsest level is solved by its dense
-    inverse, from the same factor; the cycle has no options.
+    inverses of the factor's diagonal blocks on a copy of the load.
+    ``cg`` runs conjugate gradients until the recursively updated
+    residual r satisfies ``|r| <= tol |b|``, preconditioned by one
+    smoothed-aggregation multigrid V-cycle whose coarsest level is solved
+    by its dense inverse, from the same factor; the cycle has no options,
+    and on a dense matrix it has no level, so neither solver loads
+    ``scipy.sparse`` up to ``_DENSE_ROWS`` rows.
     ``SolveStats.residual`` is ``|A x - b| / |b|`` recomputed from the
     returned ``x``, so it can exceed ``tol`` by rounding drift in r. ``auto`` picks
     ``cholesky`` up to ``_DENSE_ROWS`` (1200) free DOFs and ``cg`` above.
@@ -589,7 +612,7 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     if not np.isfinite(bnorm):
         raise ValueError("the right-hand side has a non-finite entry")
     if method == "cholesky":
-        x = _cho_solve(_dense_factor(a), b)
+        x = _cho_solve(_dense_factor(a), b.copy())
         res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
         return x, SolveStats("cholesky", 0, res, (n,))
     levels, coarse = _hierarchy(a)

@@ -7,7 +7,16 @@ tautology.
 """
 
 import numpy as np
+import scipy.sparse as sps
 import sympy as sp
+
+
+def as_csr(matrix):
+    """An assembled matrix as a scipy CSR matrix, for the tests that read
+    its entries, pattern or size through scipy: assembly stores a system
+    of at most ``assembly._DENSE_ROWS`` rows as an ndarray, whose zeros
+    the conversion drops, and a larger one as CSR, returned as it is."""
+    return matrix if sps.issparse(matrix) else sps.csr_matrix(matrix)
 
 
 def class_cells(mesh):

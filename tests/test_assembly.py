@@ -28,7 +28,7 @@ from e2vem.errors import NotSPD
 from e2vem.geometry import PolygonalMesh, stack_polygons, stack_quadrature
 from e2vem.meshgen import MeshFamilySpec, make_mesh
 
-from oracles import class_cells, fem_p1_stiffness
+from oracles import as_csr, class_cells, fem_p1_stiffness
 
 
 def square_grid_2x2():
@@ -96,7 +96,7 @@ def test_triangle_mesh_matrix_equals_p1_fem():
     degs = assign_degrees(mesh, "minimal")
     A, _ = assemble_full(mesh, degs, sin_sin_problem("poisson"))
     fem = fem_p1_stiffness(mesh.vertices, mesh.cells)
-    assert np.max(np.abs(A.toarray() - fem)) < 1e-12
+    assert np.max(np.abs(as_csr(A).toarray() - fem)) < 1e-12
 
 
 @pytest.mark.parametrize("fam", ["honeycomb", "concave_star"])
@@ -122,7 +122,7 @@ def test_assembly_order_independent():
     assert ({frozenset(order[c]) for c in class_cells(shuffled)}
             == {frozenset(c) for c in class_cells(mesh)})
     A2, F2 = assemble_full(shuffled, degs2, prob)
-    assert np.max(np.abs((A - A2).toarray())) < 1e-13
+    assert np.max(np.abs((as_csr(A) - as_csr(A2)).toarray())) < 1e-13
     assert np.max(np.abs(F - F2)) < 1e-13
 
 
@@ -130,6 +130,7 @@ def _eliminated(mesh, degs, problem, mode):
     """The reduced system by elimination from the full one:
     ``A[free][:, free]`` and ``F[free] - A[free][:, boundary] @ g``."""
     matrix, load = assemble_full(mesh, degs, problem, mode)
+    matrix = as_csr(matrix)
     flags = mesh.boundary_vertex_flags
     free, boundary = np.flatnonzero(~flags), np.flatnonzero(flags)
     x, y = mesh.vertices[boundary, 0], mesh.vertices[boundary, 1]
@@ -169,7 +170,7 @@ def test_reduced_system_equals_elimination(family, level, kind, mode, data):
     system = assemble(mesh, degs, problem, mode)
     matrix, rhs = _eliminated(mesh, degs, problem, mode)
     assert np.abs(rhs).max() > 0.0
-    a = system.matrix
+    a = as_csr(system.matrix)
     assert a.shape == matrix.shape == (system.n_free, system.n_free)
     np.testing.assert_array_equal(a.indptr, matrix.indptr)
     np.testing.assert_array_equal(a.indices, matrix.indices)
@@ -183,7 +184,8 @@ def test_reduced_system_without_free_dofs():
     degs = assign_degrees(mesh, "minimal")
     for kind, mode in (("poisson", "mean"), ("diffusion_reaction", "p1")):
         system = assemble(mesh, degs, _exp_cos_problem(kind), mode)
-        assert system.matrix.shape == (0, 0) and system.matrix.nnz == 0
+        a = as_csr(system.matrix)
+        assert a.shape == (0, 0) and a.nnz == 0
         assert system.rhs.shape == (0,)
         np.testing.assert_array_equal(system.boundary, np.arange(4))
 
@@ -343,8 +345,8 @@ def test_results_independent_of_coordinate_scale(scale):
     degs, degs_s = assign_degrees(base), assign_degrees(scaled)
     assert np.array_equal(degs_s.levels, degs.levels)
     prob = ProblemSpec("poisson", f=0.0)
-    A = assemble_full(base, degs, prob)[0].toarray()
-    A_s = assemble_full(scaled, degs_s, prob)[0].toarray()
+    A = as_csr(assemble_full(base, degs, prob)[0]).toarray()
+    A_s = as_csr(assemble_full(scaled, degs_s, prob)[0]).toarray()
     assert np.abs(A_s - A).max() <= 1e-12 * np.abs(A).max()
 
     def linear(x, y):
@@ -538,7 +540,8 @@ def test_cholesky_solve_matches_dense_solve(case):
     assert not np.triu(lower, 1).any()
     rng = np.random.default_rng(n)
     for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        np.testing.assert_allclose(_cho_solve(factor, b),
+        # the substitution overwrites the array it is given
+        np.testing.assert_allclose(_cho_solve(factor, b.copy()),
                                    np.linalg.solve(a, b), rtol=1e-12,
                                    atol=1e-14)
 
@@ -552,8 +555,8 @@ def test_dense_factor_holds_one_dense_copy(shuffled):
     from e2vem.assembly import _dense_factor
 
     mesh = make_mesh(MeshFamilySpec("honeycomb", level=0))
-    a = assemble(mesh, assign_degrees(mesh, "minimal"),
-                 sin_sin_problem("poisson")).matrix.tocsr()
+    a = as_csr(assemble(mesh, assign_degrees(mesh, "minimal"),
+                        sin_sin_problem("poisson")).matrix)
     n = a.shape[0]
     if shuffled:
         order = np.random.default_rng(0).permutation(n)
@@ -566,6 +569,60 @@ def test_dense_factor_holds_one_dense_copy(shuffled):
     finally:
         tracemalloc.stop()
     assert n == 540 and peak <= 1.25 * n * n * 8
+
+
+def test_coarse_inverse_holds_two_dense_copies():
+    # the substitution overwrites the identity it is handed and the
+    # inverse is symmetrized in place: the factor and the inverse are the
+    # only square arrays. A copied right-hand side and an out-of-place
+    # symmetrization held 3.18 copies here
+    from e2vem.assembly import _coarse_inverse
+
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=0))
+    a = assemble(mesh, assign_degrees(mesh, "minimal"),
+                 sin_sin_problem("poisson")).matrix
+    n = a.shape[0]
+    _coarse_inverse(a)                  # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        _coarse_inverse(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 540 and peak <= 2.25 * n * n * 8
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_dense_and_csr_assembly_agree_at_the_bound(full, monkeypatch):
+    # a system of at most _DENSE_ROWS rows is summed into an ndarray, a
+    # larger one into canonical CSR: the bound moved to either side of
+    # one mesh's size gives the same matrix, bitwise the same load, and
+    # a CSR matrix that the Cholesky path still densifies and factors
+    from e2vem import assembly
+
+    mesh = make_mesh(MeshFamilySpec("concave_star", level=0))
+    degs = assign_degrees(mesh, "minimal")
+    problem = _exp_cos_problem("diffusion_reaction")
+    free = int((~mesh.boundary_vertex_flags).sum())
+    size = mesh.n_vertices if full else free
+    built = []
+    for bound in (size, size - 1):
+        monkeypatch.setattr(assembly, "_DENSE_ROWS", bound)
+        if full:
+            built.append(assemble_full(mesh, degs, problem, "p1"))
+        else:
+            system = assemble(mesh, degs, problem, "p1")
+            built.append((system.matrix, system.rhs,
+                          solve(system, method="cholesky")))
+    (dense, dense_load, *solved), (csr, csr_load, *csr_solved) = built
+    assert isinstance(dense, np.ndarray) and dense.shape == (size, size)
+    assert sps.isspmatrix_csr(csr) and csr.has_canonical_format
+    assert np.abs(dense - csr.toarray()).max() <= 1e-14 * np.abs(dense).max()
+    np.testing.assert_array_equal(dense_load, csr_load)
+    if solved:
+        (x, stats), (x_csr, csr_stats) = solved[0], csr_solved[0]
+        assert stats.levels == csr_stats.levels == (size,)
+        assert np.abs(x_csr - x).max() <= 1e-12 * np.abs(x).max()
 
 
 #: Solves four honeycomb L0 meshes, interior vertices moved by up to

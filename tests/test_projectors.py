@@ -19,7 +19,7 @@ from e2vem.projectors import (
     project_gradient_from_data,
 )
 
-from oracles import monte_carlo_integral
+from oracles import as_csr, monte_carlo_integral
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 UNIT_RIGHT_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -31,7 +31,7 @@ def one_cell_matrix_and_load(poly, f, kind="poisson", strategy="minimal",
     mesh = PolygonalMesh(poly.vertices, [list(range(poly.n_vertices))])
     degrees = assign_degrees(mesh, strategy)
     matrix, load = assemble_full(mesh, degrees, ProblemSpec(kind, f), **kwargs)
-    return matrix.toarray(), load
+    return as_csr(matrix).toarray(), load
 
 
 def quadrature(poly, degree):
