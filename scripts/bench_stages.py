@@ -11,7 +11,11 @@ to pair, so a drift of the machine's load falls on both trees. A process
 imports numpy and ``e2vem`` from its tree, recording ``import`` (the wall
 time of those two imports, in s) and ``import_rss_mb`` (the process's
 peak resident memory right after them, in MiB), warms up on the family's
-level-0 mesh (through the Cholesky and the CG path), and then times
+level-0 mesh (through the Cholesky and the CG path; a case above level
+0, whose solve builds multigrid levels, then solves the level-1 mesh by
+CG, which must build one, so that ``scipy.sparse``'s one-time import falls
+in the warm-up, not in the first timed run; jitter-batch's solve never
+loads it), and then times
 ``REPS`` runs, each on a ``PolygonalMesh`` built afresh from the case's
 arrays, with in-process ``perf_counter`` timers around the stages:
 ``classes`` (``mesh.cell_classes``: the mesh's whole validity decision,
@@ -100,6 +104,15 @@ def worker(src: str, case: str) -> dict:
         mesh = e2vem.PolygonalMesh(warm.vertices, warm.cells)
         e2vem.solution_errors(e2vem.solve_problem(mesh, "minimal", problem,
                                                   mode, solver=solver))
+    if level > 0:
+        # the case's solve builds multigrid levels, whose first build
+        # imports scipy.sparse: a level-1 CG solve pays that here
+        warm = e2vem.make_mesh(e2vem.MeshFamilySpec(family, level=1))
+        stats = e2vem.solve_problem(warm, "minimal", problem, mode,
+                                    solver="cg").stats
+        if len(stats.levels) < 2:
+            raise SystemExit(f"{case}: the level-1 warm-up built no "
+                             f"multigrid level: {stats.levels}")
     inputs = case_meshes(e2vem, np, family, level, jitter)
 
     def run(mark):
@@ -206,7 +219,9 @@ def main(argv=None) -> int:
                                                "unset"),
         "python": platform.python_version(),
         "method": (f"in-process perf_counter stage timers after a level-0 "
-                   f"warm-up; {PAIRS} pairs of fresh processes per case, one "
+                   f"warm-up, ended by a level-1 CG solve with a multigrid "
+                   f"level for the cases above level 0; {PAIRS} pairs of "
+                   f"fresh processes per case, one "
                    f"per tree, the first tree alternating from pair to "
                    f"pair; {REPS} timed runs per process. Stages give the "
                    f"median and quartiles of all {PAIRS * REPS} runs of a "

@@ -438,8 +438,8 @@ def _cho_solve(factor, x):
     """``x`` overwritten with the solution of ``L L^T x = x``, for the pair
     ``(L, inverses)`` that :func:`_dense_factor` returns, by forward and
     back substitution over row blocks of ``_SOLVE_BLOCK``, each solved by
-    its block's inverse; ``x`` is a float (n,) or (n, k) array that the
-    caller hands over, and is returned."""
+    its block's inverse; ``x`` is a float (n,) vector that the caller
+    hands over, and is returned."""
     lower, inverses = factor
     starts = range(0, len(lower), _SOLVE_BLOCK)
     for inverse, s in zip(inverses, starts):
@@ -449,18 +449,6 @@ def _cho_solve(factor, x):
         e = s + len(inverse)
         x[s:e] = inverse.T @ (x[s:e] - lower[e:, s:e].T @ x[e:])
     return x
-
-
-def _coarse_inverse(a):
-    """The inverse of the coarsest matrix ``a``, by substitution on the
-    identity from the blocked factor of :func:`_dense_factor`, made
-    exactly symmetric, so that the V-cycle stays symmetric. The
-    substitution overwrites the identity and the symmetrization the
-    inverse, so no more than two dense copies are held at once."""
-    inverse = _cho_solve(_dense_factor(a), np.eye(a.shape[0]))
-    inverse += inverse.T                # numpy buffers the overlapping operand
-    inverse *= 0.5
-    return inverse
 
 
 def _priorities(n: int) -> np.ndarray:
@@ -525,8 +513,9 @@ def _aggregates(a, prio: np.ndarray) -> np.ndarray:
 
 def _hierarchy(a):
     """Smoothed-aggregation levels ``(a, w, pt, pta)`` from ``a`` down
-    to at most ``_DENSE_ROWS`` rows, and the coarsest matrix; ``a`` may
-    be dense or CSR, and only building a level imports ``scipy.sparse``.
+    to at most ``_DENSE_ROWS`` rows, and the coarsest matrix, which
+    :func:`solve` factors by :func:`_dense_factor`; ``a`` may be dense or
+    CSR, and only building a level imports ``scipy.sparse``.
 
     The prolongator P, kept as its transpose ``pt``, is the
     piecewise-constant one smoothed by one Jacobi step of weight
@@ -558,17 +547,18 @@ def _hierarchy(a):
         a = (pta @ p).tocsr()
 
 
-def _vcycle(levels, coarse, r):
-    """One symmetric V-cycle on ``r``: a damped-Jacobi sweep before and
-    after each coarse correction, the coarsest level solved exactly by
-    its inverse ``coarse``."""
+def _vcycle(levels, factor, r):
+    """One symmetric V-cycle on ``r``, which it leaves as it is: a
+    damped-Jacobi sweep before and after each coarse correction, the
+    coarsest level solved exactly with its Cholesky ``factor``, which is
+    all the cycle does without levels."""
     if not levels:
-        return coarse @ r
+        return _cho_solve(factor, r.copy())
     (a, w, pt, pta), rest = levels[0], levels[1:]
     x = w * r
     s = a @ x
-    np.subtract(r, s, out=s)            # r itself is CG's: left as it is
-    e = _vcycle(rest, coarse, pt @ s)
+    np.subtract(r, s, out=s)
+    e = _vcycle(rest, factor, pt @ s)
     # A P e through (P^T A)^T: A is symmetric, and this product is cheaper;
     # x + P e + w (s - A P e), summed in place in that order
     x += pt.T @ e
@@ -580,16 +570,16 @@ def _vcycle(levels, coarse, r):
 def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     """Solve the reduced system; returns ``(x, SolveStats)``.
 
-    ``cholesky`` factors a dense copy of the matrix in place (a CSR
-    matrix, above ``_DENSE_ROWS`` rows, is densified), in row blocks
-    inside its envelope (:func:`_dense_factor`), and substitutes with the
-    inverses of the factor's diagonal blocks on a copy of the load.
-    ``cg`` runs conjugate gradients until the recursively updated
-    residual r satisfies ``|r| <= tol |b|``, preconditioned by one
-    smoothed-aggregation multigrid V-cycle whose coarsest level is solved
-    by its dense inverse, from the same factor; the cycle has no options,
-    and on a dense matrix it has no level, so neither solver loads
-    ``scipy.sparse`` up to ``_DENSE_ROWS`` rows.
+    Both methods share one dense solve: :func:`_dense_factor` factors a
+    dense copy of a matrix in place (a CSR matrix is densified), and
+    :func:`_cho_solve` substitutes on a copy of a vector. ``cholesky``
+    applies it to the whole matrix and the load; ``cg`` to the coarsest
+    level of a smoothed-aggregation hierarchy (:func:`_hierarchy`), in
+    the V-cycle (:func:`_vcycle`) that preconditions conjugate gradients,
+    run until the recursively updated residual r satisfies
+    ``|r| <= tol |b|``. The cycle has no options, and on a dense matrix
+    it has no level, so neither method loads ``scipy.sparse`` up to
+    ``_DENSE_ROWS`` rows.
     ``SolveStats.residual`` is ``|A x - b| / |b|`` recomputed from the
     returned ``x``, so it can exceed ``tol`` by rounding drift in r. ``auto`` picks
     ``cholesky`` up to ``_DENSE_ROWS`` (1200) free DOFs and ``cg`` above.
@@ -611,42 +601,39 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm):
         raise ValueError("the right-hand side has a non-finite entry")
-    if method == "cholesky":
-        x = _cho_solve(_dense_factor(a), b.copy())
-        res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
-        return x, SolveStats("cholesky", 0, res, (n,))
-    levels, coarse = _hierarchy(a)
-    inverse = _coarse_inverse(coarse)
-    limit = max(500, 4 * n)
-    x, r, step = np.zeros(n), b.copy(), np.empty(n)
-    z = _vcycle(levels, inverse, r)
-    d, rz = z, r @ z
+    levels, coarse = _hierarchy(a) if method == "cg" else ([], a)
+    factor = _dense_factor(coarse)
+    x = z = _vcycle(levels, factor, b)  # Cholesky's answer, CG's first z
     count = 0
-    while not np.linalg.norm(r) <= tol * bnorm:
-        if count == limit:
-            raise NotSPD(f"CG failed to converge (info={limit}) after "
-                         f"{count} iterations")
-        if not rz > 0.0:
-            # a V-cycle that is SPD gives r.z > 0 for every r != 0
-            raise NotSPD(f"CG iteration {count}: preconditioned residual "
-                         f"with r.z = {rz:.3e}; the V-cycle is not "
-                         f"positive definite")
-        ad = a @ d
-        curvature = d @ ad
-        if not curvature > 0.0:
-            raise NotSPD(f"CG direction with curvature {curvature:.3e}: "
-                         f"the matrix is not positive definite")
-        alpha = rz / curvature
-        x += np.multiply(alpha, d, out=step)
-        r -= np.multiply(alpha, ad, out=ad)
-        z = _vcycle(levels, inverse, r)
-        rz, rz_old = r @ z, rz
-        d *= rz / rz_old                # d = z + beta d, in place
-        d += z
-        count += 1
+    if method == "cg":
+        limit = max(500, 4 * n)
+        x, r, step = np.zeros(n), b.copy(), np.empty(n)
+        d, rz = z, r @ z
+        while not np.linalg.norm(r) <= tol * bnorm:
+            if count == limit:
+                raise NotSPD(f"CG failed to converge (info={limit}) after "
+                             f"{count} iterations")
+            if not rz > 0.0:
+                # a V-cycle that is SPD gives r.z > 0 for every r != 0
+                raise NotSPD(f"CG iteration {count}: preconditioned "
+                             f"residual with r.z = {rz:.3e}; the V-cycle "
+                             f"is not positive definite")
+            ad = a @ d
+            curvature = d @ ad
+            if not curvature > 0.0:
+                raise NotSPD(f"CG direction with curvature {curvature:.3e}: "
+                             f"the matrix is not positive definite")
+            alpha = rz / curvature
+            x += np.multiply(alpha, d, out=step)
+            r -= np.multiply(alpha, ad, out=ad)
+            z = _vcycle(levels, factor, r)
+            rz, rz_old = r @ z, rz
+            d *= rz / rz_old            # d = z + beta d, in place
+            d += z
+            count += 1
     res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
     sizes = tuple(level[0].shape[0] for level in levels) + coarse.shape[:1]
-    return x, SolveStats("cg", count, res, sizes)
+    return x, SolveStats(method, count, res, sizes)
 
 
 @dataclass(eq=False)

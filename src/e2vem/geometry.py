@@ -550,9 +550,9 @@ class PolygonalMesh:
     question reads them: an edge runs from a cell's vertex to the next
     vertex of the same cell. Boundary vertices are inferred: an edge used
     by exactly one cell is a boundary edge and its endpoints are boundary
-    vertices. Raises
-    :class:`StructuralDefect`, naming the cell, for a cell with fewer than
-    3 vertices or a vertex index out of range.
+    vertices. Raises :class:`StructuralDefect`, naming the first such
+    cell, for a cell with fewer than 3 vertices, a vertex index that is
+    not an integer (a float, a bool) or one out of range.
     """
 
     def __init__(self, vertices, cells, name=None):
@@ -562,17 +562,27 @@ class PolygonalMesh:
         cells = list(cells)
         sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
         self.cell_start = np.concatenate(([0], np.cumsum(sizes)))
-        self.cell_vertices = np.fromiter(chain.from_iterable(cells),
-                                         dtype=np.int64,
-                                         count=int(self.cell_start[-1]))
         short = np.flatnonzero(sizes < 3)
         if len(short):
             raise StructuralDefect("fewer than 3 vertices", cell=int(short[0]))
+        flat = list(chain.from_iterable(cells))
+
+        def defect(message, position):
+            cell = np.searchsorted(self.cell_start, position, side="right") - 1
+            return StructuralDefect(message, cell=int(cell))
+
+        # one type test per distinct type, not per index: a float or a
+        # bool would be cast to int64 without a word
+        bad = {t for t in set(map(type, flat))
+               if t is bool or not issubclass(t, (int, np.integer))}
+        if bad:
+            first = next(i for i, t in enumerate(map(type, flat)) if t in bad)
+            raise defect("vertex index is not an integer", first)
+        self.cell_vertices = np.fromiter(flat, dtype=np.int64, count=len(flat))
         outside = np.flatnonzero((self.cell_vertices < 0)
                                  | (self.cell_vertices >= len(self.vertices)))
         if len(outside):
-            cell = np.searchsorted(self.cell_start, outside[0], side="right") - 1
-            raise StructuralDefect("vertex index out of range", cell=int(cell))
+            raise defect("vertex index out of range", outside[0])
         for arr in (self.vertices, self.cell_start, self.cell_vertices):
             arr.setflags(write=False)
         self.name = name

@@ -441,8 +441,7 @@ def load_mesh(path) -> PolygonalMesh:
     if not isinstance(cells, list) or not cells:
         raise ParseError(f"{path}: 'cells' must be a non-empty array")
     for ci, cell in enumerate(cells):
-        if not isinstance(cell, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in cell):
+        if not isinstance(cell, list):
             raise ParseError(f"{path}: cell {ci} must be an array of "
                              f"integer vertex indices")
     name = data.get("name")

@@ -539,7 +539,7 @@ def test_cholesky_solve_matches_dense_solve(case):
                                atol=1e-14)
     assert not np.triu(lower, 1).any()
     rng = np.random.default_rng(n)
-    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+    for b in rng.standard_normal((2, n)):
         # the substitution overwrites the array it is given
         np.testing.assert_allclose(_cho_solve(factor, b.copy()),
                                    np.linalg.solve(a, b), rtol=1e-12,
@@ -571,25 +571,23 @@ def test_dense_factor_holds_one_dense_copy(shuffled):
     assert n == 540 and peak <= 1.25 * n * n * 8
 
 
-def test_coarse_inverse_holds_two_dense_copies():
-    # the substitution overwrites the identity it is handed and the
-    # inverse is symmetrized in place: the factor and the inverse are the
-    # only square arrays. A copied right-hand side and an out-of-place
-    # symmetrization held 3.18 copies here
-    from e2vem.assembly import _coarse_inverse
-
+def test_cg_without_levels_holds_one_dense_copy():
+    # on a dense system of at most _DENSE_ROWS rows CG builds no level,
+    # and its coarse solve substitutes with the factor: the factor is the
+    # only square array. The explicit coarse inverse held 2.18 copies here
     mesh = make_mesh(MeshFamilySpec("honeycomb", level=0))
-    a = assemble(mesh, assign_degrees(mesh, "minimal"),
-                 sin_sin_problem("poisson")).matrix
-    n = a.shape[0]
-    _coarse_inverse(a)                  # numpy's lazy set-up, untraced
+    system = assemble(mesh, assign_degrees(mesh, "minimal"),
+                      sin_sin_problem("poisson"))
+    n = system.n_free
+    solve(system, method="cg")          # numpy's lazy set-up, untraced
     tracemalloc.start()
     try:
-        _coarse_inverse(a)
+        _, stats = solve(system, method="cg")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert n == 540 and peak <= 2.25 * n * n * 8
+    assert stats.levels == (n,) and stats.iterations > 0
+    assert n == 540 and peak <= 1.25 * n * n * 8
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -667,20 +665,6 @@ def test_cholesky_bits_do_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1]
 
 
-def test_coarse_inverse_is_exactly_symmetric():
-    # the V-cycle is symmetric only if its coarse solve is
-    from e2vem.assembly import _coarse_inverse, _hierarchy
-
-    mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
-    system = assemble(mesh, assign_degrees(mesh, "minimal"),
-                      sin_sin_problem("poisson"))
-    _, coarse = _hierarchy(system.matrix)
-    inverse = _coarse_inverse(coarse)
-    np.testing.assert_array_equal(inverse, inverse.T)
-    np.testing.assert_allclose(inverse @ coarse.toarray(),
-                               np.eye(coarse.shape[0]), rtol=0, atol=1e-10)
-
-
 def test_cg_refuses_indefinite_systems():
     # Jacobi-CG returned a solution for the first two; the 2x2 goes
     # straight to the coarse direct solve, the tridiagonal one (diagonal
@@ -748,17 +732,17 @@ def test_cg_matches_cholesky_through_the_hierarchy(kind):
 
 def test_vcycle_is_symmetric_positive_definite():
     # plain CG is valid only with an SPD preconditioner
-    from e2vem.assembly import _coarse_inverse, _hierarchy, _vcycle
+    from e2vem.assembly import _dense_factor, _hierarchy, _vcycle
 
     mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
     system = assemble(mesh, assign_degrees(mesh, "minimal"),
                       sin_sin_problem("poisson"))
     levels, coarse = _hierarchy(system.matrix)
-    inverse = _coarse_inverse(coarse)
+    factor = _dense_factor(coarse)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x, y = rng.standard_normal((2, system.n_free))
-        mx, my = _vcycle(levels, inverse, x), _vcycle(levels, inverse, y)
+        mx, my = _vcycle(levels, factor, x), _vcycle(levels, factor, y)
         assert x @ mx > 0 and y @ my > 0
         assert abs(y @ mx - x @ my) <= 1e-12 * np.sqrt((x @ mx) * (y @ my))
 
@@ -789,18 +773,18 @@ def test_cg_is_bitwise_repeatable():
 def test_cg_in_place_matches_allocating_form():
     # the CG loop and the V-cycle sum into preallocated buffers in the
     # order of the textbook form below, so the iterates match it bitwise
-    from e2vem.assembly import _coarse_inverse, _hierarchy
+    from e2vem.assembly import _cho_solve, _dense_factor, _hierarchy
 
     mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
     system = assemble(mesh, assign_degrees(mesh, "minimal"),
                       sin_sin_problem("poisson"))
     a, b = system.matrix, system.rhs
     levels, coarse = _hierarchy(a)
-    inverse = _coarse_inverse(coarse)
+    factor = _dense_factor(coarse)
 
     def vcycle(levels, r):
         if not levels:
-            return inverse @ r
+            return _cho_solve(factor, r.copy())
         (a, w, pt, pta), rest = levels[0], levels[1:]
         x = w * r
         r = r - a @ x

@@ -306,6 +306,25 @@ def test_defective_mesh_refused_alike_on_every_path(vertices, cells, message,
         assert (str(exc.value), exc.value.cell) == refusals[0]
 
 
+@pytest.mark.parametrize("bad", [1.9, 4.0, np.float64(4.0), True, np.True_,
+                                 None, "4"])
+def test_mesh_refuses_vertex_indices_that_are_not_integers(bad):
+    # the int64 conversion cast floats and bools without a word: the
+    # triangle [0, 1.9, 2.2] was built as [0, 1, 2], and True read as 1
+    cells = [list(c) for c in GRID_CELLS]
+    cells[2][1] = cells[3][0] = bad
+    with pytest.raises(StructuralDefect,
+                       match="cell 2: vertex index is not an integer"):
+        PolygonalMesh(GRID_VERTICES, cells)
+
+
+def test_mesh_takes_every_integer_type_as_an_index():
+    typed = [[t(v) for v in c] for c, t in zip(
+        GRID_CELLS, (int, np.int32, np.uint8, np.int64))]
+    mesh = PolygonalMesh(GRID_VERTICES, typed)
+    np.testing.assert_array_equal(mesh.cell_vertices, np.ravel(GRID_CELLS))
+
+
 @pytest.mark.parametrize("family", ["square_grid", "honeycomb",
                                     "concave_star"])
 @pytest.mark.parametrize("move", [(1.2, 1.2), (-1.2, 0.3), (0.0, -1.5),
@@ -659,6 +678,13 @@ def test_load_mesh_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_mesh(short)
     assert str(short) in str(err.value) and "cell 1" in str(err.value)
+    for index in ("1.5", "true", "[1]"):
+        typed = tmp_path / "typed.json"
+        typed.write_text('{"vertices": [[0,0],[1,0],[0,1]], '
+                         f'"cells": [[0,1,2],[0,{index},2]]}}')
+        with pytest.raises(ParseError,
+                           match="cell 1: vertex index is not an integer"):
+            load_mesh(typed)
     huge = tmp_path / "huge.json"
     huge.write_text('{"vertices": [[0,0],[1,0],[0,1]], '
                     '"cells": [[0,1,18446744073709551616]]}')
