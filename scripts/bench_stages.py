@@ -27,7 +27,9 @@ them). After its timed runs
 it records ``peak_rss_mb``, its peak resident memory, and then makes one
 untimed run under ``tracemalloc``, recording ``<stage>_traced_mb``: the
 most memory each stage held above its own start, in MiB (for ``total``,
-above the run's start; the largest over a case's meshes). Each stage
+above the run's start; the largest over a case's meshes), and
+``f_points``, the points at which one more untimed ``assemble`` of each
+of the case's meshes evaluates the source, an exact count. Each stage
 reports the median and quartiles over all timed runs of a tree's
 processes; the per-process readings over its processes. The report
 names the ``OPENBLAS_NUM_THREADS`` the workers inherited (``unset`` for
@@ -59,7 +61,7 @@ CASES += [("jitter-batch", "honeycomb", 0, "poisson", "mean", "batch"),
 STAGES = ("classes", "degrees", "assemble", "solve", "errors", "total")
 #: Readings taken once per process.
 PROCESS = ("import", "import_rss_mb", "peak_rss_mb",
-           *(f"{stage}_traced_mb" for stage in STAGES))
+           *(f"{stage}_traced_mb" for stage in STAGES), "f_points")
 #: Process pairs per case, and timed runs per process.
 PAIRS = 3
 REPS = 3
@@ -165,7 +167,18 @@ def worker(src: str, case: str) -> dict:
 
     run(trace)
     tracemalloc.stop()
-    return {**imported, "peak_rss_mb": peak,
+    f_points = 0
+
+    def counting_f(x, y):
+        nonlocal f_points
+        f_points += np.size(x)
+        return problem.f(x, y)
+
+    for vertices, cells in inputs:
+        mesh = e2vem.PolygonalMesh(vertices, cells)
+        assemble(mesh, assign_degrees(mesh, "minimal"),
+                 e2vem.ProblemSpec(kind, counting_f), mode)
+    return {**imported, "peak_rss_mb": peak, "f_points": f_points,
             **{f"{stage}_traced_mb": v / 2**20 for stage, v in traced.items()},
             **{stage: [r[stage] for r in runs] for stage in STAGES}}
 
@@ -229,8 +242,9 @@ def main(argv=None) -> int:
                    f"e2vem imports), peak_rss_mb (after the timed runs) "
                    f"and <stage>_traced_mb (one untimed run under "
                    f"tracemalloc after those: each stage's peak above its "
-                   f"start, total's above the run's start) those of its "
-                   f"{PAIRS} processes"),
+                   f"start, total's above the run's start) and f_points "
+                   f"(the source's points in one more untimed assemble) "
+                   f"those of its {PAIRS} processes"),
         "trees": {"base": "the src directory given as --base",
                   "change": "this checkout's src"},
         "unit": "s; import_rss_mb, peak_rss_mb and *_traced_mb in MiB",

@@ -22,24 +22,31 @@ from .meshgen import (PolygonFamilySpec, MeshFamilySpec, make_mesh,
                       make_polygon)
 from .polyspace import stack_monomials
 from .projectors import compute_pinabla
+from .quadrature import triangle_rule
 
 _ERROR_QUADRATURE_DEGREE = 8
 #: Largest miss of a compressed rule's monomial moments, relative to the
 #: largest fan-rule moment (the area: scaled monomials are at most 1 on
 #: the polygon), at which the rule replaces the fan rule.
 _COMPRESS_TOLERANCE = 1e-12
-#: Fewest members of a class whose error norms use a compressed rule.
-#: Recombining a class's rule costs 0.5-2.2 ms alone, and 0.3-0.9 ms a
-#: class when the large classes of one vertex count are recombined in one
-#: stack (2.8-3.7 ms for honeycomb L3's five classes in three stacks,
-#: 3.8-4.9 ms for concave_star L4's five in two; shared 2-core VM). Each
-#: member then skips N - 45 of its N fan points, 155 of an octagon's 200,
-#: 105 of a hexagon's 150, and a skipped point saves about 0.17 us of
-#: point moves and exact-field calls (on concave_star L4, 7.75 M points
-#: fewer took 1.35 s less): 26 us a member of an octagon class, 18 us of
-#: a hexagon class. A class breaks even at 19-122 members alone and at
-#: 12-50 in a stack with others; a class near the threshold gains or
-#: loses under a millisecond either way. Smaller classes, every singleton
+#: Fewest members of a class that has a compressed rule, which its error
+#: norms use, and its load where :func:`rule_parts` allows. Recombining
+#: costs 1.4-3.2 ms for a class alone and 0.6-1.1 ms a class when the
+#: large classes of one vertex count share a stack (4.4 ms for
+#: concave_star L4's four heptagon classes, 2.4 ms for cut_corner_octagon
+#: L4's four triangle classes). Each member then skips N - 45 of the 25 n
+#: error points and of the load's fan points (16 n at l = 1, 25 n at
+#: l = 2): 155 and 155 of an octagon's at l = 2, 105 and 105 of a
+#: hexagon's, 55 and 19 of a quadrilateral's at l = 1, 30 and none of a
+#: triangle's. A skipped error point saves 0.078-0.089 us, a skipped load
+#: point 0.033-0.039 us (each pass's time saved over its points saved on
+#: the L3-L4 meshes, against every class on the fan rule): 17-20 us a
+#: member of an octagon class, 12-13 us of a hexagon class, 5-6 us of a
+#: quadrilateral class, 2.3-2.7 us of a triangle class. So a class breaks
+#: even at 56-94 members in a stack with others and 105-184 alone as an
+#: octagon or hexagon, at 107-306 as a quadrilateral and 226-596 as a
+#: triangle (shared 2-core VM); a class between this threshold and its
+#: break-even loses at most 2.3 ms. Smaller classes, every singleton
 #: among them, keep the fan rule.
 _COMPRESS_MEMBERS = 50
 
@@ -48,7 +55,7 @@ def compressed_rules(s: PolygonStack):
     """Each polygon's positive compressed rule of exactness
     ``_ERROR_QUADRATURE_DEGREE``, for a stack of polygons: its points
     (K, 2) and weights (K,) with K = dim P_8, or None where the fan rule
-    stays.
+    stays. A mesh's rules are computed once, by :func:`class_rules`.
 
     The rule is a Caratheodory-Tchakaloff recombination of the fan rule
     (Piazzon, Sommariva and Vianello, Dolomites Res. Notes Approx. 10,
@@ -69,6 +76,52 @@ def compressed_rules(s: PolygonStack):
         rules.append((p[keep], u) if miss <= _COMPRESS_TOLERANCE * moments[0]
                      else None)
     return rules
+
+
+def class_rules(mesh: PolygonalMesh) -> dict:
+    """The compressed rule of each class of ``mesh`` with at least
+    ``_COMPRESS_MEMBERS`` members whose rule is not refused, keyed by its
+    row of ``mesh.cell_classes``: one :func:`compressed_rules` stack per
+    vertex count (per ``_STACK_ROWS`` such classes). The mesh keeps them
+    (``PolygonalMesh._class_rules``), so the load and the error norms
+    share one build; :func:`rule_parts` reads them."""
+    polys = mesh.cell_classes
+    large = np.flatnonzero(np.bincount(mesh.cell_class) >= _COMPRESS_MEMBERS)
+    rules = {}
+    for *_, rows in class_groups([polys[k] for k in large]):
+        found = compressed_rules(stack_polygons([polys[k] for k in large[rows]]))
+        rules.update((k, r) for k, r in zip(large[rows].tolist(), found)
+                     if r is not None)
+    return rules
+
+
+def rule_parts(mesh: PolygonalMesh, rows, s: PolygonStack, degree: int):
+    """The one decision of which rule a class integrates on, for the load
+    and the error norms: the classes ``rows`` of ``mesh.cell_classes``,
+    of one vertex count and stacked in ``s``, split into a fan part and
+    then a compressed part, each left out when it has no class. Yields
+    ``(part, sub, points, weights)``: the part's positions in ``rows``,
+    its stack ``s.take(part)`` and its points (c, P, 2) and weights
+    (c, P), exact to ``degree``.
+
+    A class takes its rule from :func:`class_rules` when it has one, the
+    rule's exactness ``_ERROR_QUADRATURE_DEGREE`` covers ``degree``, and
+    the rule's K nodes are fewer than the fan rule's at ``degree``; every
+    other class the fan rule of ``geometry.stack_quadrature``. So a
+    triangle's load at l = 0 (degree 4, 27 fan nodes) and any load above
+    l = 2 stay on the fan rule."""
+    rules = mesh._class_rules
+    fan_nodes = s.vertices.shape[1] * len(triangle_rule(degree).weights)
+    taken = np.array([c in rules and degree <= _ERROR_QUADRATURE_DEGREE
+                      and len(rules[c][1]) < fan_nodes for c in rows.tolist()],
+                     dtype=bool)
+    fan, compressed = np.flatnonzero(~taken), np.flatnonzero(taken)
+    if len(fan):
+        sub = s.take(fan)
+        yield fan, sub, *stack_quadrature(sub, degree)
+    if len(compressed):
+        points, weights = zip(*(rules[c] for c in rows[compressed].tolist()))
+        yield compressed, s.take(compressed), np.array(points), np.array(weights)
 
 
 #: Relative tilt of the node scales and scores by which
@@ -182,38 +235,24 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     """Squared L2 and H1-seminorm distances between the per-cell linear
     projection of the vertex data and the exact solution and gradient,
     summed over cells. The projectors are computed on the stacks of one
-    vertex count that ``geometry.class_groups`` yields. The classes of at
-    least ``_COMPRESS_MEMBERS`` members take their
-    :func:`compressed_rules`, from their own stack, the others the fan
-    rule; the exact fields are evaluated on the chunks of members that
-    ``geometry.member_points`` yields across the classes of each rule,
-    from one ``geometry.class_members`` gather. Raises ValueError unless
-    the vertex data holds one value per mesh vertex."""
+    vertex count that ``geometry.class_groups`` yields, and each stack is
+    split by :func:`rule_parts` at ``_ERROR_QUADRATURE_DEGREE``: the
+    classes with a rule of the mesh's :func:`class_rules` take it, the
+    others the fan rule. The exact fields are evaluated on the chunks of
+    members that ``geometry.member_points`` yields across the classes of
+    each part, from one ``geometry.class_members`` gather. Raises
+    ValueError unless the vertex data holds one value per mesh vertex."""
     u = np.asarray(vertex_values, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ValueError(f"vertex data has shape {u.shape}, expected "
                          f"({mesh.n_vertices},): one value per mesh vertex")
     l2_sq = h1_sq = 0.0
     polys = mesh.cell_classes
-    counts = np.bincount(mesh.cell_class)
     for *_, rows in class_groups(polys):
         s = stack_polygons([polys[k] for k in rows])
         pinabla = compute_pinabla(s)                            # (c, 3, n)
-        large = np.flatnonzero(counts[rows] >= _COMPRESS_MEMBERS)
-        rules = {}
-        if len(large):
-            rules = {k: r for k, r in zip(large.tolist(),
-                                          compressed_rules(s.take(large)))
-                     if r is not None}
-        fan = [k for k in range(len(rows)) if k not in rules]
-        for part in (fan, list(rules)):
-            if not part:
-                continue
-            sub = s.take(part)
-            if part is fan:
-                qpts, qw = stack_quadrature(sub, _ERROR_QUADRATURE_DEGREE)
-            else:
-                qpts, qw = map(np.array, zip(*rules.values()))
+        for part, sub, qpts, qw in rule_parts(mesh, rows, s,
+                                              _ERROR_QUADRATURE_DEGREE):
             sums = _part_errors(class_members(mesh, rows[part]), sub,
                                 pinabla[part], qpts, qw, u, exact,
                                 exact_gradient)

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import rule_parts
 from .degree import DegreeAssignment, assign_degrees
 from . import geometry
 from .errors import InadmissibleDegrees, NotSPD
 from .geometry import (PolygonalMesh, at_points, class_groups,
-                       class_members, member_points, stack_polygons,
-                       stack_quadrature)
+                       class_members, member_points, stack_polygons)
 from .meshgen import SplitMix64
 from .polyspace import stack_monomials
 from .projectors import build_projectors, compute_pinabla
@@ -213,7 +213,10 @@ def assemble_full(mesh: PolygonalMesh, degrees: DegreeAssignment,
     classes of each (vertex count, degree) are scattered together, from
     stacks of their kernels; a member's load is its source values at its
     class's quadrature points, moved onto the member, against the class's
-    load weights."""
+    load weights, on the rule that ``analysis.rule_parts`` gives the class
+    at the load degree 2 (l + 1) + 2: the mesh's compressed rule of the
+    class where it has one that is exact to that degree and has fewer
+    nodes, the fan rule otherwise."""
     _check_admissible(mesh, degrees)
     n = mesh.n_vertices
     return _assemble(mesh, degrees, problem, load_mode, np.arange(n),
@@ -335,7 +338,10 @@ def _assemble_group(mesh, group, l, problem, load_mode, load, dof, lift):
     """The kernels (c, nv, nv) of the classes ``group`` (rows of
     ``mesh.cell_classes``) of one vertex count at degree ``l``, from one
     stack, with their members' classes (m,) and DOFs (m, nv); adds the
-    members' load, less their ``K_E lift``, to ``load``."""
+    members' load, less their ``K_E lift``, to ``load``. The load splits
+    the group as ``analysis.rule_parts`` decides at the load degree, into
+    a fan part and a part on the mesh's compressed rules, and evaluates
+    ``f`` on the chunks of each part's members across its classes."""
     polys = [mesh.cell_classes[k] for k in group]
     projs = build_projectors(polys, l)
     pizero, local = projs.pizero, projs.stiffness              # (c, nv), (c, nv, nv)
@@ -344,19 +350,23 @@ def _assemble_group(mesh, group, l, problem, load_mode, load, dof, lift):
         local = local + s.area[:, None, None] * (pizero[:, :, None]
                                                  * pizero[:, None, :])
     idx, cls, offsets = class_members(mesh, group)  # (m, nv), (m,), (m, 2)
-    qpts, qw = stack_quadrature(s, 2 * (l + 1) + 2)            # (c, P, 2), (c, P)
-    if load_mode == "mean":
-        # the load of a member of class c is (f, 1)_E pizero[c]
-        moments, project = qw[:, :, None], pizero[:, None, :]
-    else:
-        # and here pinabla[c]^T (f, m_a)_E over the linear monomials m_a
-        moments = qw[:, :, None] * stack_monomials(s, qpts, 1)
-        project = compute_pinabla(s)
-    for rows, c, x, y in member_points(cls, offsets, qpts):
-        fv = at_points(problem.f(x, y), x).reshape(len(c), -1)
-        f_moments = np.stack([np.einsum("mp,mp->m", fv, moments[c, :, a])
-                              for a in range(moments.shape[2])], axis=1)
-        np.add.at(load, idx[rows], np.einsum("ma,man->mn", f_moments, project[c]))
+    # the load of a member of class c is (f, 1)_E pizero[c], or for p1
+    # pinabla[c]^T (f, m_a)_E over the linear monomials m_a
+    project = pizero[:, None, :] if load_mode == "mean" else compute_pinabla(s)
+    for part, sub, qpts, qw in rule_parts(mesh, group, s, 2 * (l + 1) + 2):
+        moments = qw[:, :, None]                                # (c, P, 1)
+        if load_mode == "p1":
+            moments = moments * stack_monomials(sub, qpts, 1)   # (c, P, 3)
+        row = np.full(len(group), -1)           # each class's row in the part
+        row[part] = np.arange(len(part))
+        mine = np.flatnonzero(row[cls] >= 0)    # the part's members
+        local_project = project[part]
+        for rows, c, x, y in member_points(row[cls[mine]], offsets[mine], qpts):
+            fv = at_points(problem.f(x, y), x).reshape(len(c), -1)
+            f_moments = np.stack([np.einsum("mp,mp->m", fv, moments[c, :, a])
+                                  for a in range(moments.shape[2])], axis=1)
+            np.add.at(load, idx[mine[rows]],
+                      np.einsum("ma,man->mn", f_moments, local_project[c]))
     d = dof[idx]
     lifted = np.flatnonzero((d < 0).any(axis=1))
     if len(lifted):

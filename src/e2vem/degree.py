@@ -101,8 +101,8 @@ def min_admissible_l(poly: Polygon) -> AdmissibilityEvidence:
 
 @dataclass(frozen=True, eq=False)
 class DegreeAssignment:
-    """Per-cell projection degrees ``levels`` and their rank ``evidence``:
-    one :class:`AdmissibilityEvidence` per cell class, in
+    """Per-cell projection degrees ``levels`` (int8) and their rank
+    ``evidence``: one :class:`AdmissibilityEvidence` per cell class, in
     ``mesh.cell_classes`` order, certifying every member's degree."""
 
     levels: np.ndarray
@@ -162,5 +162,8 @@ def assign_degrees(mesh: PolygonalMesh, strategy="minimal") -> DegreeAssignment:
                 str(exc), cell=int(np.argmax(mesh.cell_class == k)),
                 n_vertices=exc.n_vertices, searched=exc.searched) from exc
         evidence.append(ev)
-    levels = np.array([ev.l for ev in evidence], dtype=int)[mesh.cell_class]
+    # int8: a certificate builds moment tables exact to 2 l, and
+    # quadrature.MAX_DEGREE = 30 refuses more, so no degree exceeds 15; a
+    # kept assignment then holds a byte per cell, not eight
+    levels = np.array([ev.l for ev in evidence], dtype=np.int8)[mesh.cell_class]
     return DegreeAssignment(levels, tuple(evidence))

@@ -678,6 +678,14 @@ class PolygonalMesh:
             raise StructuralDefect(f"vertex {int(unused[0])} is used by no cell")
         return index
 
+    @cached_property
+    def _class_rules(self) -> dict:
+        """The compressed quadrature rules of the large classes, by class:
+        built on first use by ``analysis.class_rules``, once per mesh, for
+        the load and the error norms alike."""
+        from .analysis import class_rules  # analysis imports this module
+        return class_rules(self)
+
     @property
     def cell_classes(self) -> tuple:
         """The one index of cells that share shape data, read by every

@@ -339,13 +339,49 @@ def recorded_rules(monkeypatch):
 
 
 @pytest.mark.parametrize("family", _STRUCTURED)
+def test_class_rules_built_once_as_the_error_pass_built_them(family,
+                                                              monkeypatch):
+    # one compressed_rules stack per vertex count for the whole mesh, and
+    # each rule bitwise the one the error pass built alone: the large
+    # classes of each class_groups stack, recombined in their own stack
+    mesh = make_mesh(MeshFamilySpec(family, level=2))
+    compress, calls = analysis.compressed_rules, []
+
+    def recorded(s):
+        calls.append(s.vertices.shape[1])
+        return compress(s)
+
+    monkeypatch.setattr(analysis, "compressed_rules", recorded)
+    problem = sin_sin_problem("poisson")
+    res = solve_problem(mesh, "minimal", problem)
+    solution_errors(res)
+    assemble_full(mesh, res.degrees, problem, "p1")
+    solution_errors(res)
+    large = _compressed_classes(mesh)
+    assert sorted(calls) == sorted({p.n_vertices for p in large})
+    polys, counts = mesh.cell_classes, np.bincount(mesh.cell_class)
+    want = {}
+    for *_, rows in geometry.class_groups(polys):
+        s = stack_polygons([polys[k] for k in rows])
+        big = np.flatnonzero(counts[rows] >= analysis._COMPRESS_MEMBERS)
+        if len(big):
+            want.update(zip(rows[big].tolist(), compress(s.take(big))))
+    got = mesh._class_rules
+    assert len(got) == len(large) and sorted(got) == sorted(want)
+    for k, (pts, w) in got.items():
+        np.testing.assert_array_equal(pts, want[k][0])
+        np.testing.assert_array_equal(w, want[k][1])
+
+
+@pytest.mark.parametrize("family", _STRUCTURED)
 def test_compressed_errors_match_fan_rule(family, monkeypatch):
     mesh = make_mesh(MeshFamilySpec(family, level=2))
-    res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
     built = recorded_rules(monkeypatch)
+    res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
     np.testing.assert_allclose(solution_errors(res), _fan_rule_errors(res),
                                rtol=1e-10, atol=0.0)
-    # one rule per large class, and none of them refused
+    # one rule per large class, built once for the load and the errors,
+    # and none of them refused
     assert len(built) == len(_compressed_classes(mesh))
     assert all(rule is not None for rule in built)
 
@@ -370,8 +406,9 @@ def test_singleton_classes_keep_fan_rule(monkeypatch):
 
 def test_refused_compressed_rule_keeps_fan_rule(monkeypatch):
     mesh = make_mesh(MeshFamilySpec("concave_star", level=1))
-    res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
+    # the mesh keeps its rules from the solve's load on
     monkeypatch.setattr(analysis, "_COMPRESS_TOLERANCE", -1.0)
+    res = solve_problem(mesh, "minimal", sin_sin_problem("poisson"))
     large = _compressed_classes(mesh)
     assert large
     assert [analysis.compressed_rules(stack_polygons([poly]))[0]

@@ -288,20 +288,84 @@ def test_load_evaluates_source_in_member_chunks(monkeypatch):
     monkeypatch.setattr(geometry, "_CHUNK_MEMBERS", 7)
     assemble_full(mesh, degs, ProblemSpec("poisson", counting_f))
     # the classes of one vertex count and degree are chunked together,
-    # groups in (n, l) order, classes in index order within a group
-    groups = {}
+    # groups in (n, l) order, and within a group first the classes on the
+    # fan rule, then those on a compressed rule (45 points a member: at
+    # least _COMPRESS_MEMBERS members, load degree at most 8, fewer points
+    # than the fan rule), classes in index order within each part
+    parts = {}
     for poly, cells in zip(mesh.cell_classes, class_cells(mesh)):
         l = int(degs.levels[cells[0]])
-        groups.setdefault((poly.n_vertices, l), []).append((poly, cells))
-    expected = []
-    for (_, l), group in sorted(groups.items()):
-        _, w = stack_quadrature(stack_polygons([group[0][0]]),
-                                2 * (l + 1) + 2)
+        _, w = stack_quadrature(stack_polygons([poly]), 2 * (l + 1) + 2)
         points = w.shape[1]
-        members = sum(len(cells) for _, cells in group)
-        expected += [min(7, members - k) * points for k in range(0, members, 7)]
+        if (len(cells) >= analysis._COMPRESS_MEMBERS
+                and 2 * (l + 1) + 2 <= 8 and 45 < points):
+            points = 45
+        parts.setdefault((poly.n_vertices, l, points == 45), []).append(
+            (points, len(cells)))
+    expected = []
+    for _, part in sorted(parts.items()):
+        members = sum(m for _, m in part)
+        expected += [min(7, members - k) * part[0][0]
+                     for k in range(0, members, 7)]
+    assert any(compressed for _, _, compressed in parts)
     assert np.bincount(mesh.cell_class).max() > 7
     assert sizes == expected
+
+
+def test_load_points_on_honeycomb_l2():
+    # f is evaluated at 45 points a member of the classes with a
+    # compressed rule (4,402 hexagons at l = 2, two classes of 62
+    # pentagons at l = 1) and on the fan rule of the 73 quadrilaterals
+    # (l = 1, 64 points each): 208,342 points, against 674,892 on the fan
+    # rule alone
+    mesh = make_mesh(MeshFamilySpec("honeycomb", level=2))
+    sizes = []
+
+    def counting_f(x, y):
+        sizes.append(len(x))
+        return np.cos(x) * y
+
+    assemble(mesh, assign_degrees(mesh, "minimal"),
+             ProblemSpec("poisson", counting_f))
+    assert sum(sizes) == 4402 * 45 + 2 * 62 * 45 + 73 * 64 == 208342
+
+
+def _lowest_load_degree(mesh, degrees):
+    """The lowest load degree 2 (l + 1) + 2 of a class with a compressed
+    rule, or 4 (l = 0) when no class has one."""
+    return min((2 * (degrees.evidence[k].l + 1) + 2
+                for k in mesh._class_rules), default=4)
+
+
+@pytest.mark.parametrize("mode", ["mean", "p1"])
+@pytest.mark.parametrize("family", ["honeycomb", "concave_star",
+                                    "cut_corner_octagon", "triangulation"])
+def test_compressed_load_matches_fan_rule_load(family, mode, monkeypatch):
+    # the load on the compressed rules against the load of the same mesh
+    # with every class on its fan rule: within 1e-13 for the sin-sin
+    # source, and to rounding for a polynomial source that both rules
+    # integrate exactly (degree d, or d - 1 for p1's linear moments, d
+    # the lowest load degree of a compressed class)
+    mesh = make_mesh(MeshFamilySpec(family, level=2))
+    degrees = assign_degrees(mesh, "minimal")
+    kind = "poisson" if mode == "mean" else "diffusion_reaction"
+    d = _lowest_load_degree(mesh, degrees) - (mode == "p1")
+    sources = (sin_sin_problem(kind).f,
+               lambda x, y: (0.5 + x - 0.7 * y) ** d + 0.3 * x ** (d - 1) * y)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_COMPRESS_MEMBERS", 10 ** 9)
+        fan = PolygonalMesh(mesh.vertices, mesh.cells)
+        fan_loads = [assemble_full(fan, assign_degrees(fan, "minimal"),
+                                   ProblemSpec(kind, f), mode)[1]
+                     for f in sources]
+    assert fan._class_rules == {} and mesh._class_rules
+    for f, want in zip(sources, fan_loads):
+        got = assemble_full(mesh, degrees, ProblemSpec(kind, f), mode)[1]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if family == "triangulation":
+            # triangles keep the fan rule (27 nodes at l = 0), though
+            # their classes have compressed rules for the error norms
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("family, level", [("square_grid", 0)] + [

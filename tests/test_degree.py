@@ -358,3 +358,16 @@ def test_degrees_and_ranks_pinned(case, level, levels_digest, ranks_digest):
     for values, digest in ((np.asarray(levels, dtype=np.int64), levels_digest),
                            (ranks, ranks_digest)):
         assert hashlib.sha256(values.tobytes()).hexdigest()[:32] == digest
+
+
+@pytest.mark.parametrize("family", ["honeycomb", "concave_star",
+                                    "cut_corner_octagon", "triangulation"])
+def test_levels_are_int8_class_degrees(family):
+    # a byte per cell: no certified degree exceeds 15
+    mesh = make_mesh(MeshFamilySpec(family, level=2))
+    for strategy in ("minimal", "ell_hat", "fixed:3"):
+        degrees = assign_degrees(mesh, strategy)
+        assert degrees.levels.dtype == np.int8
+        assert degrees.levels.shape == (mesh.n_cells,)
+        assert degrees.levels.tolist() == [degrees.evidence[k].l
+                                           for k in mesh.cell_class]
