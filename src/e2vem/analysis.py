@@ -88,6 +88,8 @@ def class_rules(mesh: PolygonalMesh) -> dict:
     polys = mesh.cell_classes
     large = np.flatnonzero(np.bincount(mesh.cell_class) >= _COMPRESS_MEMBERS)
     rules = {}
+    if not len(large):
+        return rules
     for *_, rows in class_groups([polys[k] for k in large]):
         found = compressed_rules(stack_polygons([polys[k] for k in large[rows]]))
         rules.update((k, r) for k, r in zip(large[rows].tolist(), found)
@@ -101,8 +103,9 @@ def rule_parts(mesh: PolygonalMesh, rows, s: PolygonStack, degree: int):
     of one vertex count and stacked in ``s``, split into a fan part and
     then a compressed part, each left out when it has no class. Yields
     ``(part, sub, points, weights)``: the part's positions in ``rows``,
-    its stack ``s.take(part)`` and its points (c, P, 2) and weights
-    (c, P), exact to ``degree``.
+    its stack (``s`` itself for a part of every class, else
+    ``s.take(part)``) and its points (c, P, 2) and weights (c, P), exact
+    to ``degree``.
 
     A class takes its rule from :func:`class_rules` when it has one, the
     rule's exactness ``_ERROR_QUADRATURE_DEGREE`` covers ``degree``, and
@@ -117,11 +120,12 @@ def rule_parts(mesh: PolygonalMesh, rows, s: PolygonStack, degree: int):
                      dtype=bool)
     fan, compressed = np.flatnonzero(~taken), np.flatnonzero(taken)
     if len(fan):
-        sub = s.take(fan)
+        sub = s.take(fan) if len(compressed) else s
         yield fan, sub, *stack_quadrature(sub, degree)
     if len(compressed):
         points, weights = zip(*(rules[c] for c in rows[compressed].tolist()))
-        yield compressed, s.take(compressed), np.array(points), np.array(weights)
+        yield (compressed, s.take(compressed) if len(fan) else s,
+               np.array(points), np.array(weights))
 
 
 #: Relative tilt of the node scales and scores by which

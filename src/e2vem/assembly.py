@@ -11,6 +11,7 @@ no value beyond the index's relative tolerance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -521,6 +522,17 @@ def _aggregates(a, prio: np.ndarray) -> np.ndarray:
     return (np.cumsum(used) - 1)[owner]
 
 
+def _dot(u, v) -> float:
+    """``u . v`` summed by numpy's own loop, in an order that, unlike
+    BLAS's, does not depend on the thread count: every reduction of
+    :func:`solve` and :func:`_hierarchy`."""
+    return float(np.einsum("i,i->", u, v))
+
+
+def _norm(u) -> float:
+    return math.sqrt(_dot(u, u))
+
+
 def _hierarchy(a):
     """Smoothed-aggregation levels ``(a, w, pt, pta)`` from ``a`` down
     to at most ``_DENSE_ROWS`` rows, and the coarsest matrix, which
@@ -544,8 +556,8 @@ def _hierarchy(a):
         v = prio - 0.5 * n
         for _ in range(10):
             v = a @ v / diag
-            v /= np.linalg.norm(v)
-        rho = float(np.linalg.norm(a @ v / diag))
+            v /= _norm(v)
+        rho = _norm(a @ v / diag)
         agg = _aggregates(a, prio)
         t = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)),
                           shape=(n, int(agg.max()) + 1))
@@ -608,7 +620,7 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
         raise ValueError(f"solver tol must be finite and positive, got {tol}")
     if n == 0:
         return np.zeros(0), SolveStats(method, 0, 0.0, ())
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if not np.isfinite(bnorm):
         raise ValueError("the right-hand side has a non-finite entry")
     levels, coarse = _hierarchy(a) if method == "cg" else ([], a)
@@ -618,8 +630,8 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
     if method == "cg":
         limit = max(500, 4 * n)
         x, r, step = np.zeros(n), b.copy(), np.empty(n)
-        d, rz = z, r @ z
-        while not np.linalg.norm(r) <= tol * bnorm:
+        d, rz = z, _dot(r, z)
+        while not _norm(r) <= tol * bnorm:
             if count == limit:
                 raise NotSPD(f"CG failed to converge (info={limit}) after "
                              f"{count} iterations")
@@ -629,7 +641,7 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
                              f"residual with r.z = {rz:.3e}; the V-cycle "
                              f"is not positive definite")
             ad = a @ d
-            curvature = d @ ad
+            curvature = _dot(d, ad)
             if not curvature > 0.0:
                 raise NotSPD(f"CG direction with curvature {curvature:.3e}: "
                              f"the matrix is not positive definite")
@@ -637,11 +649,11 @@ def solve(system: LinearSystem, method: str = "auto", tol: float = 1e-12):
             x += np.multiply(alpha, d, out=step)
             r -= np.multiply(alpha, ad, out=ad)
             z = _vcycle(levels, factor, r)
-            rz, rz_old = r @ z, rz
+            rz, rz_old = _dot(r, z), rz
             d *= rz / rz_old            # d = z + beta d, in place
             d += z
             count += 1
-    res = float(np.linalg.norm(a @ x - b)) / (bnorm or 1.0)
+    res = _norm(a @ x - b) / (bnorm or 1.0)
     sizes = tuple(level[0].shape[0] for level in levels) + coarse.shape[:1]
     return x, SolveStats(method, count, res, sizes)
 

@@ -4,8 +4,12 @@ Subcommands: coercivity, convergence, solve, meshgen, validate.
 Exit codes: 0 success, 2 parse/config error, 3 admissibility failure,
 4 solver failure, 5 convergence rate outside the accepted band.
 
-Options may come from flags or from a JSON config file (--config);
-flags win. Every output file embeds the resolved configuration.
+Options may come from flags or from a JSON config file (--config), read
+as the flags it names (``--key=value``, a string as it is, other values
+as JSON text) ahead of the command line's: the same types, choices and
+required options hold, command-line flags win, and null entries and keys
+the command lacks are left out. Every output file embeds the resolved
+configuration, which ``--config`` replays.
 """
 from __future__ import annotations
 
@@ -27,8 +31,6 @@ EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_SOLVER = 4
 EXIT_RATE_BAND = 5
-
-_DEFAULT_BANDS = {"rate_band_l2": (1.9, 2.1), "rate_band_h1": (0.9, 1.1)}
 
 
 def resolve_config(args) -> dict:
@@ -61,12 +63,8 @@ def parse_n_range(text: str):
     return out
 
 
-def _problem(kind_flag: str):
-    if kind_flag == "poisson":
-        return sin_sin_problem("poisson")
-    if kind_flag == "diffreact":
-        return sin_sin_problem("diffusion_reaction")
-    raise ValueError(f"unknown problem {kind_flag!r}")
+def _problem(flag: str):
+    return sin_sin_problem("diffusion_reaction" if flag == "diffreact" else flag)
 
 
 def _timestamp() -> str:
@@ -165,14 +163,10 @@ def cmd_validate(args) -> int:
 
 # -- argument parsing ---------------------------------------------------
 
-def _band(text):
-    """A rate band ``(lo, hi)`` from 'lo,hi' or a pair."""
-    pair = text if isinstance(text, (list, tuple)) else str(text).split(",")
-    try:
-        lo, hi = pair
-        return (float(lo), float(hi))
-    except (TypeError, ValueError):
-        raise ValueError(f"{text!r} is not a band 'lo,hi'") from None
+def rate_band(text):
+    """A rate band ``(lo, hi)`` from 'lo,hi' or '[lo, hi]' text."""
+    lo, hi = map(float, text.strip("[] ").split(","))
+    return lo, hi
 
 
 def _add_solver_flags(sub):
@@ -193,9 +187,8 @@ def build_parser():
         description="Stabilization-free virtual element solver on "
                     "polygonal meshes")
     parser.add_argument("--config", default=None,
-                        help="JSON file with option defaults")
+                        help="JSON file of options, read as their flags")
     subs = parser.add_subparsers(dest="command", metavar="command")
-    registry = {}
 
     sub = subs.add_parser("coercivity",
                           help="per-polygon projection-degree table")
@@ -206,7 +199,6 @@ def build_parser():
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_coercivity)
-    registry["coercivity"] = sub
 
     sub = subs.add_parser("convergence", help="refinement study with "
                           "fitted convergence rates")
@@ -214,21 +206,19 @@ def build_parser():
                      choices=tuple(_MESH_BUILDERS))
     sub.add_argument("--levels", type=int, default=4)
     _add_solver_flags(sub)
-    sub.add_argument("--rate-band-l2", dest="rate_band_l2", type=_band,
-                     default=_DEFAULT_BANDS["rate_band_l2"],
+    sub.add_argument("--rate-band-l2", dest="rate_band_l2", type=rate_band,
+                     default=(1.9, 2.1),
                      help="accepted L2 rate interval, e.g. 1.9,2.1")
-    sub.add_argument("--rate-band-h1", dest="rate_band_h1", type=_band,
-                     default=_DEFAULT_BANDS["rate_band_h1"])
+    sub.add_argument("--rate-band-h1", dest="rate_band_h1", type=rate_band,
+                     default=(0.9, 1.1))
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_convergence)
-    registry["convergence"] = sub
 
     sub = subs.add_parser("solve", help="solve once on a saved mesh")
     sub.add_argument("--mesh", required=True, help="mesh JSON path")
     _add_solver_flags(sub)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_solve)
-    registry["solve"] = sub
 
     sub = subs.add_parser("meshgen", help="generate a mesh JSON")
     sub.add_argument("--family", default="square_grid",
@@ -237,24 +227,21 @@ def build_parser():
                      help="refinement level")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_meshgen)
-    registry["meshgen"] = sub
 
     sub = subs.add_parser("validate", help="check a saved mesh")
     sub.add_argument("--mesh", required=True, help="mesh JSON path")
     sub.set_defaults(func=cmd_validate)
-    registry["validate"] = sub
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, commands = build_parser()
 
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, rest = pre.parse_known_args(argv)
-    file_cfg = {}
     if known.config is not None:
         try:
             with open(known.config, "r", encoding="utf-8") as fh:
@@ -264,30 +251,23 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        if rest and rest[0] in registry:
-            command = rest[0]
-        else:
-            command = file_cfg.get("command")
-            if command not in registry:
-                print("error: config names no valid command and none "
-                      "given on the command line", file=sys.stderr)
-                return EXIT_CONFIG
-            rest = [command] + rest
-        sub = registry[command]
-        valid = {action.dest for action in sub._actions}
-        defaults = {}
-        for key, value in file_cfg.items():
-            if key == "command" or key not in valid:
-                continue
-            if key in ("rate_band_l2", "rate_band_h1"):
-                try:
-                    value = _band(value)
-                except ValueError as exc:
-                    print(f"error: config: {key}: {exc}", file=sys.stderr)
-                    return EXIT_CONFIG
-            defaults[key] = value
-        sub.set_defaults(**defaults)
-        argv = rest
+
+        def text(value):
+            return value if isinstance(value, str) else json.dumps(value)
+
+        command = (rest.pop(0) if rest and rest[0] in commands
+                   else text(file_cfg.get("command")))
+        if command not in commands:
+            print("error: config names no valid command and none "
+                  "given on the command line", file=sys.stderr)
+            return EXIT_CONFIG
+        # the file's entries become flags ahead of the command line's: the
+        # parser checks both alike, and the last occurrence of a flag wins
+        flags = {action.dest: action.option_strings[-1]
+                 for action in commands[command]._actions if action.nargs != 0}
+        argv = [command] + [f"{flags[key]}={text(value)}"
+                            for key, value in file_cfg.items()
+                            if key in flags and value is not None] + rest
 
     try:
         args = parser.parse_args(argv)

@@ -9,7 +9,7 @@ intersection linear program.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -550,17 +550,32 @@ class PolygonalMesh:
     question reads them: an edge runs from a cell's vertex to the next
     vertex of the same cell. Boundary vertices are inferred: an edge used
     by exactly one cell is a boundary edge and its endpoints are boundary
-    vertices. Raises :class:`StructuralDefect`, naming the first such
-    cell, for a cell with fewer than 3 vertices, a vertex index that is
-    not an integer (a float, a bool) or one out of range.
+    vertices. Raises :class:`StructuralDefect` for malformed data: no
+    (N, 2) numbers, no sequence of cells or no cell, and, naming the first
+    such cell, a cell that is no sequence, has fewer than 3 vertices, or
+    a vertex index that is not an integer (a float, a bool) or in range.
     """
 
     def __init__(self, vertices, cells, name=None):
-        self.vertices = np.array(vertices, dtype=float)
+        try:
+            self.vertices = np.array(vertices, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # not numbers
+            self.vertices = np.empty(0)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise StructuralDefect("vertices must be an (N, 2) array")
-        cells = list(cells)
-        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        try:
+            cells = list(cells)
+        except TypeError:
+            raise StructuralDefect("cells must be a sequence") from None
+        if not cells:
+            raise StructuralDefect("the mesh has no cells")
+        try:
+            sizes = np.fromiter(map(len, cells), dtype=np.int64,
+                                count=len(cells))
+        except TypeError:
+            first = next(c for c, x in enumerate(cells)
+                         if not isinstance(x, Sized))
+            raise StructuralDefect("not a sequence", cell=first) from None
         self.cell_start = np.concatenate(([0], np.cumsum(sizes)))
         short = np.flatnonzero(sizes < 3)
         if len(short):
@@ -578,9 +593,13 @@ class PolygonalMesh:
         if bad:
             first = next(i for i, t in enumerate(map(type, flat)) if t in bad)
             raise defect("vertex index is not an integer", first)
-        self.cell_vertices = np.fromiter(flat, dtype=np.int64, count=len(flat))
-        outside = np.flatnonzero((self.cell_vertices < 0)
-                                 | (self.cell_vertices >= len(self.vertices)))
+        n = len(self.vertices)
+        try:
+            self.cell_vertices = np.fromiter(flat, np.int64, len(flat))
+            outside = np.flatnonzero((self.cell_vertices < 0)
+                                     | (self.cell_vertices >= n))
+        except OverflowError:  # an index beyond int64 is out of range too
+            outside = [next(k for k, i in enumerate(flat) if not 0 <= i < n)]
         if len(outside):
             raise defect("vertex index out of range", outside[0])
         for arr in (self.vertices, self.cell_start, self.cell_vertices):
@@ -633,15 +652,13 @@ class PolygonalMesh:
     def _class_index(self) -> _ClassIndex:
         """The cell-class index, behind the mesh's one validity decision,
         which every path reads first: raises :class:`StructuralDefect` for
-        the first of no cells; a vertex repeated inside a cell (the lowest
-        such cell); an edge used twice one way (``boundary_vertex_flags``);
+        the first of a vertex repeated inside a cell (the lowest such
+        cell); an edge used twice one way (``boundary_vertex_flags``);
         an invalid cell polygon (the lowest); cells that overlap, their
         interior angles at a vertex summing to more than a full turn (the
         highest cell at the lowest such vertex); a vertex no cell uses.
         Polygons are tested first: a clockwise cell, whose angles read as
         their complements, is named as clockwise, not as an overlap."""
-        if self.n_cells == 0:
-            raise StructuralDefect("the mesh has no cells")
         n, tail, start = self.n_vertices, self.cell_vertices, self.cell_start
         # keyed cell by cell, so sorted keys meet their first equal
         # neighbour in the lowest cell that repeats a vertex

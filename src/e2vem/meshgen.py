@@ -429,25 +429,10 @@ def load_mesh(path) -> PolygonalMesh:
     for fieldname in ("vertices", "cells"):
         if fieldname not in data:
             raise ParseError(f"{path}: missing field {fieldname!r}")
-    raw_vertices = data["vertices"]
-    if not isinstance(raw_vertices, list) or not raw_vertices:
-        raise ParseError(f"{path}: 'vertices' must be a non-empty array")
-    try:
-        vertices = np.asarray(raw_vertices, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: 'vertices' entries must be [x, y] "
-                         f"numbers: {exc}") from exc
-    cells = data["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise ParseError(f"{path}: 'cells' must be a non-empty array")
-    for ci, cell in enumerate(cells):
-        if not isinstance(cell, list):
-            raise ParseError(f"{path}: cell {ci} must be an array of "
-                             f"integer vertex indices")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(f"{path}: 'name' must be a string")
     try:
-        return PolygonalMesh(vertices, cells, name=name)
-    except (StructuralDefect, OverflowError) as exc:
+        return PolygonalMesh(data["vertices"], data["cells"], name=name)
+    except StructuralDefect as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -404,6 +404,30 @@ def test_singleton_classes_keep_fan_rule(monkeypatch):
                                atol=0.0)
 
 
+def test_fan_part_of_every_class_is_the_stack_itself(monkeypatch):
+    # on a jitter-batch mesh no class is large: class_rules groups
+    # nothing, and the fan part, every class of the group, integrates on
+    # the stack passed in rather than on a copy, with the same values
+    base = make_mesh(MeshFamilySpec("honeycomb", level=0))
+    verts = base.vertices.copy()
+    interior = ~base.boundary_vertex_flags
+    verts[interior] += base.h * np.random.default_rng((0, 0)).uniform(
+        -0.05, 0.05, (interior.sum(), 2))
+    mesh = PolygonalMesh(verts, base.cells)
+    polys = mesh.cell_classes
+    groups = list(geometry.class_groups(polys))
+    monkeypatch.setattr(analysis, "class_groups", None)
+    assert mesh._class_rules == {}
+    for *_, rows in groups:
+        s = stack_polygons([polys[k] for k in rows])
+        (part, sub, pts, w), = analysis.rule_parts(mesh, rows, s, 4)
+        assert sub is s
+        np.testing.assert_array_equal(part, np.arange(len(rows)))
+        want = stack_quadrature(s.take(part), 4)
+        np.testing.assert_array_equal(pts, want[0])
+        np.testing.assert_array_equal(w, want[1])
+
+
 def test_refused_compressed_rule_keeps_fan_rule(monkeypatch):
     mesh = make_mesh(MeshFamilySpec("concave_star", level=1))
     # the mesh keeps its rules from the solve's load on
@@ -415,3 +439,8 @@ def test_refused_compressed_rule_keeps_fan_rule(monkeypatch):
             for poly in large] == [None] * len(large)
     np.testing.assert_allclose(solution_errors(res), _fan_rule_errors(res),
                                rtol=1e-13, atol=0.0)
+
+
+def test_coercivity_scan_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown polygon family 'hexagons'"):
+        coercivity_scan("hexagons")

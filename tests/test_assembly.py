@@ -24,7 +24,7 @@ from e2vem.assembly import (
 )
 from e2vem import geometry
 from e2vem.degree import assign_degrees
-from e2vem.errors import NotSPD
+from e2vem.errors import InadmissibleDegrees, NotSPD
 from e2vem.geometry import PolygonalMesh, stack_polygons, stack_quadrature
 from e2vem.meshgen import MeshFamilySpec, make_mesh
 
@@ -711,22 +711,51 @@ print(digest.hexdigest())
 """
 
 
+def _outputs_under_blas_threads(script):
+    """What ``script`` prints in a subprocess under 1 and under 2 BLAS
+    threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    return outputs
+
+
 def test_cholesky_bits_do_not_depend_on_the_blas_thread_count():
     # Nothing in the factor forbids a thread-dependent sum: this holds for
     # these 540-row systems (envelope 32) under numpy's bundled OpenBLAS,
     # whose products of this size run on one thread. A failure under
     # another BLAS build says that build threads them, not that the
     # factor is wrong.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        digests.append(subprocess.run(
-            [sys.executable, "-c", JITTERED_CHOLESKY], env=env,
-            capture_output=True, text=True, check=True).stdout)
+    digests = _outputs_under_blas_threads(JITTERED_CHOLESKY)
     assert digests[0] == digests[1]
+
+
+#: Solves cut_corner_octagon L3 (20,448 free DOFs) by CG; prints a hash of
+#: the vertex values' bytes and the solve's statistics.
+CUT_CORNER_CG = """
+import hashlib
+import e2vem
+
+mesh = e2vem.make_mesh(e2vem.MeshFamilySpec("cut_corner_octagon", level=3))
+result = e2vem.solve_problem(mesh, "minimal", e2vem.sin_sin_problem("poisson"),
+                             solver="cg")
+print(hashlib.sha256(result.vertex_values.tobytes()).hexdigest(), result.stats)
+"""
+
+
+def test_cg_bits_do_not_depend_on_the_blas_thread_count():
+    # BLAS's ddot splits a long vector across its threads, so the CG
+    # residual's last bits followed the thread count: here 5.8834e-13
+    # under 1 thread against 5.8934e-13 under 2, in the same 31 iterations
+    outputs = _outputs_under_blas_threads(CUT_CORNER_CG)
+    assert outputs[0] == outputs[1]
+    assert "iterations=31," in outputs[0]
 
 
 def test_cg_refuses_indefinite_systems():
@@ -814,14 +843,15 @@ def test_vcycle_is_symmetric_positive_definite():
 @pytest.mark.parametrize("method", ["cg", "cholesky"])
 def test_solve_reports_recomputed_residual(method):
     # CG stops on its recursively updated residual; the reported one is
-    # recomputed from the returned solution
+    # recomputed from the returned solution, with solve's own norm
+    from e2vem.assembly import _norm
+
     mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
     system = assemble(mesh, assign_degrees(mesh, "minimal"),
                       sin_sin_problem("poisson"))
     x, stats = solve(system, method=method, tol=1e-12)
     b = system.rhs
-    assert stats.residual == (float(np.linalg.norm(system.matrix @ x - b))
-                              / float(np.linalg.norm(b)))
+    assert stats.residual == _norm(system.matrix @ x - b) / _norm(b)
 
 
 def test_cg_is_bitwise_repeatable():
@@ -836,8 +866,10 @@ def test_cg_is_bitwise_repeatable():
 
 def test_cg_in_place_matches_allocating_form():
     # the CG loop and the V-cycle sum into preallocated buffers in the
-    # order of the textbook form below, so the iterates match it bitwise
-    from e2vem.assembly import _cho_solve, _dense_factor, _hierarchy
+    # order of the textbook form below, so the iterates match it bitwise;
+    # its reductions are solve's own, which BLAS's thread count leaves be
+    from e2vem.assembly import (_cho_solve, _dense_factor, _dot, _hierarchy,
+                                _norm)
 
     mesh = make_mesh(MeshFamilySpec("concave_star", level=2))
     system = assemble(mesh, assign_degrees(mesh, "minimal"),
@@ -857,15 +889,15 @@ def test_cg_in_place_matches_allocating_form():
 
     x, r = np.zeros(len(b)), b.copy()
     z = vcycle(levels, r)
-    d, rz = z, r @ z
+    d, rz = z, _dot(r, z)
     count = 0
-    while not np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b):
+    while not _norm(r) <= 1e-12 * _norm(b):
         ad = a @ d
-        alpha = rz / (d @ ad)
+        alpha = rz / _dot(d, ad)
         x = x + alpha * d
         r = r - alpha * ad
         z = vcycle(levels, r)
-        rz, rz_old = r @ z, rz
+        rz, rz_old = _dot(r, z), rz
         d = z + (rz / rz_old) * d
         count += 1
     got, stats = solve(system, method="cg")
@@ -920,3 +952,23 @@ def test_unknown_load_mode_rejected():
     degs = assign_degrees(mesh, "minimal")
     with pytest.raises(ValueError):
         assemble_full(mesh, degs, sin_sin_problem("poisson"), load_mode="exotic")
+
+
+def test_unknown_problem_kind_rejected():
+    with pytest.raises(ValueError, match="unknown problem kind 'heat'"):
+        ProblemSpec("heat", 1.0)
+
+
+def test_assemble_refuses_degrees_of_another_class_count():
+    # the same four cells, one class on the grid and four once its center
+    # has moved: the grid's degrees do not fit the moved mesh
+    grid = square_grid_2x2()
+    verts = grid.vertices.copy()
+    verts[4] += 0.1
+    moved = PolygonalMesh(verts, grid.cells)
+    assert (len(grid.cell_classes), len(moved.cell_classes)) == (1, 4)
+    with pytest.raises(InadmissibleDegrees,
+                       match="covers 4 cells in 1 classes, mesh has 4 "
+                             "cells in 4"):
+        assemble(moved, assign_degrees(grid, "minimal"),
+                 sin_sin_problem("poisson"))

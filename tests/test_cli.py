@@ -231,7 +231,90 @@ def test_bad_config_band_is_config_error(tmp_path, capsys, band):
     cfg = tmp_path / "band.json"
     cfg.write_text(json.dumps({"command": "convergence", "rate_band_l2": band}))
     assert run_cli("--config", str(cfg)) == 2
-    assert capsys.readouterr().err.startswith("error: config: rate_band_l2: ")
+    assert "error: argument --rate-band-l2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, option", [
+    ({"command": "convergence", "levels": 2.5}, "--levels"),
+    ({"command": "coercivity", "seed": [1]}, "--seed"),
+    ({"command": "coercivity", "seed": True}, "--seed"),
+], ids=["float_levels", "list_seed", "bool_seed"])
+def test_bad_config_entry_refused_as_its_flag(tmp_path, capsys, entry, option):
+    # the first ended in a TypeError traceback, the others ran as valid
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(entry))
+    assert run_cli("--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: invalid int value" in err
+    assert "Traceback" not in err
+
+
+def test_null_config_entry_is_left_out(tmp_path):
+    out = tmp_path / "co.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "coercivity", "family": None,
+                               "n_range": "3..4", "seed": None,
+                               "out": str(out), "unknown": 1}))
+    assert run_cli("--config", str(cfg)) == 0
+    echoed = json.loads(out.read_text().splitlines()[0]
+                        .removeprefix("# config: "))
+    assert (echoed["family"], echoed["seed"]) == ("regular", 0)
+
+
+def _without_stamp(path):
+    return [line for line in path.read_text().splitlines()
+            if not line.lstrip().startswith(('"generated": ', "# generated: "))]
+
+
+def _embedded_config(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["config"]
+    return json.loads(text.splitlines()[0].removeprefix("# config: "))
+
+
+def test_embedded_config_replays_to_the_same_output(tmp_path, monkeypatch):
+    # replaying a meshgen or solve config exited 2: the file's values
+    # were defaults, which argparse's required options ignore
+    monkeypatch.chdir(tmp_path)
+    for argv in (("meshgen", "--family", "honeycomb", "--levels", "1",
+                  "--out", "m.json"),
+                 ("solve", "--mesh", "m.json", "--solver", "cg",
+                  "--out", "s.json"),
+                 ("coercivity", "--n-range", "3..6", "--out", "c.csv"),
+                 ("convergence", "--family", "square_grid", "--levels", "2",
+                  "--rate-band-l2", "0,9", "--rate-band-h1", "0,9",
+                  "--out", "v.csv")):
+        assert run_cli(*argv) == 0
+        out = Path(argv[-1])
+        before = _without_stamp(out)
+        cfg = tmp_path / "replay.json"
+        cfg.write_text(json.dumps(_embedded_config(out)))
+        out.unlink()
+        assert run_cli("--config", str(cfg)) == 0
+        assert _without_stamp(out) == before
+
+
+def test_solve_and_convergence_write_to_stdout_without_out(tmp_path, capsys):
+    mesh = tmp_path / "m.json"
+    assert run_cli("meshgen", "--levels", "1", "--out", str(mesh)) == 0
+    capsys.readouterr()
+    assert run_cli("solve", "--mesh", str(mesh), "--problem", "diffreact") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("solved: ")
+    payload = json.loads(out[out.index("{"):])
+    assert payload["config"]["problem"] == "diffreact"
+    assert payload["config"]["out"] is None
+    assert run_cli("convergence", "--family", "square_grid", "--levels", "2",
+                   "--rate-band-l2", "0,9", "--rate-band-h1", "0,9") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["h=0.353553", "h=0.176777",
+                                                   "fitted"]
+
+
+def test_empty_n_range_refused():
+    with pytest.raises(ValueError, match="empty n-range ','"):
+        cli.parse_n_range(",")
 
 
 def test_reruns_identical_modulo_timestamp(tmp_path):

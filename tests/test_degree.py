@@ -371,3 +371,9 @@ def test_levels_are_int8_class_degrees(family):
         assert degrees.levels.shape == (mesh.n_cells,)
         assert degrees.levels.tolist() == [degrees.evidence[k].l
                                            for k in mesh.cell_class]
+
+
+@pytest.mark.parametrize("count", [ell_hat, ell_check])
+def test_degree_counts_refuse_fewer_than_three_vertices(count):
+    with pytest.raises(ValueError, match="at least 3 vertices, got 2"):
+        count(2)

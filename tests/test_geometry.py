@@ -77,6 +77,11 @@ def test_degenerate_polygons_rejected():
                        (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)])
 
 
+def test_two_vertices_are_not_a_polygon():
+    with pytest.raises(NotSimple, match="at least 3 planar vertices"):
+        build_polygon([(0, 0), (1, 0)])
+
+
 @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-6, 10)])
 def test_near_touch_check_independent_of_scale(scale):
     # a unit square with a V-notch whose collinear bottom edges end 2e-6
@@ -316,6 +321,42 @@ def test_mesh_refuses_vertex_indices_that_are_not_integers(bad):
     with pytest.raises(StructuralDefect,
                        match="cell 2: vertex index is not an integer"):
         PolygonalMesh(GRID_VERTICES, cells)
+
+
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+NOT_NUMBERS = "vertices must be an (N, 2) array"
+
+
+@pytest.mark.parametrize("vertices, cells, message", [
+    (TRIANGLE, [[0, 1, 2], 5], "cell 1: not a sequence"),
+    (TRIANGLE, [[0, 1, 2], None], "cell 1: not a sequence"),
+    (TRIANGLE, 5, "cells must be a sequence"),
+    ([[0, 0], [1, "x"], [0, 1]], [[0, 1, 2]], NOT_NUMBERS),
+    ([[0, 0], [1, {}], [0, 1]], [[0, 1, 2]], NOT_NUMBERS),
+    ([[0, 0], [1], [0, 1]], [[0, 1, 2]], NOT_NUMBERS),
+    ([[0, 0], [10 ** 400, 0], [0, 1]], [[0, 1, 2]], NOT_NUMBERS),
+    (TRIANGLE, [[0, 1, 2], [0, 1, 2 ** 64]],
+     "cell 1: vertex index out of range"),
+    (TRIANGLE, [[0, 1, -2 ** 70], [0, 1, 9]],
+     "cell 0: vertex index out of range"),
+    (TRIANGLE, [], "the mesh has no cells"),
+], ids=["cell_int", "cell_null", "cells_int", "vertex_string", "vertex_object",
+        "ragged_vertices", "vertex_beyond_float", "index_beyond_int64",
+        "index_below_int64", "no_cells"])
+def test_malformed_mesh_data_is_a_structural_defect(tmp_path, vertices, cells,
+                                                    message):
+    # these escaped the constructor as raw TypeError, ValueError or
+    # OverflowError, or, with no cells, were refused only on first use
+    with pytest.raises(StructuralDefect) as exc:
+        PolygonalMesh(vertices, cells)
+    assert str(exc.value).startswith(message)
+    from e2vem.meshgen import load_mesh
+
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"vertices": vertices, "cells": cells}))
+    with pytest.raises(ParseError) as err:
+        load_mesh(path)
+    assert str(err.value) == f"{path}: {exc.value}"
 
 
 def test_mesh_takes_every_integer_type_as_an_index():

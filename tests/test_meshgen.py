@@ -219,3 +219,24 @@ def test_mesh_families_bitwise(fam, level, digest):
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
     assert mesh.name == f"{fam}-level{level}"
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: make_mesh(MeshFamilySpec("voronoi")),
+     "unknown mesh family 'voronoi'"),
+    (lambda: make_mesh(MeshFamilySpec("honeycomb", level=-1)),
+     "level must be >= 0, got -1"),
+    (lambda: make_polygon(PolygonFamilySpec("star")),
+     "unknown polygon family 'star'"),
+    (lambda: make_polygon(PolygonFamilySpec("split_triangle", step=10)),
+     r"step must be in \[0, 9\], got 10"),
+    (lambda: make_polygon(PolygonFamilySpec("split_hexagon", step=-1)),
+     r"step must be in \[0, 18\], got -1"),
+    (lambda: make_polygon(PolygonFamilySpec("concave_octagon", alpha=0.9)),
+     r"alpha must be in \[0, 0.8\], got 0.9"),
+    (lambda: random_convex_polygon(2, 0), "need at least 3 vertices, got 2"),
+], ids=["mesh_family", "mesh_level", "polygon_family", "split_step_high",
+        "split_step_low", "concave_alpha", "random_convex_n"])
+def test_generators_refuse_arguments_out_of_range(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

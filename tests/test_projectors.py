@@ -359,3 +359,13 @@ def test_ill_conditioned_warns_once_per_class_and_degree():
     assert {(poly, 9) for poly in classes} <= set(expected)
     assert sum(issubclass(w.category, IllConditioned) for w in caught) \
         == len(expected)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda poly: build_projectors([poly], -1), "negative projection degree"),
+    (lambda poly: project_gradient_from_data(poly, 1, lambda x: x[:, 0]),
+     "volume_moments required for l >= 1"),
+], ids=["negative_degree", "no_volume_moments"])
+def test_projector_entry_points_refuse_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(regular_polygon(5))

@@ -60,3 +60,8 @@ def test_polygon_quadrature_exact_on_cell_polynomials():
 def test_unsupported_degree():
     with pytest.raises(UnsupportedDegree):
         segment_rule(-1)
+
+
+def test_degree_above_the_generated_rules_refused():
+    with pytest.raises(UnsupportedDegree, match="exceeds the generated"):
+        triangle_rule(MAX_DEGREE + 1)
