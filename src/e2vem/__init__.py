@@ -22,8 +22,7 @@ from .errors import (AdmissibilityNotReached, DegenerateData, E2vemError,
                      StructuralDefect)
 from .geometry import (MeshQuality, Polygon, PolygonalMesh,
                        build_polygon, validate_mesh)
-from .meshgen import (MeshFamilySpec, PolygonFamilySpec, load_mesh,
-                      make_mesh, make_polygon, save_mesh)
+from .meshgen import MeshFamilySpec, load_mesh, make_mesh, save_mesh
 from .polyspace import monomial_exponents, space_dimension
 from .projectors import ElementProjectors, build_projectors, compute_pinabla
 

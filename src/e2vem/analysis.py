@@ -18,8 +18,9 @@ from .errors import DegenerateData, MissingExactSolution
 from .geometry import (PolygonalMesh, PolygonStack, at_points,
                        class_groups, class_members, member_points,
                        stack_polygons, stack_quadrature)
-from .meshgen import (PolygonFamilySpec, MeshFamilySpec, make_mesh,
-                      make_polygon)
+from .meshgen import (MeshFamilySpec, concave_octagon_polygon, make_mesh,
+                      random_convex_polygon, regular_polygon,
+                      split_hexagon_polygon, split_triangle_polygon)
 from .polyspace import stack_monomials
 from .projectors import compute_pinabla
 from .quadrature import triangle_rule
@@ -356,27 +357,24 @@ class ScanRow:
 _CONCAVE_ALPHAS = (0.0, 0.2, 0.4, 0.6)
 
 
-#: Each polygon family of the coercivity scan: its specs from the vertex
-#: counts and seeds, and the vertex counts it scans by default.
+#: Each polygon family of the coercivity scan: its polygons from the
+#: vertex counts and seeds, and the vertex counts it scans by default.
 _SCAN_FAMILIES = {
     "regular": (
-        lambda ns, seeds: [PolygonFamilySpec("regular", n=n) for n in ns],
+        lambda ns, seeds: [regular_polygon(n) for n in ns],
         range(3, 21)),
     "random_convex": (
-        lambda ns, seeds: [PolygonFamilySpec("random_convex", n=n, seed=s)
+        lambda ns, seeds: [random_convex_polygon(n, s)
                            for n in ns for s in seeds],
         range(4, 21)),
     "split_triangle": (
-        lambda ns, seeds: [PolygonFamilySpec("split_triangle", step=n - 3)
-                           for n in ns],
+        lambda ns, seeds: [split_triangle_polygon(n - 3) for n in ns],
         range(3, 13)),
     "split_hexagon": (
-        lambda ns, seeds: [PolygonFamilySpec("split_hexagon", step=n - 6)
-                           for n in ns],
+        lambda ns, seeds: [split_hexagon_polygon(n - 6) for n in ns],
         range(7, 25)),
     "concave_octagon": (
-        lambda ns, seeds: [PolygonFamilySpec("concave_octagon", alpha=a)
-                           for a in _CONCAVE_ALPHAS],
+        lambda ns, seeds: list(map(concave_octagon_polygon, _CONCAVE_ALPHAS)),
         range(8, 9)),
 }
 
@@ -398,9 +396,9 @@ def coercivity_scan(family: str, n_range=None, seeds=(0,)):
     """
     if family not in _SCAN_FAMILIES:
         raise ValueError(f"unknown polygon family {family!r}")
-    specs, default = _SCAN_FAMILIES[family]
-    return [scan_polygon(make_polygon(spec)) for spec in
-            specs(default if n_range is None else n_range, seeds)]
+    polygons, default = _SCAN_FAMILIES[family]
+    return [scan_polygon(poly) for poly in
+            polygons(default if n_range is None else n_range, seeds)]
 
 
 def _preamble(config) -> str:

@@ -22,7 +22,7 @@ from . import geometry
 from .errors import InadmissibleDegrees, NotSPD
 from .geometry import (PolygonalMesh, at_points, class_groups,
                        class_members, member_points, stack_polygons)
-from .meshgen import SplitMix64
+from .meshgen import splitmix64
 from .polyspace import stack_monomials
 from .projectors import build_projectors, compute_pinabla
 
@@ -82,11 +82,8 @@ class ProblemSpec:
         """
         if self.exact_solution is None:
             return 0.0
-        rng = SplitMix64(_RESIDUAL_SEED)
-        pts = np.array([[rng.random(), rng.random()]
-                        for _ in range(_RESIDUAL_POINTS)])
-        pts = 0.05 + 0.9 * pts
-        x, y = pts[:, 0], pts[:, 1]
+        u = splitmix64(_RESIDUAL_SEED, 2 * _RESIDUAL_POINTS) >> 11
+        x, y = (0.05 + 0.9 * (u.reshape(-1, 2) * 2.0 ** -53)).T
         # fourth-order stencil: truncation ~ d^4 |d6 U| / 90 and roundoff
         # ~ eps |U| / d^2 both stay well below 1e-6 of the data's magnitude
         d = 4e-3
@@ -463,14 +460,11 @@ def _cho_solve(factor, x):
 
 
 def _priorities(n: int) -> np.ndarray:
-    """A fixed permutation of ``range(n)`` as int32: the ranks of a
-    SplitMix64 hash of the row index, so aggregation uses no random
+    """A fixed permutation of ``range(n)`` as int32: the ranks of the
+    SplitMix64 stream from state 0, so aggregation uses no random
     state and repeats bitwise."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
     ranks = np.empty(n, dtype=np.int32)
-    ranks[np.argsort(z ^ (z >> 31))] = np.arange(n, dtype=np.int32)
+    ranks[np.argsort(splitmix64(0, n))] = np.arange(n, dtype=np.int32)
     return ranks
 
 

@@ -20,6 +20,7 @@ import sys
 
 from . import analysis
 from .assembly import export_solution, sin_sin_problem, solve_problem
+from .degree import parse_strategy
 from .errors import (AdmissibilityNotReached, E2vemError,
                      InadmissibleDegrees, NotSPD)
 from .geometry import validate_mesh
@@ -169,8 +170,21 @@ def rate_band(text):
     return lo, hi
 
 
+def _checked(parse):
+    """An argparse type that refuses what ``parse`` refuses and keeps the
+    text as given, so the embedded config replays it unchanged."""
+    def check(text):
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+        return text
+    return check
+
+
 def _add_solver_flags(sub):
     sub.add_argument("--strategy", default="minimal",
+                     type=_checked(parse_strategy),
                      help="minimal | ell-hat | ell-check | fixed:L")
     sub.add_argument("--problem", default="poisson",
                      choices=("poisson", "diffreact"))
@@ -195,6 +209,7 @@ def build_parser():
     sub.add_argument("--family", default="regular",
                      choices=tuple(analysis._SCAN_FAMILIES))
     sub.add_argument("--n-range", dest="n_range", default=None,
+                     type=_checked(parse_n_range),
                      help="vertex counts, e.g. 3..20 or 4,6,8")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)

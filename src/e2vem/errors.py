@@ -14,7 +14,7 @@ class NotStarShaped(E2vemError):
 
 
 class ClockwiseOrientation(E2vemError):
-    """Vertices are ordered clockwise and normalization was disabled."""
+    """Vertices are ordered clockwise."""
 
 
 class UnsupportedDegree(E2vemError):

@@ -213,17 +213,16 @@ def _star_centers(pts, n_in, diameter, centroid, defect):
     return center, clearance
 
 
-def build_polygon(points, *, normalize_orientation=True):
+def build_polygon(points):
     """Build a validated :class:`Polygon` from an ordered (n, 2) vertex
     list, or a tuple of them, one per row, from an (m, n, 2) stack.
 
     A single polygon is a stack of one: every row goes through the same
     array code, ``_STACK_ROWS`` rows at a time, so a row's bits do not
     depend on the rows beside it.
-    Clockwise input is reversed when ``normalize_orientation`` is true
-    (the default), otherwise it raises :class:`ClockwiseOrientation`.
-    Raises :class:`NotSimple` for degenerate or self-intersecting chains
-    and :class:`NotStarShaped` when the kernel is empty; the error's
+    Raises :class:`ClockwiseOrientation` for clockwise input,
+    :class:`NotSimple` for degenerate or self-intersecting chains and
+    :class:`NotStarShaped` when the kernel is empty; the error's
     ``row`` attribute is the lowest invalid row, and its message is that
     row's first failed test. All but the stored vertices comes from the
     offsets to vertex 0, those the cell-class index compares, so nothing
@@ -238,24 +237,21 @@ def build_polygon(points, *, normalize_orientation=True):
     polys = []
     for start in range(0, len(pts), _STACK_ROWS):
         try:
-            polys += _build_stack(pts[start:start + _STACK_ROWS],
-                                  normalize_orientation)
+            polys += _build_stack(pts[start:start + _STACK_ROWS])
         except (NotSimple, NotStarShaped, ClockwiseOrientation) as exc:
             exc.row += start
             raise
     return polys[0] if single else tuple(polys)
 
 
-def _build_stack(pts, normalize_orientation):
-    """The polygons of the rows of ``pts`` (m, n, 2), which it reorders
-    in place; raises the first failed test of the lowest invalid row,
-    with that row as ``row``."""
+def _build_stack(pts):
+    """The polygons of the rows of ``pts`` (m, n, 2); raises the first
+    failed test of the lowest invalid row, with that row as ``row``."""
     defect = np.full(len(pts), _VALID)  # each row's first failed test
     # failed rows run on as garbage; only valid rows are kept
     with np.errstate(all="ignore"):
         _flag(defect, 0, ~np.isfinite(pts).all(axis=(1, 2)))
-        origin = pts[:, 0].copy()  # vertex 0 before any reversal
-        rel = pts - origin[:, None]
+        rel = pts - pts[:, :1]
         diameter = _diameters(rel)
         _flag(defect, 1, diameter == 0.0)
         nxt = np.roll(rel, -1, axis=1)
@@ -264,12 +260,7 @@ def _build_stack(pts, normalize_orientation):
         _flag(defect, 2, np.abs(area) <= 1e-14 * diameter ** 2)
         centroid = (((rel + nxt) * cross[..., None]).sum(axis=1)
                     / (6.0 * area)[:, None])
-        clockwise = area < 0.0
-        if not normalize_orientation:
-            _flag(defect, 3, clockwise)
-        pts[clockwise] = pts[clockwise, ::-1]
-        rel[clockwise] = rel[clockwise, ::-1]
-        area = np.abs(area)
+        _flag(defect, 3, area < 0.0)
         d = np.roll(rel, -1, axis=1) - rel
         lens = np.hypot(d[..., 0], d[..., 1])
         _check_simple(rel, d, lens, diameter, defect)
@@ -282,7 +273,7 @@ def _build_stack(pts, normalize_orientation):
         error = kind(message)
         error.row = int(invalid[0])
         raise error
-    center += origin
+    center += pts[:, 0]
     for arr in (pts, center, lens, normals):
         arr.setflags(write=False)
     return list(map(Polygon, pts, area.tolist(), diameter.tolist(), center,
@@ -407,10 +398,10 @@ def _valid_rows(pts, cells, failures):
     """The polygons of the rows of ``pts`` before the first invalid one,
     whose cell and error are appended to ``failures``."""
     try:
-        return build_polygon(pts, normalize_orientation=False)
+        return build_polygon(pts)
     except (NotSimple, NotStarShaped, ClockwiseOrientation) as exc:
         failures.append((int(cells[exc.row]), exc))
-        return build_polygon(pts[:exc.row], normalize_orientation=False)
+        return build_polygon(pts[:exc.row])
 
 
 def _cell_classes(vertices, cell_vertices, cell_start) -> _ClassIndex:

@@ -9,61 +9,40 @@ centroid.
 Meshes on the unit square: clipped honeycomb, cut-corner octagon grid,
 a non-convex pinwheel family, structured triangulations and square
 grids. Refinement quadruples the cell count per level. All generators
-are deterministic; randomness comes only from an explicit SplitMix64
-stream so that outputs are bit-reproducible across platforms.
+are deterministic; randomness comes only from the one SplitMix64
+function, ``splitmix64``, so that outputs are bit-reproducible across
+platforms.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, RejectionBudgetExceeded, StructuralDefect
 from .geometry import Polygon, PolygonalMesh, build_polygon
 
-_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-class SplitMix64:
-    """SplitMix64 generator (Steele et al.); update constants are part of
-    the reproducibility contract."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def random(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
+def splitmix64(state: int, count: int) -> np.ndarray:
+    """The next ``count`` outputs of the SplitMix64 generator (Steele, Lea
+    & Flood, OOPSLA 2014) from ``state``, as uint64: output ``i`` mixes
+    ``state + (i + 1) * gamma``, so the stream continues from
+    ``state + count * gamma``. The constants are part of the
+    reproducibility contract; ``(u >> 11) * 2.0**-53`` reads an output
+    as a uniform in [0, 1) with 53 random bits."""
+    z = (np.uint64(state & 0xFFFFFFFFFFFFFFFF)
+         + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
 
 
 # ---------------------------------------------------------------------------
 # single-polygon families
-
-
-@dataclass(frozen=True)
-class PolygonFamilySpec:
-    """Parameters for one test polygon.
-
-    kind: regular | random_convex | split_triangle | split_hexagon |
-    concave_octagon. Unused fields are ignored by the other kinds.
-    """
-
-    kind: str
-    n: int = 0
-    seed: int = 0
-    step: int = 0
-    alpha: float = 0.0
 
 
 def regular_polygon(n: int) -> Polygon:
@@ -96,10 +75,12 @@ def random_convex_polygon(n: int, seed: int) -> Polygon:
         raise RejectionBudgetExceeded(
             f"edge/diameter >= {_MIN_EDGE_RATIO} is infeasible for n={n}: "
             f"minimum gaps alone exceed the full circle")
-    rng = SplitMix64(seed * 0x6A09E667F3BCC909 + n)
+    state = seed * 0x6A09E667F3BCC909 + n
     for _ in range(_REJECTION_BUDGET):
-        start = 2.0 * math.pi * rng.random()
-        exps = -np.log1p(-np.array([rng.random() for _ in range(n)]))
+        u = (splitmix64(state, n + 1) >> 11) * 2.0 ** -53
+        state += (n + 1) * _GAMMA
+        start = 2.0 * math.pi * u[0]
+        exps = -np.log1p(-u[1:])
         gaps = gap_min + slack * exps / exps.sum()
         theta = start + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -167,20 +148,6 @@ def concave_octagon_polygon(alpha: float) -> Polygon:
     pts[0::2] = quad
     pts[1::2] = moved
     return build_polygon(pts)
-
-
-def make_polygon(spec: PolygonFamilySpec) -> Polygon:
-    if spec.kind == "regular":
-        return regular_polygon(spec.n)
-    if spec.kind == "random_convex":
-        return random_convex_polygon(spec.n, spec.seed)
-    if spec.kind == "split_triangle":
-        return split_triangle_polygon(spec.step)
-    if spec.kind == "split_hexagon":
-        return split_hexagon_polygon(spec.step)
-    if spec.kind == "concave_octagon":
-        return concave_octagon_polygon(spec.alpha)
-    raise ValueError(f"unknown polygon family {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------

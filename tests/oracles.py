@@ -252,8 +252,7 @@ def per_cell_quality(mesh):
     kernel, edge, area = [], [], 0.0
     for ci, cell in enumerate(mesh.cells):
         try:
-            poly = build_polygon(mesh.vertices[cell],
-                                 normalize_orientation=False)
+            poly = build_polygon(mesh.vertices[cell])
         except (NotSimple, NotStarShaped, ClockwiseOrientation):
             return np.array(kernel), np.array(edge), area, ci
         kernel.append(poly.kernel_inradius / poly.diameter)

@@ -29,11 +29,13 @@ from e2vem.errors import (
 from e2vem.geometry import build_polygon, stack_polygons, stack_quadrature
 from e2vem.meshgen import (
     MeshFamilySpec,
-    PolygonFamilySpec,
-    SplitMix64,
+    concave_octagon_polygon,
     make_mesh,
-    make_polygon,
+    random_convex_polygon,
     regular_polygon,
+    split_hexagon_polygon,
+    split_triangle_polygon,
+    splitmix64,
 )
 from e2vem.polyspace import monomial_exponents, stack_monomials
 from e2vem.projectors import (
@@ -106,7 +108,7 @@ def test_criterion_02_split_family_degree_patterns():
 
 
 def test_criterion_03_bad_polynomial_dimensions():
-    hexagon = make_polygon(PolygonFamilySpec("regular", n=6))
+    hexagon = regular_polygon(6)
     assert dim_badpoly(hexagon, 1) == 2
     triangles = (regular_polygon(3),
                  build_polygon([(0.0, 0.0), (2.0, 0.0), (0.3, 1.1)]),
@@ -114,17 +116,11 @@ def test_criterion_03_bad_polynomial_dimensions():
     for tri in triangles:
         assert dim_badpoly(tri, 0) == 0
 
-    corpus = [make_polygon(PolygonFamilySpec("regular", n=n))
-              for n in range(3, 21)]
-    corpus += [make_polygon(PolygonFamilySpec("random_convex", n=n, seed=0))
-               for n in range(4, 21)]
-    corpus += [make_polygon(PolygonFamilySpec("split_triangle", step=s))
-               for s in range(10)]
-    corpus += [make_polygon(PolygonFamilySpec("split_hexagon", step=s))
-               for s in range(1, 19)]
-    corpus += [make_polygon(PolygonFamilySpec("concave_octagon", n=8,
-                                              alpha=a))
-               for a in (0.0, 0.2, 0.4, 0.6)]
+    corpus = [regular_polygon(n) for n in range(3, 21)]
+    corpus += [random_convex_polygon(n, 0) for n in range(4, 21)]
+    corpus += [split_triangle_polygon(s) for s in range(10)]
+    corpus += [split_hexagon_polygon(s) for s in range(1, 19)]
+    corpus += [concave_octagon_polygon(a) for a in (0.0, 0.2, 0.4, 0.6)]
     checked = 0
     for poly in corpus:
         nv = poly.n_vertices
@@ -142,8 +138,7 @@ def test_criterion_03_bad_polynomial_dimensions():
 def test_criterion_04_concave_octagon_sweep():
     levels = []
     for alpha in (0.0, 0.2, 0.4, 0.6):
-        poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8,
-                                              alpha=alpha))
+        poly = concave_octagon_polygon(alpha)
         levels.append(min_admissible_l(poly).l)
     assert levels == [2, 2, 2, 2]
     report(4, "concavity sweep alpha in {0, 0.2, 0.4, 0.6} all minimal l=2")
@@ -155,24 +150,22 @@ def test_criterion_05_projection_consistency():
     for trial in range(200):
         n = 4 + trial % 16
         l = trial % 6
-        poly = make_polygon(PolygonFamilySpec("random_convex", n=n,
-                                              seed=trial))
-        rng = SplitMix64(10_000 + trial)
+        poly = random_convex_polygon(n, trial)
+        exps = monomial_exponents(l + 1)
+        u = splitmix64(10_000 + trial, 3 + len(exps)) >> 11
+        lin, a = np.split(2.0 * (u * 2.0 ** -53) - 1.0, [3])
         s = stack_polygons([poly])
         (pts,), (w,) = stack_quadrature(s, 2 * (l + 1))
 
         def basis(q, degree):
             return stack_monomials(s, q[None], degree)[0]
 
-        lin = np.array([2.0 * rng.random() - 1.0 for _ in range(3)])
         dofs = basis(poly.vertices, 1) @ lin
         exact = basis(pts, 1) @ lin
         projected = basis(pts, 1) @ (compute_pinabla(s)[0] @ dofs)
         rel = np.sqrt(w @ (projected - exact) ** 2 / (w @ exact ** 2))
         worst_linear = max(worst_linear, rel)
 
-        exps = monomial_exponents(l + 1)
-        a = np.array([2.0 * rng.random() - 1.0 for _ in range(len(exps))])
         moments = None
         if l >= 1:
             moments = basis(pts, l - 1).T @ ((basis(pts, l + 1) @ a) * w)
@@ -231,8 +224,7 @@ def test_criterion_07_triangle_mesh_matches_p1_fem():
     assert all(l == 0 for l in result.degrees.levels)
     # same load rule as the solver under test: cell mean of f from the
     # documented degree-4 rule, lumped one third per vertex
-    cells = build_polygon(np.array([mesh.vertices[c] for c in mesh.cells]),
-                          normalize_orientation=False)
+    cells = build_polygon(np.array([mesh.vertices[c] for c in mesh.cells]))
     pts, w = stack_quadrature(stack_polygons(cells), 4)
     loads = (w * problem.f(pts[..., 0], pts[..., 1])).sum(axis=1)
     fem = fem_p1_solve(mesh.vertices, mesh.cells,
@@ -285,8 +277,7 @@ def test_criterion_10_spd_kernel_and_admissibility_refusal():
         mesh = level0(family)
         degrees = assign_degrees(mesh, "minimal")
         for i, cell in enumerate(mesh.cells):
-            poly = build_polygon(mesh.vertices[cell],
-                                 normalize_orientation=False)
+            poly = build_polygon(mesh.vertices[cell])
             l = int(degrees.levels[i])
             stiff = build_projectors([poly], l).stiffness[0]
             sv = np.linalg.svd(stiff, compute_uv=False)

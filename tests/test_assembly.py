@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -49,6 +50,14 @@ def test_problem_residual_check():
     )
     with pytest.raises(ValueError):
         bad.residual_check()
+
+
+def test_residual_check_value_pinned():
+    # the self-check's sample points come from the SplitMix64 stream at
+    # _RESIDUAL_SEED; its result pins them (and numpy's float64 sin)
+    assert sin_sin_problem("poisson").residual_check() == 4.432498386874608e-09
+    assert sin_sin_problem(
+        "diffusion_reaction").residual_check() == 4.377062008159438e-09
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
@@ -239,6 +248,22 @@ def _traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return peak - start
+
+
+@pytest.mark.parametrize("n, digest", [
+    (1201, "658e07f8a5278959cf41f935e8a8277243d4a412be7ce2d300f1fde604e27d76"),
+    (150_000,
+     "8bc4c45d3a56be7ab1a36b61455cea7a9767c1fce9d5350a41e458a33f09c161"),
+], ids=["1201", "150000"])
+def test_aggregation_priorities_pinned(n, digest):
+    # the CG hierarchy's aggregates, hence its iterations, follow these
+    # ranks of the SplitMix64 stream from state 0
+    from e2vem.assembly import _DENSE_ROWS, _priorities
+
+    assert n > _DENSE_ROWS
+    prio = _priorities(n)
+    assert hashlib.sha256(prio.tobytes()).hexdigest() == digest
+    assert np.array_equal(np.sort(prio), np.arange(n))
 
 
 def test_aggregation_memory(concave_star_l3_matrix):

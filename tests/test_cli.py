@@ -249,6 +249,28 @@ def test_bad_config_entry_refused_as_its_flag(tmp_path, capsys, entry, option):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("coercivity", "--n-range", "x"), "--n-range"),
+    (("solve", "--mesh", "m.json", "--strategy", "fixed:x"), "--strategy"),
+    (("solve", "--mesh", "m.json", "--strategy", "bogus"), "--strategy"),
+    (("convergence", "--levels", "2", "--strategy", "fixed:x"), "--strategy"),
+    (("convergence", "--levels", "2", "--strategy", "bogus"), "--strategy"),
+], ids=["n_range", "solve_fixed", "solve_unknown", "convergence_fixed",
+        "convergence_unknown"])
+def test_bad_n_range_and_strategy_refused_as_their_flag(tmp_path, monkeypatch,
+                                                        capsys, argv, option):
+    # each exited 2 with the parser's own message ("invalid literal for
+    # int() with base 10: 'x'", "unknown degree strategy 'bogus'"), which
+    # names no option
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("meshgen", "--out", "m.json") == 0
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: " in err
+    assert "Traceback" not in err
+
+
 def test_null_config_entry_is_left_out(tmp_path):
     out = tmp_path / "co.csv"
     cfg = tmp_path / "cfg.json"

@@ -18,10 +18,11 @@ from e2vem.errors import AdmissibilityNotReached, InadmissibleDegrees
 from e2vem.geometry import PolygonalMesh, build_polygon
 from e2vem.meshgen import (
     MeshFamilySpec,
-    PolygonFamilySpec,
+    concave_octagon_polygon,
     make_mesh,
-    make_polygon,
+    random_convex_polygon,
     regular_polygon,
+    split_triangle_polygon,
 )
 
 from oracles import (badpoly_dim_symbolic, class_cells, ell_check_formula,
@@ -66,16 +67,16 @@ def test_dim_badpoly_hexagon_matches_symbolic():
 
 def test_min_admissible_examples():
     assert min_admissible_l(regular_polygon(12)).l == 5
-    split12 = make_polygon(PolygonFamilySpec("split_triangle", step=9))
+    split12 = split_triangle_polygon(9)
     assert min_admissible_l(split12).l == 4
-    concave = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.2))
+    concave = concave_octagon_polygon(0.2)
     assert min_admissible_l(concave).l == 2
 
 
 def test_evidence_consistency():
     # rank certificate and bad-polynomial dimension tell the same story
     for poly in (regular_polygon(6), regular_polygon(9),
-                 make_polygon(PolygonFamilySpec("random_convex", n=11, seed=6))):
+                 random_convex_polygon(11, 6)):
         ev = min_admissible_l(poly)
         nv = poly.n_vertices
         assert ell_check(nv) <= ev.l <= ell_hat(nv)
@@ -85,8 +86,7 @@ def test_evidence_consistency():
 
 
 def test_admissibility_monotone_in_l():
-    for poly in (regular_polygon(8), make_polygon(
-            PolygonFamilySpec("random_convex", n=12, seed=3))):
+    for poly in (regular_polygon(8), random_convex_polygon(12, 3)):
         ev = min_admissible_l(poly)
         from e2vem.projectors import build_projectors
 
@@ -97,7 +97,7 @@ def test_admissibility_monotone_in_l():
 
 
 def test_minimal_l_invariant_under_rigid_motion_and_scaling():
-    poly = make_polygon(PolygonFamilySpec("random_convex", n=9, seed=8))
+    poly = random_convex_polygon(9, 8)
     base = min_admissible_l(poly).l
     theta = 0.6
     R = np.array([[np.cos(theta), -np.sin(theta)],
@@ -277,8 +277,7 @@ def _jittered_honeycomb(level, seed):
 
 def _random_convex_table():
     # the coercivity table's polygons as the disjoint cells of one mesh
-    polys = [make_polygon(PolygonFamilySpec("random_convex", n=n, seed=s))
-             for n in range(4, 21) for s in range(5)]
+    polys = [random_convex_polygon(n, s) for n in range(4, 21) for s in range(5)]
     start = np.cumsum([0] + [p.n_vertices for p in polys])
     return PolygonalMesh(np.concatenate([p.vertices for p in polys]),
                          [range(a, b) for a, b in zip(start[:-1], start[1:])])

@@ -19,9 +19,8 @@ from e2vem.geometry import (
 )
 from e2vem.meshgen import (
     MeshFamilySpec,
-    PolygonFamilySpec,
+    concave_octagon_polygon,
     make_mesh,
-    make_polygon,
     regular_polygon,
 )
 
@@ -54,16 +53,15 @@ def test_unit_right_triangle_metrics():
     assert poly.diameter == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
-def test_orientation_normalized():
-    cw = build_polygon(UNIT_SQUARE[::-1])
-    assert cw.area == pytest.approx(1.0)
-    # reversing a clockwise row keeps its shape data where it lies, alone
-    # or beside a counter-clockwise row
-    ccw = build_polygon(UNIT_SQUARE)
-    both = build_polygon([UNIT_SQUARE, UNIT_SQUARE[::-1]])
-    for poly in (cw, *both):
-        assert np.allclose(poly.star_center, ccw.star_center, atol=1e-15)
-        assert np.array_equal(poly.vertices, ccw.vertices)
+def test_clockwise_refused_and_row_named():
+    # a clockwise chain is refused, alone or between counter-clockwise
+    # rows, and the error names its row
+    with pytest.raises(ClockwiseOrientation, match="ordered clockwise") as exc:
+        build_polygon(UNIT_SQUARE[::-1])
+    assert exc.value.row == 0
+    with pytest.raises(ClockwiseOrientation) as exc:
+        build_polygon([UNIT_SQUARE, UNIT_SQUARE[::-1], UNIT_SQUARE])
+    assert exc.value.row == 1
 
 
 def test_degenerate_polygons_rejected():
@@ -95,7 +93,7 @@ def test_near_touch_check_independent_of_scale(scale):
 
 
 def test_concave_octagon_star_center_in_kernel():
-    poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.6))
+    poly = concave_octagon_polygon(0.6)
     assert kernel_contains(poly.vertices, poly.star_center)
     # with this pull depth the centroid itself may leave the kernel; the
     # chosen point must still see every vertex
@@ -156,7 +154,7 @@ def test_sub_triangulate_regular_hexagon_congruent():
 
 
 def test_sub_triangulate_concave_octagon_area_sum():
-    poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.2))
+    poly = concave_octagon_polygon(0.2)
     areas = fan_areas(poly)
     assert areas.min() > 0.0
     assert float(np.sum(areas)) == pytest.approx(poly.area, rel=1e-12)
@@ -460,8 +458,7 @@ def test_representative_diameter_is_class_diameter(family):
     diameters = mesh._class_index.diameters
     for rep, cells in zip(mesh.cell_classes, class_cells(mesh)):
         assert rep.diameter == diameters[cells[0]]
-        poly = build_polygon(mesh.vertices[mesh.cells[cells[-1]]],
-                             normalize_orientation=False)
+        poly = build_polygon(mesh.vertices[mesh.cells[cells[-1]]])
         assert poly.diameter == diameters[cells[-1]]
     assert mesh.h == diameters.max()
 
@@ -528,7 +525,7 @@ def test_lowest_invalid_cell_named_across_stacks(kinds, cell, stack_rows,
     assert per_cell_quality(mesh)[3] == cell
     # the message is the one the cell's polygon gives when built alone
     with pytest.raises((NotSimple, NotStarShaped, ClockwiseOrientation)) as alone:
-        build_polygon(chains[cell], normalize_orientation=False)
+        build_polygon(chains[cell])
     with pytest.raises(StructuralDefect) as exc:
         mesh.cell_classes
     assert exc.value.cell == cell
@@ -536,7 +533,7 @@ def test_lowest_invalid_cell_named_across_stacks(kinds, cell, stack_rows,
     # a stack of the cells' chains names its lowest invalid row
     same = [c for c, k in zip(chains, kinds) if len(CHAINS[k]) == len(chains[cell])]
     with pytest.raises(type(alone.value)) as row:
-        build_polygon(np.stack(same), normalize_orientation=False)
+        build_polygon(np.stack(same))
     assert str(row.value) == str(alone.value)
     assert same[row.value.row] is chains[cell]
 
@@ -592,7 +589,7 @@ def test_polygon_quadrature_builds_fan_once(monkeypatch):
 
     fan = geometry._fan
     monkeypatch.setattr(geometry, "_fan", counting_fan)
-    poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4))
+    poly = concave_octagon_polygon(0.4)
     polys = build_polygon(np.stack([poly.vertices, poly.vertices + 1e6,
                                     2.0 * poly.vertices]))
     for degree in (2, 6, 8):

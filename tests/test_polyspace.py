@@ -7,7 +7,8 @@ import sympy as sp
 
 from e2vem.errors import IllConditioned
 from e2vem.geometry import build_polygon, stack_polygons
-from e2vem.meshgen import PolygonFamilySpec, make_polygon, regular_polygon
+from e2vem.meshgen import (concave_octagon_polygon, random_convex_polygon,
+                           regular_polygon)
 from e2vem.polyspace import (
     moment_tables,
     monomial_exponents,
@@ -57,7 +58,7 @@ def test_moment_table_centered_square_exact():
 
 @pytest.mark.parametrize("n,seed", [(5, 0), (8, 3)])
 def test_moment_table_matches_symbolic(n, seed):
-    poly = make_polygon(PolygonFamilySpec("random_convex", n=n, seed=seed))
+    poly = random_convex_polygon(n, seed)
     table = moment_table(poly, 2)
     exps = monomial_exponents(2)
     for a in range(3):
@@ -69,7 +70,7 @@ def test_moment_table_matches_symbolic(n, seed):
 
 
 def test_moment_table_matches_monte_carlo():
-    poly = make_polygon(PolygonFamilySpec("random_convex", n=7, seed=1))
+    poly = random_convex_polygon(7, 1)
     table = moment_table(poly, 1)
     cx, cy = poly.star_center
     h = poly.diameter
@@ -82,8 +83,8 @@ def test_moment_table_matches_monte_carlo():
 @pytest.mark.parametrize("k", [1, 3, 5, 8])
 def test_moment_tables_spd(k):
     polys = [regular_polygon(3), regular_polygon(6),
-             make_polygon(PolygonFamilySpec("random_convex", n=9, seed=4)),
-             make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4))]
+             random_convex_polygon(9, 4),
+             concave_octagon_polygon(0.4)]
     for poly in polys:
         table = moment_table(poly, k)
         eigs = np.linalg.eigvalsh(table)

@@ -10,7 +10,8 @@ from e2vem.degree import assign_degrees, stiffness_rank
 from e2vem.errors import IllConditioned
 from e2vem.geometry import (PolygonalMesh, build_polygon, stack_polygons,
                             stack_quadrature)
-from e2vem.meshgen import PolygonFamilySpec, make_polygon, regular_polygon
+from e2vem.meshgen import (concave_octagon_polygon, random_convex_polygon,
+                           regular_polygon)
 from e2vem.polyspace import moment_tables, space_dimension, stack_monomials
 from e2vem.projectors import (
     GRAM_CONDITION_LIMIT,
@@ -55,7 +56,7 @@ def local_stiffness(poly, l):
 
 def test_pinabla_constant_and_linear_dofs():
     for poly in (build_polygon(UNIT_SQUARE), regular_polygon(7),
-                 make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4))):
+                 concave_octagon_polygon(0.4)):
         pina = compute_pinabla(stack_polygons([poly]))[0]
         pts, _ = quadrature(poly, 2)
         ones = np.ones(poly.n_vertices)
@@ -152,7 +153,7 @@ def test_local_stiffness_hexagon_ranks():
 
 def test_local_stiffness_symmetric_psd_kernel():
     for poly in (regular_polygon(5), regular_polygon(8),
-                 make_polygon(PolygonFamilySpec("random_convex", n=10, seed=2))):
+                 random_convex_polygon(10, 2)):
         from e2vem.degree import min_admissible_l
 
         l = min_admissible_l(poly).l
@@ -196,7 +197,7 @@ def test_local_load_cases():
 
 
 def test_project_gradient_from_data_quartic():
-    poly = make_polygon(PolygonFamilySpec("random_convex", n=8, seed=5))
+    poly = random_convex_polygon(8, 5)
     l = 3
 
     def p(x, y):
@@ -221,8 +222,8 @@ def test_gram_condition_reported():
     # cond(L)^2 from the Cholesky factor is the Gram's own condition
     # number, up to the 20-gon's 1.25e13 at l = 9
     for poly in (regular_polygon(20), regular_polygon(6),
-                 make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4)),
-                 make_polygon(PolygonFamilySpec("random_convex", n=12, seed=0))):
+                 concave_octagon_polygon(0.4),
+                 random_convex_polygon(12, 0)):
         s = stack_polygons([poly])
         for l in range(10):
             with warnings.catch_warnings():
@@ -237,7 +238,7 @@ def test_gram_condition_reported():
 def reuse_polygons():
     jitter = np.random.default_rng(2).uniform(-0.05, 0.05, (6, 2))
     return (build_polygon(regular_polygon(6).vertices + jitter),
-            make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=0.4)))
+            concave_octagon_polygon(0.4))
 
 
 def kernel_arrays(poly, l):
@@ -270,19 +271,16 @@ def test_kernel_memoised_bitwise_and_read_only(l):
 
 def mixed_stacks():
     """Same-n stacks of triangles, 20-gons and the alpha = 0.4 concave
-    octagon, each with its copies translated by 1e6 and its clockwise
-    copies, which ``build_polygon`` reverses."""
+    octagon, each with its copies translated by 1e6."""
     triangles = [[(0.1, 0.0), (1.2, 0.3), (0.4, 1.1)],
                  [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
                  [(0.3, 0.1), (2.1, 0.4), (0.9, 1.8)]]
-    twenty = [regular_polygon(20).vertices, make_polygon(
-        PolygonFamilySpec("random_convex", n=20, seed=3)).vertices]
-    octagon = [make_polygon(
-        PolygonFamilySpec("concave_octagon", n=8, alpha=0.4)).vertices]
+    twenty = [regular_polygon(20).vertices,
+              random_convex_polygon(20, 3).vertices]
+    octagon = [concave_octagon_polygon(0.4).vertices]
     for chains in (triangles, twenty, octagon):
         chains = [np.asarray(c, dtype=float) for c in chains]
-        yield np.stack(chains + [c + 1e6 for c in chains]
-                       + [c[::-1] for c in chains])
+        yield np.stack(chains + [c + 1e6 for c in chains])
 
 
 def row_bits(polys, l):

@@ -9,7 +9,8 @@ from e2vem.degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from e2vem import geometry
 from e2vem.geometry import (PolygonalMesh, build_polygon, stack_polygons,
                             stack_quadrature)
-from e2vem.meshgen import PolygonFamilySpec, SplitMix64, make_polygon
+from e2vem.meshgen import (concave_octagon_polygon, random_convex_polygon,
+                           splitmix64)
 from e2vem.polyspace import moment_tables
 
 from oracles import class_cells, splitmix64_reference
@@ -23,7 +24,7 @@ alphas = st.floats(min_value=0.0, max_value=0.6, allow_nan=False)
 
 
 def convex(n, seed):
-    return make_polygon(PolygonFamilySpec("random_convex", n=n, seed=seed))
+    return random_convex_polygon(n, seed)
 
 
 def similarity(vertices, angle, scale, dx, dy):
@@ -48,7 +49,7 @@ def test_minimal_degree_similarity_invariant(n, seed, angle, scale, dx, dy):
 @settings(max_examples=25, deadline=None)
 @given(alphas, angles, scales, shifts, shifts)
 def test_shape_ratio_similarity_invariant(alpha, angle, scale, dx, dy):
-    poly = make_polygon(PolygonFamilySpec("concave_octagon", n=8, alpha=alpha))
+    poly = concave_octagon_polygon(alpha)
     moved = build_polygon(similarity(poly.vertices, angle, scale, dx, dy))
     ratio = poly.kernel_inradius / poly.diameter
     moved_ratio = moved.kernel_inradius / moved.diameter
@@ -67,8 +68,7 @@ def test_class_members_valid_like_representative(n, seed, alpha, stretch,
     # stretching moves kappa across the class rule's 1e-2 threshold
     rng = np.random.default_rng(noise_seed)
     for poly in (convex(n, seed),
-                 make_polygon(PolygonFamilySpec("concave_octagon", n=8,
-                                                alpha=alpha))):
+                 concave_octagon_polygon(alpha)):
         shape = poly.vertices * (stretch, 1.0)
         tol = geometry._CLASS_TOLERANCE * poly.diameter * stretch
         copies = [shape + (3.0 * stretch * k, -2.0 * k)
@@ -79,8 +79,7 @@ def test_class_members_valid_like_representative(n, seed, alpha, stretch,
                              [range(m * k, m * (k + 1)) for k in range(6)])
         for rep, cells in zip(mesh.cell_classes, class_cells(mesh)):
             for member in cells[1:]:
-                own = build_polygon(mesh.vertices[mesh.cells[member]],
-                                    normalize_orientation=False)
+                own = build_polygon(mesh.vertices[mesh.cells[member]])
                 assert abs(kappa(own) - kappa(rep)) <= 1e-9 * kappa(rep)
 
 
@@ -88,8 +87,7 @@ def test_class_members_valid_like_representative(n, seed, alpha, stretch,
 @given(sizes, seeds, alphas)
 def test_subtriangulation_covers_polygon(n, seed, alpha):
     for poly in (convex(n, seed),
-                 make_polygon(PolygonFamilySpec("concave_octagon", n=8,
-                                                alpha=alpha))):
+                 concave_octagon_polygon(alpha)):
         # the fan (star_center, v_i, v_{i+1}); each triangle's quadrature
         # weights sum to its area
         v = poly.vertices
@@ -154,9 +152,18 @@ def test_parse_n_range_lists(values):
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_splitmix_matches_reference(seed):
-    gen = SplitMix64(seed)
-    assert [gen.next_u64() for _ in range(6)] == \
-        splitmix64_reference(seed, 6)
-    a, b = SplitMix64(seed), SplitMix64(seed)
-    draws = [(a.random(), b.random()) for _ in range(4)]
-    assert all(x == y and 0.0 <= x < 1.0 for x, y in draws)
+    assert splitmix64(seed, 6).tolist() == splitmix64_reference(seed, 6)
+    u = (splitmix64(seed, 4) >> 11) * 2.0 ** -53
+    assert ((0.0 <= u) & (u < 1.0)).all()
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=0, max_value=30), st.integers(min_value=0))
+def test_splitmix_stream_continues_from_advanced_state(seed, count, k):
+    # k draws, then count - k from the state advanced by k steps (which
+    # may wrap past 2**64), are one draw of count
+    k %= count + 1
+    rest = splitmix64(seed + k * 0x9E3779B97F4A7C15, count - k)
+    assert np.array_equal(np.concatenate([splitmix64(seed, k), rest]),
+                          splitmix64(seed, count))
