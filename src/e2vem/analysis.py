@@ -16,8 +16,8 @@ import numpy as np
 from .degree import dim_badpoly, ell_check, ell_hat, min_admissible_l
 from .errors import DegenerateData, MissingExactSolution
 from .geometry import (PolygonalMesh, PolygonStack, at_points,
-                       class_groups, class_members, member_points,
-                       stack_polygons, stack_quadrature)
+                       class_groups, member_points, stack_polygons,
+                       stack_quadrature)
 from .meshgen import (MeshFamilySpec, concave_octagon_polygon, make_mesh,
                       random_convex_polygon, regular_polygon,
                       split_hexagon_polygon, split_triangle_polygon)
@@ -245,8 +245,8 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
     classes with a rule of the mesh's :func:`class_rules` take it, the
     others the fan rule. The exact fields are evaluated on the chunks of
     members that ``geometry.member_points`` yields across the classes of
-    each part, from one ``geometry.class_members`` gather. Raises
-    ValueError unless the vertex data holds one value per mesh vertex."""
+    each part. Raises ValueError unless the vertex data holds one value
+    per mesh vertex."""
     u = np.asarray(vertex_values, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ValueError(f"vertex data has shape {u.shape}, expected "
@@ -258,49 +258,40 @@ def _projection_errors(mesh: PolygonalMesh, vertex_values, exact,
         pinabla = compute_pinabla(s)                            # (c, 3, n)
         for part, sub, qpts, qw in rule_parts(mesh, rows, s,
                                               _ERROR_QUADRATURE_DEGREE):
-            sums = _part_errors(class_members(mesh, rows[part]), sub,
-                                pinabla[part], qpts, qw, u, exact,
-                                exact_gradient)
-            l2_sq += sums[0]
-            h1_sq += sums[1]
-    return l2_sq, h1_sq
-
-
-def _part_errors(members, s, pinabla, qpts, qw, u, exact, exact_gradient):
-    """The squared error sums of the classes whose ``class_members`` are
-    ``members``, stacked in ``s`` with their projectors and quadrature
-    points (c, P, 2) and weights."""
-    l2_sq = h1_sq = 0.0
-    linear = stack_monomials(s, qpts, 1)                        # (c, P, 3)
-    idx, cls, offsets = members
-    for rows, c, x, y in member_points(cls, offsets, qpts):
-        coeffs = np.einsum("mn,man->ma", u[idx[rows]], pinabla[c])
-        shape = (len(c), qw.shape[1])
-        # in-place updates: one norm's temporaries at a time bound
-        # the peak memory
-        err = linear[c, :, 1]
-        err *= coeffs[:, 1:2]
-        err += coeffs[:, :1]
-        eta = linear[c, :, 2]
-        eta *= coeffs[:, 2:3]
-        err += eta
-        del eta
-        err -= at_points(exact(x, y), x).reshape(shape)
-        err *= err
-        l2_sq += float(np.einsum("mp,mp->m", err, qw[c]).sum())
-        del err
-        gx, gy = exact_gradient(x, y)
-        # the projected gradient is constant per cell
-        scale = s.diameter[c, None]
-        dx = coeffs[:, 1:2] / scale - at_points(gx, x).reshape(shape)
-        del gx
-        dy = coeffs[:, 2:3] / scale - at_points(gy, x).reshape(shape)
-        del gy
-        dx *= dx
-        dy *= dy
-        dx += dy
-        del dy
-        h1_sq += float(np.einsum("mp,mp->m", dx, qw[c]).sum())
+            linear = stack_monomials(sub, qpts, 1)              # (c, P, 3)
+            part_pinabla = pinabla[part]
+            # each part sums its chunks before adding to the totals
+            l2_part = h1_part = 0.0
+            for c, vertices, x, y in member_points(mesh, rows[part], qpts):
+                coeffs = np.einsum("mn,man->ma", u[vertices], part_pinabla[c])
+                shape = (len(c), qw.shape[1])
+                # in-place updates: one norm's temporaries at a time bound
+                # the peak memory
+                err = linear[c, :, 1]
+                err *= coeffs[:, 1:2]
+                err += coeffs[:, :1]
+                eta = linear[c, :, 2]
+                eta *= coeffs[:, 2:3]
+                err += eta
+                del eta
+                err -= at_points(exact(x, y), x).reshape(shape)
+                err *= err
+                l2_part += float(np.einsum("mp,mp->m", err, qw[c]).sum())
+                del err
+                gx, gy = exact_gradient(x, y)
+                # the projected gradient is constant per cell
+                scale = sub.diameter[c, None]
+                dx = coeffs[:, 1:2] / scale - at_points(gx, x).reshape(shape)
+                del gx
+                dy = coeffs[:, 2:3] / scale - at_points(gy, x).reshape(shape)
+                del gy
+                dx *= dx
+                dy *= dy
+                dx += dy
+                del dy
+                h1_part += float(np.einsum("mp,mp->m", dx, qw[c]).sum())
+            l2_sq += l2_part
+            h1_sq += h1_part
     return l2_sq, h1_sq
 
 

@@ -347,7 +347,6 @@ def _assemble_group(mesh, group, l, problem, load_mode, load, dof, lift):
     if problem.kind == "diffusion_reaction":
         local = local + s.area[:, None, None] * (pizero[:, :, None]
                                                  * pizero[:, None, :])
-    idx, cls, offsets = class_members(mesh, group)  # (m, nv), (m,), (m, 2)
     # the load of a member of class c is (f, 1)_E pizero[c], or for p1
     # pinabla[c]^T (f, m_a)_E over the linear monomials m_a
     project = pizero[:, None, :] if load_mode == "mean" else compute_pinabla(s)
@@ -355,16 +354,14 @@ def _assemble_group(mesh, group, l, problem, load_mode, load, dof, lift):
         moments = qw[:, :, None]                                # (c, P, 1)
         if load_mode == "p1":
             moments = moments * stack_monomials(sub, qpts, 1)   # (c, P, 3)
-        row = np.full(len(group), -1)           # each class's row in the part
-        row[part] = np.arange(len(part))
-        mine = np.flatnonzero(row[cls] >= 0)    # the part's members
         local_project = project[part]
-        for rows, c, x, y in member_points(row[cls[mine]], offsets[mine], qpts):
+        for c, vertices, x, y in member_points(mesh, group[part], qpts):
             fv = at_points(problem.f(x, y), x).reshape(len(c), -1)
             f_moments = np.stack([np.einsum("mp,mp->m", fv, moments[c, :, a])
                                   for a in range(moments.shape[2])], axis=1)
-            np.add.at(load, idx[mine[rows]],
+            np.add.at(load, vertices,
                       np.einsum("ma,man->mn", f_moments, local_project[c]))
+    idx, cls, _ = class_members(mesh, group)  # (m, nv), (m,)
     d = dof[idx]
     lifted = np.flatnonzero((d < 0).any(axis=1))
     if len(lifted):

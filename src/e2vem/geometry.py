@@ -44,7 +44,7 @@ class Polygon:
         kernel (``rho`` in the shape-regularity ratio ``rho / h_E``).
     memo : dict
         The element kernel rows of ``projectors.build_projectors``, keyed
-        by their int degree; read and filled by :func:`memoised`.
+        by their int degree; read and filled by ``projectors`` alone.
     """
 
     vertices: np.ndarray
@@ -64,22 +64,6 @@ class Polygon:
 #: not depend on its neighbours, so this bounds only the memory of the
 #: stack's temporaries, which grow with its quadrature points.
 _STACK_ROWS = 128
-
-
-def memoised(polys, key, compute, *args):
-    """Each polygon's ``compute(stack, *args)`` row, computed once per
-    polygon and ``key`` and kept in its ``memo``: the polygons of the
-    sequence ``polys`` without an entry are computed in stacks of at most
-    ``_STACK_ROWS``, whose results have a row per polygon. Returns the
-    tuple of every polygon's entry. Reuse is exact: polygons come from
-    ``build_polygon``, frozen with read-only arrays, so nothing computed
-    from a polygon can change; a new mesh builds new polygons."""
-    missing = [p for p in polys if key not in p.memo]
-    for start in range(0, len(missing), _STACK_ROWS):
-        chunk = missing[start:start + _STACK_ROWS]
-        for p, row in zip(chunk, compute(chunk, *args)):
-            p.memo[key] = row
-    return tuple(p.memo[key] for p in polys)
 
 
 class PolygonStack(NamedTuple):
@@ -348,18 +332,21 @@ def class_members(mesh, rows):
     return idx, cls, anchor - anchor[head[cls]]
 
 
-def member_points(cls, offsets, points):
-    """Row ``cls[i]`` of ``points`` (c, P, 2) moved by ``offsets[i]``,
-    for the members that :func:`class_members` gives, ``_CHUNK_MEMBERS``
-    members at a time: yields ``(rows, c, x, y)``, the slice of the
-    members, their class rows and their points' (k P,) coordinates,
-    member by member."""
+def member_points(mesh, rows, points):
+    """Row ``k`` of ``points`` (c, P, 2), the points of class ``rows[k]``
+    of ``mesh.cell_classes``, moved onto each of its members by the
+    member's anchor offset, for the members that :func:`class_members`
+    gives, in its order, ``_CHUNK_MEMBERS`` members at a time: yields
+    ``(c, vertices, x, y)``, the members' positions in ``rows`` (k,) and
+    vertex indices (k, n), and their points' (k P,) coordinates, member
+    by member."""
+    idx, cls, offsets = class_members(mesh, rows)
     for start in range(0, len(cls), _CHUNK_MEMBERS):
-        rows = slice(start, start + _CHUNK_MEMBERS)
-        pts = points[cls[rows]]
-        pts += offsets[rows, None, :]
+        chunk = slice(start, start + _CHUNK_MEMBERS)
+        pts = points[cls[chunk]]
+        pts += offsets[chunk, None, :]
         pts = pts.reshape(-1, 2)
-        yield rows, cls[rows], pts[:, 0], pts[:, 1]
+        yield cls[chunk], idx[chunk], pts[:, 0], pts[:, 1]
 
 
 def at_points(value, x):

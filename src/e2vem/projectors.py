@@ -27,8 +27,8 @@ Every array carries a leading stack axis: one row per polygon of a
 :class:`~e2vem.geometry.PolygonStack`, and (m, k, k) matrix stacks go
 through one stacked ``np.linalg`` call, so a row's bits do not depend on
 the rows beside it. Only the kernel rows of :func:`build_projectors` are
-memoised, in each polygon's ``memo`` under the degree, computed in
-stacks of at most ``geometry._STACK_ROWS`` rows: degree certification
+memoised, by :func:`_kernel_rows`, in each polygon's ``memo`` under the
+degree, computed in stacks of at most ``geometry._STACK_ROWS`` rows: degree certification
 computes each vertex count's kernels, and assembly reads the same rows.
 :func:`compute_pinabla` is computed on the stack that its caller holds.
 """
@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import IllConditioned, SingularSystem
-from .geometry import Polygon, PolygonStack, memoised, stack_polygons
+from .geometry import _STACK_ROWS, Polygon, PolygonStack, stack_polygons
 from .polyspace import (moment_tables, space_dimension, stack_monomials,
                         unit_divergence_matrix)
 from .quadrature import segment_rule
@@ -180,7 +180,7 @@ def build_projectors(polys, l: int) -> ElementProjectors:
     :func:`svd_ranks` at shape dimension ``max(n, 2 dim P_l)``. Degree
     certification and assembly share the rows, so an
     :class:`IllConditioned` warning fires once per (polygon, degree)."""
-    rows = memoised(polys, l, _build_projectors, l)
+    rows = _kernel_rows(polys, l)
     return ElementProjectors(*(np.array([getattr(r, f.name) for r in rows])
                                for f in fields(ElementProjectors)))
 
@@ -189,7 +189,23 @@ def stiffness_rank(polys, l: int):
     """Numerical rank of the local stiffness at degree ``l``, a tuple for
     a sequence of same-n polygons: the ``rank`` of each memoised kernel
     row, read without stacking the rows as :func:`build_projectors` does."""
-    return tuple(row.rank for row in memoised(polys, l, _build_projectors, l))
+    return tuple(row.rank for row in _kernel_rows(polys, l))
+
+
+def _kernel_rows(polys, l: int):
+    """Each polygon's kernel row at degree ``l``, built once per polygon
+    and degree and kept in its ``memo``: the polygons of the sequence
+    ``polys`` without one are built by :func:`_build_projectors` in stacks
+    of at most ``_STACK_ROWS``. Returns the tuple of every polygon's row.
+    Reuse is exact: polygons come from ``build_polygon``, frozen with
+    read-only arrays, so nothing computed from a polygon can change; a
+    new mesh builds new polygons."""
+    missing = [p for p in polys if l not in p.memo]
+    for start in range(0, len(missing), _STACK_ROWS):
+        chunk = missing[start:start + _STACK_ROWS]
+        for p, row in zip(chunk, _build_projectors(chunk, l)):
+            p.memo[l] = row
+    return tuple(p.memo[l] for p in polys)
 
 
 def _build_projectors(polys, l: int):

@@ -13,6 +13,7 @@ from e2vem.geometry import (
     build_polygon,
     class_groups,
     class_members,
+    member_points,
     stack_polygons,
     stack_quadrature,
     validate_mesh,
@@ -465,7 +466,7 @@ def test_representative_diameter_is_class_diameter(family):
 
 @pytest.mark.parametrize("case", ["honeycomb", "concave_star",
                                   "jittered honeycomb"])
-def test_class_index_rules(case):
+def test_class_index_rules(case, monkeypatch):
     # the rules the array index relies on, against a gather from the
     # mesh's own arrays: each class's representative is its lowest cell,
     # members ascend within a class, classes follow their lowest cells
@@ -483,6 +484,7 @@ def test_class_index_rules(case):
         assert np.array_equal(poly.vertices[0],
                               mesh.vertices[mesh.cell_vertices[
                                   mesh.cell_start[cell]]])
+    monkeypatch.setattr(geometry, "_CHUNK_MEMBERS", 7)
     for *_, rows in class_groups(polys):
         for part in (rows, rows[::-2]):
             idx, cls, offsets = class_members(mesh, part)
@@ -493,6 +495,21 @@ def test_class_index_rules(case):
                 np.arange(len(part)), [len(members[k]) for k in part]))
             assert np.array_equal(offsets, mesh.vertices[want[:, 0]]
                                   - [polys[part[k]].vertices[0] for k in cls])
+            # member_points walks the same members, 7 at a time, each
+            # class's points (here its representative's vertices) moved
+            # onto the member by its anchor offset
+            points = np.array([polys[k].vertices for k in part])
+            chunks = list(member_points(mesh, part, points))
+            assert [len(c) for c, *_ in chunks] == [
+                min(7, len(cls) - k) for k in range(0, len(cls), 7)]
+            c, vertices, x, y = map(np.concatenate, zip(*chunks))
+            assert np.array_equal(c, cls)
+            assert np.array_equal(vertices, want)
+            moved = points[cls] + offsets[:, None, :]
+            assert np.array_equal(x, moved[..., 0].ravel())
+            assert np.array_equal(y, moved[..., 1].ravel())
+            assert np.allclose(moved, mesh.vertices[want], rtol=0.0,
+                               atol=1e-12)
 
 
 #: cell chains for the invalid-stack cases, 3 apart so no two touch
