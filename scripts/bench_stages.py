@@ -27,11 +27,15 @@ them). After its timed runs
 it records ``peak_rss_mb``, its peak resident memory, and then makes one
 untimed run under ``tracemalloc``, recording ``<stage>_traced_mb``: the
 most memory each stage held above its own start, in MiB (for ``total``,
-above the run's start; the largest over a case's meshes), and
-``f_points``, the points at which one more untimed ``assemble`` of each
-of the case's meshes evaluates the source, an exact count. Each stage
-reports the median and quartiles over all timed runs of a tree's
-processes; the per-process readings over its processes. The report
+above the run's start; the largest over a case's meshes). It also
+records three exact counts: ``f_points``, the points at which one more
+untimed ``assemble`` of each of the case's meshes evaluates the source,
+and ``iterations`` and ``levels``, each mesh's CG iterations and level
+sizes (``SolveStats.iterations`` and ``.levels``) in the last timed
+run. Each stage reports the median and
+quartiles over all timed runs of a tree's processes; the other
+per-process readings over its processes; the counts once, which must
+agree across a tree's processes. The report
 names the ``OPENBLAS_NUM_THREADS`` the workers inherited (``unset`` for
 none), since results can differ in their last bits between thread
 counts.
@@ -61,7 +65,9 @@ CASES += [("jitter-batch", "honeycomb", 0, "poisson", "mean", "batch"),
 STAGES = ("classes", "degrees", "assemble", "solve", "errors", "total")
 #: Readings taken once per process.
 PROCESS = ("import", "import_rss_mb", "peak_rss_mb",
-           *(f"{stage}_traced_mb" for stage in STAGES), "f_points")
+           *(f"{stage}_traced_mb" for stage in STAGES))
+#: Exact counts, taken once per process.
+COUNTS = ("f_points", "iterations", "levels")
 #: Process pairs per case, and timed runs per process.
 PAIRS = 3
 REPS = 3
@@ -129,8 +135,9 @@ def worker(src: str, case: str) -> dict:
             mark("degrees")
             system = assemble(mesh, degrees, problem, mode)
             mark("assemble")
-            x, _ = solve(system)
+            x, stats = solve(system)
             mark("solve")
+            solves.append(stats)
             result = e2vem.SolutionResult(mesh, problem, degrees,
                                           system.expand(x), None)
             e2vem.solution_errors(result)
@@ -140,6 +147,7 @@ def worker(src: str, case: str) -> dict:
     for _ in range(REPS):
         times = dict.fromkeys(STAGES, 0.0)
         clock = None
+        solves = []
 
         def lap(stage):
             nonlocal clock
@@ -151,6 +159,8 @@ def worker(src: str, case: str) -> dict:
         run(lap)
         times["total"] = sum(times[s] for s in STAGES[:-1])
         runs.append(times)
+    counts = {"iterations": [s.iterations for s in solves],
+              "levels": [list(s.levels) for s in solves]}
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     traced = dict.fromkeys(STAGES, 0)
     tracemalloc.start()
@@ -178,7 +188,7 @@ def worker(src: str, case: str) -> dict:
         mesh = e2vem.PolygonalMesh(vertices, cells)
         assemble(mesh, assign_degrees(mesh, "minimal"),
                  e2vem.ProblemSpec(kind, counting_f), mode)
-    return {**imported, "peak_rss_mb": peak, "f_points": f_points,
+    return {**imported, "peak_rss_mb": peak, "f_points": f_points, **counts,
             **{f"{stage}_traced_mb": v / 2**20 for stage, v in traced.items()},
             **{stage: [r[stage] for r in runs] for stage in STAGES}}
 
@@ -214,13 +224,19 @@ def main(argv=None) -> int:
                     capture_output=True, text=True, check=True)
                 readings[label].append(
                     json.loads(proc.stdout.strip().splitlines()[-1]))
+        for label, runs in readings.items():
+            if any(r[key] != runs[0][key] for r in runs for key in COUNTS):
+                raise SystemExit(f"{case}: the {label} processes' counts "
+                                 f"differ")
         results[case] = {
             label: {**{key: summary([r[key] for r in runs])
                        for key in PROCESS},
+                    **{key: runs[0][key] for key in COUNTS},
                     **{stage: summary([t for r in runs for t in r[stage]])
                        for stage in STAGES}}
             for label, runs in readings.items()}
-        print(case, json.dumps({label: {key: round(v["median"], 4)
+        print(case, json.dumps({label: {key: (v if key in COUNTS
+                                              else round(v["median"], 4))
                                         for key, v in res.items()}
                                 for label, res in results[case].items()}),
               flush=True)
@@ -242,9 +258,11 @@ def main(argv=None) -> int:
                    f"e2vem imports), peak_rss_mb (after the timed runs) "
                    f"and <stage>_traced_mb (one untimed run under "
                    f"tracemalloc after those: each stage's peak above its "
-                   f"start, total's above the run's start) and f_points "
-                   f"(the source's points in one more untimed assemble) "
-                   f"those of its {PAIRS} processes"),
+                   f"start, total's above the run's start) those of its "
+                   f"{PAIRS} processes; f_points (the source's points in "
+                   f"one more untimed assemble), iterations and levels "
+                   f"(each mesh's CG iterations and level sizes) exact "
+                   f"counts, equal in all its processes"),
         "trees": {"base": "the src directory given as --base",
                   "change": "this checkout's src"},
         "unit": "s; import_rss_mb, peak_rss_mb and *_traced_mb in MiB",

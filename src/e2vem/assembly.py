@@ -525,15 +525,17 @@ def _norm(u) -> float:
 
 
 def _hierarchy(a):
-    """Smoothed-aggregation levels ``(a, w, pt, pta)`` from ``a`` down
+    """Smoothed-aggregation levels ``(a, w, pt, p, ap)`` from ``a`` down
     to at most ``_DENSE_ROWS`` rows, and the coarsest matrix, which
     :func:`solve` factors by :func:`_dense_factor`; ``a`` may be dense or
     CSR, and only building a level imports ``scipy.sparse``.
 
-    The prolongator P, kept as its transpose ``pt``, is the
-    piecewise-constant one smoothed by one Jacobi step of weight
-    4/(3 rho), rho the spectral radius of D^-1 A from ten power steps;
-    ``w`` = 1/(rho D) is the smoother's weight and ``pta`` = P^T A."""
+    The prolongator P is the piecewise-constant one smoothed by one
+    Jacobi step of weight ``w`` = 4/(3 rho D), rho the spectral radius of
+    D^-1 A from ten power steps; ``w`` is also the smoother's weight
+    (Vanek, Mandel and Brezina, Computing 56, 1996). ``pt`` = P^T is
+    CSR, and ``p`` and ``ap`` = A P are the transposes of ``pt`` and
+    P^T A, which share their arrays."""
     levels = []
     while True:
         diag = a.diagonal()
@@ -548,15 +550,17 @@ def _hierarchy(a):
         for _ in range(10):
             v = a @ v / diag
             v /= _norm(v)
-        rho = _norm(a @ v / diag)
+        w = 4.0 / (3.0 * _norm(a @ v / diag)) / diag
         agg = _aggregates(a, prio)
         t = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)),
                           shape=(n, int(agg.max()) + 1))
-        p = (t - sp.diags(4.0 / (3.0 * rho) / diag) @ (a @ t)).tocsr()
-        del t, agg, prio, v             # not held through the products below
+        wat = (a @ t).tocsr()
+        wat.data *= np.repeat(w, np.diff(wat.indptr))  # the rows of W A T
+        p = (t - wat).tocsr()
+        del t, wat, agg, prio, v        # not held through the products below
         pt = p.T.tocsr()
         pta = pt @ a
-        levels.append((a, 1.0 / (rho * diag), pt, pta))
+        levels.append((a, w, pt, pt.T, pta.T))
         a = (pta @ p).tocsr()
 
 
@@ -567,15 +571,15 @@ def _vcycle(levels, factor, r):
     all the cycle does without levels."""
     if not levels:
         return _cho_solve(factor, r.copy())
-    (a, w, pt, pta), rest = levels[0], levels[1:]
+    (a, w, pt, p, ap), rest = levels[0], levels[1:]
     x = w * r
     s = a @ x
     np.subtract(r, s, out=s)
     e = _vcycle(rest, factor, pt @ s)
     # A P e through (P^T A)^T: A is symmetric, and this product is cheaper;
     # x + P e + w (s - A P e), summed in place in that order
-    x += pt.T @ e
-    ape = pta.T @ e
+    x += p @ e
+    ape = ap @ e
     x += np.multiply(w, np.subtract(s, ape, out=ape), out=ape)
     return x
 
