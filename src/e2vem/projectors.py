@@ -28,8 +28,9 @@ Every array carries a leading stack axis: one row per polygon of a
 through one stacked ``np.linalg`` call, so a row's bits do not depend on
 the rows beside it. Only the kernel rows of :func:`build_projectors` are
 memoised, by :func:`_kernel_rows`, in each polygon's ``memo`` under the
-degree, computed in stacks of at most ``geometry._STACK_ROWS`` rows: degree certification
-computes each vertex count's kernels, and assembly reads the same rows.
+degree, computed in stacks of at most ``geometry._STACK_ROWS`` rows:
+degree certification computes each vertex count's kernels, and assembly
+reads the same rows.
 :func:`compute_pinabla` is computed on the stack that its caller holds.
 """
 from __future__ import annotations

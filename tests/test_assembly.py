@@ -295,8 +295,7 @@ def test_hierarchy_memory(concave_star_l3_matrix):
 def test_hierarchy_and_iterations_pinned(family, level, kind, mode, levels,
                                          iterations):
     # the aggregation reads the pattern alone, and the pattern and the
-    # CG recurrence are those of the eliminated system; the smoother's
-    # weight 4/(3 rho D) took 36, 52 and 54 iterations down to these
+    # CG recurrence are those of the eliminated system
     mesh = make_mesh(MeshFamilySpec(family, level=level))
     res = solve_problem(mesh, "minimal", sin_sin_problem(kind), mode)
     assert res.stats.levels == levels
